@@ -70,9 +70,18 @@ BatchStats batch_evaluate(const exec::Executor& executor,
   const std::size_t chunks = (count + kBatchChunk - 1) / kBatchChunk;
   stats.calls = chunks;
   stats.lanes = count;
-  // One worker item per fixed-width chunk: the decomposition depends only on
-  // `count`, so results and dispatch counts are thread-count invariant.
+  // Chunks are the accounting unit; host dispatch may be finer. out[i]
+  // depends only on seeds[i], so results and the stats above stay
+  // thread-count invariant either way.
   obs::HostScope host_scope("derand/batch_eval");
+  if (chunks < executor.threads()) {
+    // Too few chunks to occupy the pool (a 16-seed selection batch is one
+    // chunk): one seed per task instead.
+    executor.for_each(0, count, [&](std::uint64_t i) {
+      out[i] = objective.evaluate(seeds[i]);
+    });
+    return stats;
+  }
   executor.for_each(0, chunks, [&](std::uint64_t c) {
     const std::size_t lo = static_cast<std::size_t>(c) * kBatchChunk;
     const std::size_t hi = std::min(count, lo + kBatchChunk);

@@ -134,10 +134,11 @@ class RangeObjective : public Objective {
   field::PowerTable table_;
 };
 
-/// Dispatch accounting for one engine run: chunk dispatches into
-/// evaluate_batch and candidate-seed lanes shipped through them. Both are
-/// pure functions of the candidate count, so the totals are deterministic
-/// across thread counts and dispatch paths.
+/// Dispatch accounting for one engine run: kBatchChunk-wide chunks and
+/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate may
+/// split one into per-seed host tasks — so both counts are pure functions
+/// of the candidate count, deterministic across thread counts and dispatch
+/// paths.
 struct BatchStats {
   std::uint64_t calls = 0;
   std::uint64_t lanes = 0;
@@ -155,9 +156,11 @@ struct BatchStats {
 inline constexpr std::size_t kBatchChunk = 16;
 
 /// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), dispatching
-/// kBatchChunk-wide evaluate_batch calls across the executor. Returns the
-/// dispatch stats; the caller records them once per completed engine run
-/// (record_batch_stats) so registry totals stay deterministic.
+/// kBatchChunk-wide evaluate_batch calls across the executor — or, when
+/// there are fewer chunks than executor threads, one evaluate() call per
+/// pool task. Returns the dispatch stats, counted in chunks whichever way
+/// the host dispatched; the caller records them once per completed engine
+/// run (record_batch_stats) so registry totals stay deterministic.
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,

@@ -17,11 +17,19 @@
 
 namespace dmpc::matching {
 
+using graph::Edge;
 using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
 namespace {
+
+/// True when E*-position i (endpoints e) is the argmin at both endpoints,
+/// i.e. a Lemma-13 local minimum.
+bool argmin_at_both(const std::vector<std::uint32_t>& best, const Edge& e,
+                    std::uint32_t i) {
+  return best[e.u] == i && best[e.v] == i;
+}
 
 /// The Lemma-13 selection objective. For hash seed s, every E* edge gets
 /// priority z_e = h_s(e); E_h = edges that are local minima among their E*
@@ -29,27 +37,27 @@ namespace {
 /// of B-nodes covered by E_h.
 //
 // Range form: the E* edge list is the bound point universe, so every
-// priority z_e is computed once per seed by the lane-parallel kernel; the
-// local-min test then reads competitors' priorities by edge position instead
-// of re-evaluating the polynomial per incidence (previously O(sum deg^2)
-// hash evaluations per seed — the selection hotspot). The covered bitmap is
-// a per-seed prepass into thread-local scratch.
+// priority z_e is computed once per seed by the lane-parallel kernel.
+// prepare_seed then takes the per-node argmins in one O(n + |E*|) pass
+// (detail::incidence_argmins) into thread-local scratch. A node is covered
+// by E_h exactly when its argmin edge is also the argmin at the other
+// endpoint, so accumulate_terms reads coverage straight off the argmins.
+// matching_for runs the same routine: the committed matching is by
+// construction the one that was scored.
 class SelectionObjective final : public derand::RangeObjective {
  public:
   SelectionObjective(const Graph& g, const hash::KWiseFamily& family,
                      const std::vector<EdgeId>& estar_edges,
-                     const std::vector<std::vector<EdgeId>>& estar_incident,
                      const std::vector<bool>& in_B,
                      const std::vector<std::uint32_t>& alive_degree)
-      : g_(&g),
+      : n_(g.num_nodes()),
         estar_edges_(&estar_edges),
-        estar_incident_(&estar_incident),
         in_B_(&in_B),
-        alive_degree_(&alive_degree),
-        edge_pos_(g.num_edges(), 0) {
-    for (std::size_t i = 0; i < estar_edges.size(); ++i) {
-      edge_pos_[estar_edges[i]] = i;
-    }
+        alive_degree_(&alive_degree) {
+    DMPC_CHECK_MSG(estar_edges.size() < detail::kNoPosition,
+                   "E* exceeds 32-bit positions");
+    estar_ends_.reserve(estar_edges.size());
+    for (EdgeId e : estar_edges) estar_ends_.push_back(g.edge(e));
     bind_points(family, estar_edges.data(), estar_edges.size());
   }
 
@@ -59,31 +67,27 @@ class SelectionObjective final : public derand::RangeObjective {
     std::vector<std::uint64_t> values(estar_edges_->size());
     fn.raw_many(estar_edges_->data(), estar_edges_->size(), values.data());
     std::vector<EdgeId> matched;
-    for (std::size_t i = 0; i < estar_edges_->size(); ++i) {
-      if (is_local_min(i, values.data())) matched.push_back((*estar_edges_)[i]);
+    for (std::uint32_t i :
+         detail::local_minima(n_, estar_ends_, values.data())) {
+      matched.push_back((*estar_edges_)[i]);
     }
     return matched;
   }
 
   void prepare_seed(std::uint64_t /*seed*/,
                     const std::uint64_t* values) const override {
-    std::vector<std::uint8_t>& covered = covered_scratch();
-    covered.assign(g_->num_nodes(), 0);
-    for (std::size_t i = 0; i < estar_edges_->size(); ++i) {
-      if (!is_local_min(i, values)) continue;
-      const EdgeId e = (*estar_edges_)[i];
-      covered[g_->edge(e).u] = 1;
-      covered[g_->edge(e).v] = 1;
-    }
+    detail::incidence_argmins(n_, estar_ends_, values, best_scratch());
   }
 
   double accumulate_terms(std::uint64_t range_begin, std::uint64_t range_end,
                           std::uint64_t /*seed*/,
                           const std::uint64_t* /*values*/) const override {
-    const std::vector<std::uint8_t>& covered = covered_scratch();
+    const std::vector<std::uint32_t>& best = best_scratch();
     double q = 0.0;
     for (std::uint64_t v = range_begin; v < range_end; ++v) {
-      if ((*in_B_)[v] && covered[v] != 0) {
+      const std::uint32_t i = best[v];
+      if ((*in_B_)[v] && i != detail::kNoPosition &&
+          argmin_at_both(best, estar_ends_[i], i)) {
         q += static_cast<double>((*alive_degree_)[v]);
       }
     }
@@ -92,38 +96,20 @@ class SelectionObjective final : public derand::RangeObjective {
 
   /// Accumulable ranges partition the node set; term_count() stays the E*
   /// edge count — the model aggregation size the round charges depend on.
-  std::uint64_t range_count() const override { return g_->num_nodes(); }
+  std::uint64_t range_count() const override { return n_; }
   std::uint64_t term_count() const override { return estar_edges_->size(); }
 
  private:
-  static std::vector<std::uint8_t>& covered_scratch() {
-    thread_local std::vector<std::uint8_t> covered;
-    return covered;
+  static std::vector<std::uint32_t>& best_scratch() {
+    thread_local std::vector<std::uint32_t> best;
+    return best;
   }
 
-  /// Local-min test over precomputed priorities; values is indexed by E*
-  /// edge position (identical comparisons to the former per-edge raw()).
-  bool is_local_min(std::size_t i, const std::uint64_t* values) const {
-    const EdgeId e = (*estar_edges_)[i];
-    const std::uint64_t ze = values[i];
-    const auto beats = [&](EdgeId f) {
-      const std::uint64_t zf = values[edge_pos_[f]];
-      return zf < ze || (zf == ze && f < e);
-    };
-    for (NodeId endpoint : {g_->edge(e).u, g_->edge(e).v}) {
-      for (EdgeId f : (*estar_incident_)[endpoint]) {
-        if (f != e && beats(f)) return false;
-      }
-    }
-    return true;
-  }
-
-  const Graph* g_;
+  std::uint32_t n_;
   const std::vector<EdgeId>* estar_edges_;
-  const std::vector<std::vector<EdgeId>>* estar_incident_;
   const std::vector<bool>* in_B_;
   const std::vector<std::uint32_t>* alive_degree_;
-  std::vector<std::size_t> edge_pos_;  ///< EdgeId -> position in estar_edges
+  std::vector<Edge> estar_ends_;  ///< E*-position -> endpoints
 };
 
 /// Batched best-of search with threshold halving (header comment in
@@ -216,6 +202,40 @@ mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
   return cc;
 }
 
+namespace detail {
+
+void incidence_argmins(std::uint32_t n, const std::vector<Edge>& estar,
+                       const std::uint64_t* priority,
+                       std::vector<std::uint32_t>& best) {
+  best.assign(n, kNoPosition);
+  const auto offer = [&](NodeId w, std::uint32_t i) {
+    // Positions ascend, so an equal priority keeps the earlier (lower-id)
+    // edge: the (z, id) order of Lemma 13.
+    const std::uint32_t b = best[w];
+    if (b == kNoPosition || priority[i] < priority[b]) best[w] = i;
+  };
+  const auto count = static_cast<std::uint32_t>(estar.size());
+  for (std::uint32_t i = 0; i < count; ++i) {
+    offer(estar[i].u, i);
+    offer(estar[i].v, i);
+  }
+}
+
+std::vector<std::uint32_t> local_minima(std::uint32_t n,
+                                        const std::vector<Edge>& estar,
+                                        const std::uint64_t* priority) {
+  std::vector<std::uint32_t> best;
+  incidence_argmins(n, estar, priority, best);
+  std::vector<std::uint32_t> minima;
+  const auto count = static_cast<std::uint32_t>(estar.size());
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (argmin_at_both(best, estar[i], i)) minima.push_back(i);
+  }
+  return minima;
+}
+
+}  // namespace detail
+
 DetMatchingResult det_maximal_matching(const Graph& g,
                                        const DetMatchingConfig& config) {
   mpc::Cluster cluster(mpc::apply_overrides(
@@ -284,23 +304,33 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     std::optional<obs::Span> gather_span;
     gather_span.emplace(cluster.trace(), "matching/phase/gather");
     std::vector<EdgeId> estar_edges;
-    std::vector<std::vector<EdgeId>> estar_incident(g.num_nodes());
+    std::vector<std::uint32_t> estar_degree(g.num_nodes(), 0);
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (!sparse.in_Estar[e]) continue;
       estar_edges.push_back(e);
-      estar_incident[g.edge(e).u].push_back(e);
-      estar_incident[g.edge(e).v].push_back(e);
+      ++estar_degree[g.edge(e).u];
+      ++estar_degree[g.edge(e).v];
     }
     {
+      // B-node v gathers its E* edges and its E* neighbors' E* edges:
+      // deg*(v) + sum over E* edges (v, w) of deg*(w) records, 2 words each.
       std::vector<std::uint64_t> two_hop(g.num_nodes(), 0);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (!good.in_B[v]) continue;
-        std::uint64_t words = estar_incident[v].size();
-        for (EdgeId e : estar_incident[v]) {
-          words += estar_incident[g.other_endpoint(e, v)].size();
-        }
-        two_hop[v] = 2 * words;  // 2 words per edge record
-      }
+      cluster.executor().for_each(
+          0, g.num_nodes(),
+          [&](std::uint64_t node) {
+            const auto v = static_cast<NodeId>(node);
+            if (!good.in_B[v]) return;
+            const auto neighbors = g.neighbors(v);
+            const auto incident = g.incident_edges(v);
+            std::uint64_t words = estar_degree[v];
+            for (std::size_t j = 0; j < incident.size(); ++j) {
+              if (sparse.in_Estar[incident[j]]) {
+                words += estar_degree[neighbors[j]];
+              }
+            }
+            two_hop[v] = 2 * words;
+          },
+          /*grain=*/4096);
       mpc::charge_two_hop_gather(cluster, two_hop, good.in_B,
                                  "matching/gather2hop");
     }
@@ -313,8 +343,8 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     const auto alive_degree = graph::alive_degrees(g, alive, cluster.executor());
     const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_edges());
     hash::KWiseFamily family(domain, domain, /*k=*/2);
-    SelectionObjective objective(g, family, estar_edges, estar_incident,
-                                 good.in_B, alive_degree);
+    SelectionObjective objective(g, family, estar_edges, good.in_B,
+                                 alive_degree);
     const double threshold =
         config.threshold_factor * static_cast<double>(good.b_degree_mass);
     derand::SearchResult committed;

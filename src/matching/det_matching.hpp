@@ -140,4 +140,26 @@ mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
 /// Effective sparsification parameters for the config on an n-node graph.
 sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n);
 
+namespace detail {
+
+/// No E* edge is incident to the node.
+inline constexpr std::uint32_t kNoPosition = 0xFFFFFFFFu;
+
+/// Per-node argmins of the Lemma-13 priority: best[w] = the E*-position i
+/// minimizing (priority[i], i) over the E* edges incident to w, or
+/// kNoPosition. `estar` lists the E* edges' endpoints in ascending edge-id
+/// order, so the position tie-break is the lemma's id tie-break. An edge is
+/// a local minimum (in E_h) exactly when it is the argmin at both endpoints.
+/// One pass, O(n + |E*|); `best` is resized to n.
+void incidence_argmins(std::uint32_t n, const std::vector<graph::Edge>& estar,
+                       const std::uint64_t* priority,
+                       std::vector<std::uint32_t>& best);
+
+/// E_h as ascending E*-positions: the edges with best[u] == best[v] == i.
+std::vector<std::uint32_t> local_minima(std::uint32_t n,
+                                        const std::vector<graph::Edge>& estar,
+                                        const std::uint64_t* priority);
+
+}  // namespace detail
+
 }  // namespace dmpc::matching

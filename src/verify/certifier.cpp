@@ -16,6 +16,11 @@ using graph::NodeId;
 
 constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
 
+/// Indices per find_first chunk for the edge, node and slot scans: a grain
+/// of 1 would dispatch one pool task per index. find_first returns the
+/// lowest qualifying index for any grain, so witnesses do not depend on it.
+constexpr std::uint64_t kScanGrain = 4096;
+
 ClaimResult pass(Claim claim, std::uint64_t checked) {
   ClaimResult result;
   result.claim = claim;
@@ -58,10 +63,13 @@ ClaimResult Certifier::check_mis_independence(
                " != node count " + std::to_string(g.num_nodes());
     return fail(Claim::kMisIndependence, 0, std::move(w));
   }
-  const std::uint64_t bad = executor_.find_first(0, m, [&](std::uint64_t e) {
-    const Edge& edge = g.edge(e);
-    return in_set[edge.u] && in_set[edge.v];
-  });
+  const std::uint64_t bad = executor_.find_first(
+      0, m,
+      [&](std::uint64_t e) {
+        const Edge& edge = g.edge(e);
+        return in_set[edge.u] && in_set[edge.v];
+      },
+      kScanGrain);
   if (bad == m) return pass(Claim::kMisIndependence, m);
   return fail(Claim::kMisIndependence, m,
               edge_witness(g, bad,
@@ -89,7 +97,7 @@ ClaimResult Certifier::check_mis_maximality(
         }
         return true;  // non-member with no member neighbor
       },
-      /*grain=*/64);
+      kScanGrain);
   if (bad == n) return pass(Claim::kMisMaximality, n);
   Witness w;
   w.kind = "node";
@@ -103,10 +111,9 @@ ClaimResult Certifier::check_mis_maximality(
 ClaimResult Certifier::check_matching_validity(
     const Graph& g, const std::vector<EdgeId>& matching) const {
   const std::uint64_t k = matching.size();
-  const std::uint64_t bad_id =
-      executor_.find_first(0, k, [&](std::uint64_t i) {
-        return matching[i] >= g.num_edges();
-      });
+  const std::uint64_t bad_id = executor_.find_first(
+      0, k, [&](std::uint64_t i) { return matching[i] >= g.num_edges(); },
+      kScanGrain);
   if (bad_id != k) {
     Witness w;
     w.kind = "matching_slot";
@@ -126,10 +133,13 @@ ClaimResult Certifier::check_matching_validity(
     owner[e.u] = std::min(owner[e.u], i);
     owner[e.v] = std::min(owner[e.v], i);
   }
-  const std::uint64_t bad = executor_.find_first(0, k, [&](std::uint64_t i) {
-    const Edge& e = g.edge(matching[i]);
-    return owner[e.u] < i || owner[e.v] < i;
-  });
+  const std::uint64_t bad = executor_.find_first(
+      0, k,
+      [&](std::uint64_t i) {
+        const Edge& e = g.edge(matching[i]);
+        return owner[e.u] < i || owner[e.v] < i;
+      },
+      kScanGrain);
   if (bad == k) return pass(Claim::kMatchingValidity, k);
   const Edge& e = g.edge(matching[bad]);
   const NodeId shared = owner[e.u] < bad ? e.u : e.v;
@@ -153,10 +163,13 @@ ClaimResult Certifier::check_matching_maximality(
     matched[g.edge(id).v] = true;
   }
   const EdgeId m = g.num_edges();
-  const std::uint64_t bad = executor_.find_first(0, m, [&](std::uint64_t e) {
-    const Edge& edge = g.edge(e);
-    return !matched[edge.u] && !matched[edge.v];
-  });
+  const std::uint64_t bad = executor_.find_first(
+      0, m,
+      [&](std::uint64_t e) {
+        const Edge& edge = g.edge(e);
+        return !matched[edge.u] && !matched[edge.v];
+      },
+      kScanGrain);
   if (bad == m) return pass(Claim::kMatchingMaximality, m);
   return fail(Claim::kMatchingMaximality, m,
               edge_witness(g, bad,
@@ -176,10 +189,13 @@ ClaimResult Certifier::check_proper_coloring(
     return fail(Claim::kProperColoring, 0, std::move(w));
   }
   const EdgeId m = g.num_edges();
-  const std::uint64_t bad = executor_.find_first(0, m, [&](std::uint64_t e) {
-    const Edge& edge = g.edge(e);
-    return color[edge.u] == color[edge.v];
-  });
+  const std::uint64_t bad = executor_.find_first(
+      0, m,
+      [&](std::uint64_t e) {
+        const Edge& edge = g.edge(e);
+        return color[edge.u] == color[edge.v];
+      },
+      kScanGrain);
   if (bad == m) return pass(Claim::kProperColoring, m);
   Witness w = edge_witness(
       g, bad,

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "derand/cond_expect.hpp"
@@ -308,27 +312,57 @@ TEST(BatchEvaluate, ContiguousOverloadMatchesExplicitSeeds) {
   EXPECT_EQ(a, b);
 }
 
+/// Records which threads evaluated seeds. Each evaluation sleeps briefly so
+/// idle pool workers get to claim per-seed tasks.
+class ThreadRecordingObjective final : public Objective {
+ public:
+  double evaluate(std::uint64_t seed) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+    return static_cast<double>(seed % 17);
+  }
+  std::uint64_t term_count() const override { return 1; }
+  std::size_t distinct_threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::set<std::thread::id> threads_;
+};
+
 TEST(BatchEvaluate, ExecutorSweepChunksDeterministically) {
-  // batch_evaluate splits into fixed kBatchChunk chunks regardless of the
+  // batch_evaluate accounts in fixed kBatchChunk chunks regardless of the
   // executor, so BatchStats (and therefore the registry counters) are
-  // thread-count invariant.
-  CountingObjective objective;
-  const std::size_t count = 3 * kBatchChunk + 5;
-  std::vector<std::uint64_t> seeds(count);
-  std::iota(seeds.begin(), seeds.end(), std::uint64_t{7});
-  std::vector<double> serial_out(count);
+  // thread-count invariant. Batches narrower than the pool (one chunk, or a
+  // single seed) dispatch per seed instead; stats and outputs must not move.
   exec::Executor serial = exec::Executor::serial();
-  const auto serial_stats = batch_evaluate(serial, objective, seeds.data(),
-                                           count, serial_out.data());
-  EXPECT_EQ(serial_stats.calls, (count + kBatchChunk - 1) / kBatchChunk);
-  EXPECT_EQ(serial_stats.lanes, count);
-  std::vector<double> parallel_out(count);
   exec::Executor parallel = exec::Executor::with_threads(4);
-  const auto parallel_stats = batch_evaluate(
-      parallel, objective, seeds.data(), count, parallel_out.data());
-  EXPECT_EQ(parallel_stats.calls, serial_stats.calls);
-  EXPECT_EQ(parallel_stats.lanes, serial_stats.lanes);
-  EXPECT_EQ(parallel_out, serial_out);
+  for (const std::size_t count : {3 * kBatchChunk + 5, kBatchChunk,
+                                  std::size_t{1}}) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint64_t> seeds(count);
+    std::iota(seeds.begin(), seeds.end(), std::uint64_t{7});
+    ThreadRecordingObjective serial_objective;
+    std::vector<double> serial_out(count);
+    const auto serial_stats = batch_evaluate(
+        serial, serial_objective, seeds.data(), count, serial_out.data());
+    EXPECT_EQ(serial_stats.calls, (count + kBatchChunk - 1) / kBatchChunk);
+    EXPECT_EQ(serial_stats.lanes, count);
+    ThreadRecordingObjective parallel_objective;
+    std::vector<double> parallel_out(count);
+    const auto parallel_stats = batch_evaluate(
+        parallel, parallel_objective, seeds.data(), count, parallel_out.data());
+    EXPECT_EQ(parallel_stats.calls, serial_stats.calls);
+    EXPECT_EQ(parallel_stats.lanes, serial_stats.lanes);
+    EXPECT_EQ(parallel_out, serial_out);
+    if (count == kBatchChunk) {
+      // One chunk on a 4-thread pool: its seeds spread over several threads.
+      EXPECT_GT(parallel_objective.distinct_threads(), 1u);
+    }
+  }
 }
 
 TEST(BatchEvaluate, EngineOptionsShareLabelAndBudgetFields) {

@@ -2,14 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
 #include "matching/det_matching.hpp"
+#include "support/rng.hpp"
 
 namespace dmpc::matching {
 namespace {
 
+using graph::Edge;
+using graph::EdgeId;
 using graph::Graph;
 
 TEST(DetMatching, ValidOnRandomGraphs) {
@@ -110,6 +115,63 @@ TEST(DetMatching, EpsVariants) {
     config.eps = eps;
     const auto result = det_maximal_matching(g, config);
     EXPECT_TRUE(graph::is_maximal_matching(g, result.matching));
+  }
+}
+
+/// The Lemma-13 definition, scanned per incidence: E*-position i is in E_h
+/// when no other E* edge sharing an endpoint has a smaller (priority, id).
+/// Positions ascend with edge id, so comparing positions compares ids.
+std::vector<std::uint32_t> brute_force_local_minima(
+    const Graph& g, const std::vector<EdgeId>& estar,
+    const std::vector<std::uint64_t>& priority) {
+  std::vector<std::vector<std::uint32_t>> incident(g.num_nodes());
+  for (std::uint32_t i = 0; i < estar.size(); ++i) {
+    incident[g.edge(estar[i]).u].push_back(i);
+    incident[g.edge(estar[i]).v].push_back(i);
+  }
+  std::vector<std::uint32_t> minima;
+  for (std::uint32_t i = 0; i < estar.size(); ++i) {
+    bool local_min = true;
+    for (const graph::NodeId w : {g.edge(estar[i]).u, g.edge(estar[i]).v}) {
+      for (const std::uint32_t f : incident[w]) {
+        if (f != i && (priority[f] < priority[i] ||
+                       (priority[f] == priority[i] && f < i))) {
+          local_min = false;
+        }
+      }
+    }
+    if (local_min) minima.push_back(i);
+  }
+  return minima;
+}
+
+TEST(SelectionLocalMinima, ArgminRoutineMatchesLemma13Definition) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto n = static_cast<graph::NodeId>(8 + rng.next_below(40));
+    const Graph g = graph::gnm(n, 1 + rng.next_below(3 * n), seed);
+    // A random E* subset, in ascending edge-id order as the pipeline builds it.
+    std::vector<EdgeId> estar;
+    std::vector<Edge> ends;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (rng.next_below(4) == 0) continue;
+      estar.push_back(e);
+      ends.push_back(g.edge(e));
+    }
+    // Priorities in {0, 1, 2} force ties; the all-equal array (the a = 0
+    // seed) leaves every comparison to the id tie-break.
+    std::vector<std::uint64_t> tied(estar.size());
+    for (std::uint64_t& z : tied) z = rng.next_below(3);
+    std::vector<std::uint64_t> equal(estar.size(), 7);
+    for (const auto* priority : {&tied, &equal}) {
+      const auto minima = detail::local_minima(n, ends, priority->data());
+      EXPECT_EQ(minima, brute_force_local_minima(g, estar, *priority));
+      // E_h is a matching.
+      std::vector<EdgeId> matched;
+      for (const std::uint32_t i : minima) matched.push_back(estar[i]);
+      EXPECT_TRUE(graph::is_matching(g, matched));
+    }
   }
 }
 

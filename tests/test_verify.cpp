@@ -128,6 +128,29 @@ TEST(VerifyMis, WitnessIsThreadCountInvariant) {
   EXPECT_EQ(serial.witness.index, parallel.witness.index);
   EXPECT_EQ(serial.witness.u, parallel.witness.u);
   EXPECT_EQ(serial.witness.v, parallel.witness.v);
+
+  // A matching claim whose violations sit in different scan chunks (the
+  // certifier scans a few thousand indices per pool task): 10000 disjoint
+  // edges, all matched except edges 1000 and 9000.
+  const EdgeId k = 10000;
+  std::vector<graph::Edge> edges;
+  for (EdgeId e = 0; e < k; ++e) {
+    edges.push_back(
+        {static_cast<NodeId>(2 * e), static_cast<NodeId>(2 * e + 1)});
+  }
+  const Graph disjoint = Graph::from_edges(static_cast<NodeId>(2 * k), edges);
+  std::vector<EdgeId> matching;
+  for (EdgeId e = 0; e < k; ++e) {
+    if (e != 1000 && e != 9000) matching.push_back(e);
+  }
+  const ClaimResult serial_matching =
+      make_certifier(1).check_matching_maximality(disjoint, matching);
+  const ClaimResult parallel_matching =
+      make_certifier(4).check_matching_maximality(disjoint, matching);
+  ASSERT_EQ(serial_matching.verdict, Verdict::kFail);
+  ASSERT_EQ(parallel_matching.verdict, Verdict::kFail);
+  EXPECT_EQ(serial_matching.witness.index, 1000u);
+  EXPECT_EQ(parallel_matching.witness.index, 1000u);
 }
 
 TEST(VerifyMatching, ValidAnswerPasses) {
