@@ -1,7 +1,5 @@
 #include "derand/objective.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "support/check.hpp"
@@ -70,22 +68,13 @@ BatchStats batch_evaluate(const exec::Executor& executor,
   const std::size_t chunks = (count + kBatchChunk - 1) / kBatchChunk;
   stats.calls = chunks;
   stats.lanes = count;
-  // Chunks are the accounting unit; host dispatch may be finer. out[i]
-  // depends only on seeds[i], so results and the stats above stay
-  // thread-count invariant either way.
+  // Chunks are the accounting unit only; the host dispatches one seed per
+  // task (each seed is O(n) work), so a one-chunk selection batch still
+  // spreads over the pool. out[i] depends only on seeds[i], so results and
+  // the stats above are thread-count invariant.
   obs::HostScope host_scope("derand/batch_eval");
-  if (chunks < executor.threads()) {
-    // Too few chunks to occupy the pool (a 16-seed selection batch is one
-    // chunk): one seed per task instead.
-    executor.for_each(0, count, [&](std::uint64_t i) {
-      out[i] = objective.evaluate(seeds[i]);
-    });
-    return stats;
-  }
-  executor.for_each(0, chunks, [&](std::uint64_t c) {
-    const std::size_t lo = static_cast<std::size_t>(c) * kBatchChunk;
-    const std::size_t hi = std::min(count, lo + kBatchChunk);
-    objective.evaluate_batch(seeds + lo, hi - lo, out + lo);
+  executor.for_each(0, count, [&](std::uint64_t i) {
+    out[i] = objective.evaluate(seeds[i]);
   });
   return stats;
 }

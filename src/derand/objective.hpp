@@ -135,10 +135,9 @@ class RangeObjective : public Objective {
 };
 
 /// Dispatch accounting for one engine run: kBatchChunk-wide chunks and
-/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate may
-/// split one into per-seed host tasks — so both counts are pure functions
-/// of the candidate count, deterministic across thread counts and dispatch
-/// paths.
+/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate runs
+/// one host task per seed — so both counts are pure functions of the
+/// candidate count, deterministic across thread counts.
 struct BatchStats {
   std::uint64_t calls = 0;
   std::uint64_t lanes = 0;
@@ -150,17 +149,14 @@ struct BatchStats {
   }
 };
 
-/// Seeds per evaluate_batch chunk in batch_evaluate — fixed (never derived
-/// from the thread count) so chunk boundaries, results, and BatchStats are
-/// invariant across executors.
+/// Seeds per accounting chunk in batch_evaluate — fixed (never derived from
+/// the thread count) so BatchStats are invariant across executors.
 inline constexpr std::size_t kBatchChunk = 16;
 
-/// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), dispatching
-/// kBatchChunk-wide evaluate_batch calls across the executor — or, when
-/// there are fewer chunks than executor threads, one evaluate() call per
-/// pool task. Returns the dispatch stats, counted in chunks whichever way
-/// the host dispatched; the caller records them once per completed engine
-/// run (record_batch_stats) so registry totals stay deterministic.
+/// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), one evaluate()
+/// call per pool task. Returns the dispatch stats, counted in kBatchChunk
+/// chunks; the caller records them once per completed engine run
+/// (record_batch_stats) so registry totals stay deterministic.
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,

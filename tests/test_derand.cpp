@@ -336,8 +336,8 @@ class ThreadRecordingObjective final : public Objective {
 TEST(BatchEvaluate, ExecutorSweepChunksDeterministically) {
   // batch_evaluate accounts in fixed kBatchChunk chunks regardless of the
   // executor, so BatchStats (and therefore the registry counters) are
-  // thread-count invariant. Batches narrower than the pool (one chunk, or a
-  // single seed) dispatch per seed instead; stats and outputs must not move.
+  // thread-count invariant. Host dispatch is per seed, so even a one-chunk
+  // batch spreads over the pool; stats and outputs must not move.
   exec::Executor serial = exec::Executor::serial();
   exec::Executor parallel = exec::Executor::with_threads(4);
   for (const std::size_t count : {3 * kBatchChunk + 5, kBatchChunk,
