@@ -62,20 +62,20 @@ void RangeObjective::evaluate_batch(const std::uint64_t* seeds,
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,
-                          double* out) {
+                          double* out, std::size_t grain) {
   BatchStats stats;
   if (count == 0) return stats;
   const std::size_t chunks = (count + kBatchChunk - 1) / kBatchChunk;
   stats.calls = chunks;
   stats.lanes = count;
-  // Chunks are the accounting unit only; the host dispatches one seed per
-  // task (each seed is O(n) work), so a one-chunk selection batch still
-  // spreads over the pool. out[i] depends only on seeds[i], so results and
-  // the stats above are thread-count invariant.
+  // Chunks are the accounting unit only; the host dispatches `grain` seeds
+  // per task (each seed is O(n) work, so the default of one lets a one-chunk
+  // selection batch spread over the pool). out[i] depends only on seeds[i],
+  // so results and the stats above are thread-count and grain invariant.
   obs::HostScope host_scope("derand/batch_eval");
-  executor.for_each(0, count, [&](std::uint64_t i) {
-    out[i] = objective.evaluate(seeds[i]);
-  });
+  executor.for_each(
+      0, count,
+      [&](std::uint64_t i) { out[i] = objective.evaluate(seeds[i]); }, grain);
   return stats;
 }
 

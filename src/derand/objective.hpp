@@ -135,9 +135,9 @@ class RangeObjective : public Objective {
 };
 
 /// Dispatch accounting for one engine run: kBatchChunk-wide chunks and
-/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate runs
-/// one host task per seed — so both counts are pure functions of the
-/// candidate count, deterministic across thread counts.
+/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate sizes
+/// its host tasks by its own `grain` — so both counts are pure functions of
+/// the candidate count, deterministic across thread counts.
 struct BatchStats {
   std::uint64_t calls = 0;
   std::uint64_t lanes = 0;
@@ -153,14 +153,16 @@ struct BatchStats {
 /// the thread count) so BatchStats are invariant across executors.
 inline constexpr std::size_t kBatchChunk = 16;
 
-/// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), one evaluate()
-/// call per pool task. Returns the dispatch stats, counted in kBatchChunk
-/// chunks; the caller records them once per completed engine run
+/// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), `grain`
+/// evaluate() calls per pool task (the default 1 spreads even a one-chunk
+/// batch over the pool; a batch of at most `grain` seeds runs on the calling
+/// thread). Returns the dispatch stats, counted in kBatchChunk chunks for
+/// every grain; the caller records them once per completed engine run
 /// (record_batch_stats) so registry totals stay deterministic.
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,
-                          double* out);
+                          double* out, std::size_t grain = 1);
 
 /// Charge the kModel counters `derand/batch_calls` / `derand/lanes_used`.
 /// Call once per completed engine run from the orchestrating thread.

@@ -152,16 +152,21 @@ derand::SearchResult select_with_threshold(
     cluster.charge_recoverable(2 * depth, "mis/selection");
     cluster.metrics().add_communication(budget * cluster.machines(),
                                         "mis/selection");
-    // Host-parallel batch evaluation through the range oracle (the
-    // objective is pure), then a serial lowest-trial-first scan — the
-    // committed seed is identical for every thread count and dispatch path.
+    // Batch evaluation through the range oracle (the objective is pure),
+    // then a serial lowest-trial-first scan — the committed seed is
+    // identical for every thread count and dispatch path. One pool task per
+    // kBatchChunk seeds, so a default-width batch runs on this thread: the
+    // MIS seeds are a small share of the run, and per-seed tasks made the
+    // sparse-gnm MIS wall time follow how many cores the host had idle
+    // (bench/perf mis_gnm_sparse). Wider batches still spread chunk-wise.
     std::vector<std::uint64_t> seeds(budget);
     for (std::uint64_t i = 0; i < budget; ++i) {
       seeds[i] = seed_at(evaluated + i);
     }
     std::vector<double> values(budget, 0.0);
     batch_stats += derand::batch_evaluate(cluster.executor(), objective,
-                                          seeds.data(), budget, values.data());
+                                          seeds.data(), budget, values.data(),
+                                          derand::kBatchChunk);
     for (std::uint64_t k = evaluated; k < evaluated + budget; ++k) {
       const double value = values[k - evaluated];
       if (!have || value > best.value) {

@@ -362,6 +362,19 @@ TEST(BatchEvaluate, ExecutorSweepChunksDeterministically) {
       // One chunk on a 4-thread pool: its seeds spread over several threads.
       EXPECT_GT(parallel_objective.distinct_threads(), 1u);
     }
+    // A chunk-wide grain changes only which thread runs a seed.
+    ThreadRecordingObjective chunked_objective;
+    std::vector<double> chunked_out(count);
+    const auto chunked_stats =
+        batch_evaluate(parallel, chunked_objective, seeds.data(), count,
+                       chunked_out.data(), /*grain=*/kBatchChunk);
+    EXPECT_EQ(chunked_stats.calls, serial_stats.calls);
+    EXPECT_EQ(chunked_stats.lanes, serial_stats.lanes);
+    EXPECT_EQ(chunked_out, serial_out);
+    if (count <= kBatchChunk) {
+      // At most one grain: the calling thread evaluates every seed.
+      EXPECT_EQ(chunked_objective.distinct_threads(), 1u);
+    }
   }
 }
 
