@@ -1,13 +1,13 @@
 // Shared JSON emission for the bench layer.
 //
-// Three binaries emit machine-readable bench artifacts — bench_runner (one
-// BENCH_<EXP>.json per experiment), bench_e17_host_parallel --json, and
-// bench_e18_fault_recovery --json. They share one envelope so CI tooling
-// (tools/scaling_check, artifact archiving) parses a single shape:
+// bench_runner (one BENCH_<EXP>.json per experiment) and bench/perf's
+// dmpc_perf emit machine-readable bench artifacts. They share one envelope
+// so CI tooling (tools/scaling_check, repro_report, artifact archiving)
+// parses a single shape:
 //
 //   {
 //     "schema_version": 1,
-//     "bench": "<id>",            // "e1" .. "e18"
+//     "bench": "<id>",            // "e1" .. "e20"
 //     "title": "<one line>",
 //     "quick": true|false,
 //     "toolchain": {"compiler": .., "build": .., "commit": ..},

@@ -1,609 +1,69 @@
-// repro_report — regenerates every experiment table (E1..E12) in one run
-// and prints them as markdown. The output of this binary is the measured
-// side of EXPERIMENTS.md.
+// repro_report — renders BENCH_*.json artifacts (bench_runner) as markdown.
+// For each file: a "### <bench> — <title>" heading and one table whose
+// first column is the sweep axis and whose remaining columns are the union
+// of the points' model fields in first-seen order (a point without a field
+// leaves its cell empty). The measured side of EXPERIMENTS.md is this
+// output over a full `bench_runner --experiments=all` run; the theorem
+// envelope fits are printed by tools/scaling_check.
 //
-//   ./repro_report [--quick]     (quick halves the sweep sizes)
-#include <cmath>
+//   ./repro_report artifacts/BENCH_*.json
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "api/solver.hpp"
-#include "apps/reductions.hpp"
-#include "baselines/israeli_itai.hpp"
-#include "congest/congest_mis.hpp"
-#include "graph/algorithms.hpp"
-#include "mpc/lowlevel.hpp"
-#include "mpc/primitives.hpp"
-#include "baselines/luby_matching.hpp"
-#include "baselines/luby_mis.hpp"
-#include "cclique/cc_mis.hpp"
-#include "graph/generators.hpp"
-#include "lowdeg/lowdeg_solver.hpp"
-#include "matching/det_matching.hpp"
-#include "mis/det_mis.hpp"
-#include "mpc/cluster.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/scaling.hpp"
-#include "obs/sinks.hpp"
-#include "obs/trace.hpp"
-#include "sparsify/edge_sparsifier.hpp"
-#include "sparsify/good_nodes.hpp"
-#include "sparsify/node_sparsifier.hpp"
-#include "support/options.hpp"
-#include "support/rng.hpp"
-#include "support/stats.hpp"
+#include "support/json.hpp"
 
 namespace {
 
-using dmpc::graph::EdgeId;
-using dmpc::graph::Graph;
-using dmpc::graph::NodeId;
+using dmpc::Json;
 
-bool g_quick = false;
-
-std::vector<std::uint64_t> sweep_n() {
-  if (g_quick) return {256, 512, 1024, 2048};
-  return {256, 512, 1024, 2048, 4096, 8192};
+std::string cell(const Json& value) {
+  return value.is_string() ? value.as_string() : value.dump();
 }
 
-void header(const char* id, const char* title) {
-  std::printf("\n### %s — %s\n\n", id, title);
-}
-
-/// Theorem-envelope fit footer, same arithmetic as tools/scaling_check
-/// (obs/scaling.hpp): least-squares y = a + b*log2(x), pass iff every
-/// relative residual is within the slack scaling_check gates CI on.
-void print_log_fit(const char* what, const std::vector<dmpc::obs::SeriesPoint>& series) {
-  const auto fit =
-      dmpc::obs::check_envelope(series, dmpc::obs::EnvelopeKind::kLogX,
-                                /*slack=*/0.25);
-  std::printf("\n%s vs log2(n): %.2f + %.2f * log2(n), r^2 %.2f, "
-              "max residual %.3f -> %s\n",
-              what, fit.intercept, fit.slope, fit.r_squared,
-              fit.max_rel_residual, fit.pass ? "within envelope" : "VIOLATED");
-}
-
-/// One-cell certification summary: the run is re-solved through the Solver
-/// in checked mode (certify=full, docs/ROBUSTNESS.md) and reported as
-/// "ok P/N" (passed/total claims, skipped claims counted in N only) or the
-/// first failing claim's name.
-std::string cert_cell(const Graph& g, bool matching) {
-  dmpc::SolveOptions options;
-  options.certify = dmpc::verify::CertifyMode::kFull;
-  const dmpc::Solver solver(options);
-  try {
-    const auto& certificate = [&]() -> const dmpc::verify::Certificate& {
-      if (matching) {
-        (void)solver.maximal_matching(g);
-      } else {
-        (void)solver.mis(g);
+void render(const Json& doc) {
+  const auto& points = doc.at("points").items();
+  std::vector<std::string> columns;
+  for (const Json& point : points) {
+    for (const auto& [key, value] : point.at("model").fields()) {
+      if (std::find(columns.begin(), columns.end(), key) == columns.end()) {
+        columns.push_back(key);
       }
-      return solver.certificate();
-    }();
-    std::uint64_t passed = 0;
-    for (const auto& claim : certificate.claims) {
-      if (claim.verdict == dmpc::verify::Verdict::kPass) ++passed;
-    }
-    return "ok " + std::to_string(passed) + "/" +
-           std::to_string(certificate.claims.size());
-  } catch (const dmpc::verify::CertificationError& e) {
-    const auto* failure = e.certificate().first_failure();
-    return std::string("FAILED ") +
-           (failure != nullptr ? dmpc::verify::claim_name(failure->claim)
-                               : "?");
-  }
-}
-
-void e1_e2() {
-  header("E1", "Theorem 7: deterministic maximal matching rounds vs n");
-  std::printf("| n | iterations | MPC rounds | rounds/log2(n) | peak load |"
-              " certificate |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  std::vector<dmpc::obs::SeriesPoint> rounds_series, iter_series;
-  for (const auto n : sweep_n()) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(8 * n), n + 1);
-    const auto r = dmpc::matching::det_maximal_matching(g, {});
-    std::printf("| %llu | %llu | %llu | %.1f | %llu | %s |\n",
-                (unsigned long long)n, (unsigned long long)r.iterations,
-                (unsigned long long)r.metrics.rounds(),
-                double(r.metrics.rounds()) / std::log2(double(n)),
-                (unsigned long long)r.metrics.peak_machine_load(),
-                cert_cell(g, /*matching=*/true).c_str());
-    rounds_series.push_back({double(n), double(r.metrics.rounds())});
-    iter_series.push_back({double(n), double(r.iterations)});
-  }
-  print_log_fit("MPC rounds", rounds_series);
-  print_log_fit("iterations", iter_series);
-
-  header("E2", "Theorem 14: deterministic MIS rounds vs n");
-  std::printf("| n | iterations | MPC rounds | rounds/log2(n) | peak load |"
-              " certificate |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  rounds_series.clear();
-  for (const auto n : sweep_n()) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(8 * n), n + 2);
-    const auto r = dmpc::mis::det_mis(g, {});
-    std::printf("| %llu | %llu | %llu | %.1f | %llu | %s |\n",
-                (unsigned long long)n, (unsigned long long)r.iterations,
-                (unsigned long long)r.metrics.rounds(),
-                double(r.metrics.rounds()) / std::log2(double(n)),
-                (unsigned long long)r.metrics.peak_machine_load(),
-                cert_cell(g, /*matching=*/false).c_str());
-    rounds_series.push_back({double(n), double(r.metrics.rounds())});
-  }
-  print_log_fit("MPC rounds", rounds_series);
-}
-
-void e3() {
-  header("E3", "Lemma 3 / Cor. 8 & 16: good-class degree mass >= (delta/2)|E|");
-  std::printf("| family | bound delta/2 | matching B mass frac | MIS B mass frac |\n");
-  std::printf("|---|---|---|---|\n");
-  struct Fam {
-    const char* name;
-    Graph g;
-  };
-  const std::uint64_t n = g_quick ? 1024 : 2048;
-  std::vector<Fam> fams;
-  fams.push_back({"gnm", dmpc::graph::gnm(n, 8 * n, 31)});
-  fams.push_back({"power_law", dmpc::graph::power_law(n, 6 * n, 2.5, 32)});
-  fams.push_back({"bipartite",
-                  dmpc::graph::random_bipartite(n / 2, n / 2, 6 * n, 33)});
-  fams.push_back({"regular", dmpc::graph::random_regular(n, 16, 34)});
-  for (const auto& fam : fams) {
-    dmpc::sparsify::Params params;
-    params.n = fam.g.num_nodes();
-    params.inv_delta = 16;
-    dmpc::mpc::ClusterConfig cc;
-    cc.machine_space = 1 << 16;
-    cc.num_machines = 1 << 10;
-    dmpc::mpc::Cluster cluster(cc);
-    std::vector<bool> alive(fam.g.num_nodes(), true);
-    const auto mm =
-        dmpc::sparsify::select_matching_good_set(cluster, params, fam.g, alive);
-    const auto mis =
-        dmpc::sparsify::select_mis_good_set(cluster, params, fam.g, alive);
-    std::printf("| %s | %.4f | %.4f | %.4f |\n", fam.name,
-                params.delta() / 2,
-                double(mm.b_degree_mass) / double(2 * mm.alive_edges),
-                double(mis.b_degree_mass) / double(2 * mis.alive_edges));
-  }
-}
-
-void e4() {
-  header("E4", "Sparsification invariants (Lemmas 10/11 & 17/18)");
-  std::printf("| n | side | stages | max deg after | cap 2n^{4d} | worst inv(i) ratio | worst inv(ii) ratio |\n");
-  std::printf("|---|---|---|---|---|---|---|\n");
-  for (const std::uint64_t n : {512ull, 1024ull, 2048ull}) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(n * n / 16), 41);
-    dmpc::sparsify::Params params;
-    params.n = g.num_nodes();
-    params.inv_delta = 8;
-    dmpc::mpc::ClusterConfig cc;
-    cc.machine_space = 1 << 16;
-    cc.num_machines = 1 << 10;
-    {
-      dmpc::mpc::Cluster cluster(cc);
-      std::vector<bool> alive(g.num_nodes(), true);
-      const auto good = dmpc::sparsify::select_matching_good_set(
-          cluster, params, g, alive);
-      const auto sp =
-          dmpc::sparsify::sparsify_edges(cluster, params, g, good, {});
-      double wi = 0, wii = 2;
-      for (const auto& s : sp.stages) {
-        wi = std::max(wi, s.invariant_degree_ratio);
-        wii = std::min(wii, s.invariant_xv_ratio);
-      }
-      std::printf("| %llu | edges | %zu | %u | %llu | %.3f | %.3f |\n",
-                  (unsigned long long)n, sp.stages.size(), sp.max_degree,
-                  (unsigned long long)params.degree_cap(), wi, wii);
-    }
-    {
-      dmpc::mpc::Cluster cluster(cc);
-      std::vector<bool> alive(g.num_nodes(), true);
-      const auto good =
-          dmpc::sparsify::select_mis_good_set(cluster, params, g, alive);
-      const auto sp = dmpc::sparsify::sparsify_nodes(cluster, params, g,
-                                                     alive, good, {});
-      double wi = 0, wii = 2;
-      for (const auto& s : sp.stages) {
-        wi = std::max(wi, s.invariant_degree_ratio);
-        wii = std::min(wii, s.invariant_xv_ratio);
-      }
-      std::printf("| %llu | nodes | %zu | %u | %llu | %.3f | %.3f |\n",
-                  (unsigned long long)n, sp.stages.size(), sp.max_q_degree,
-                  (unsigned long long)params.degree_cap(), wi, wii);
     }
   }
-}
-
-void e5() {
-  header("E5", "Lemmas 13 & 21: per-iteration edge removal fraction");
-  std::printf("| family | problem | paper floor | min removed | mean removed |\n");
-  std::printf("|---|---|---|---|---|\n");
-  const std::uint64_t n = g_quick ? 1024 : 2048;
-  struct Fam {
-    const char* name;
-    Graph g;
-  };
-  std::vector<Fam> fams;
-  fams.push_back({"gnm", dmpc::graph::gnm(n, 8 * n, 51)});
-  fams.push_back({"power_law", dmpc::graph::power_law(n, 6 * n, 2.5, 52)});
-  fams.push_back({"regular", dmpc::graph::random_regular(n, 16, 53)});
-  for (const auto& fam : fams) {
-    {
-      dmpc::matching::DetMatchingConfig config;
-      const auto params =
-          dmpc::matching::params_for(config, fam.g.num_nodes());
-      const auto r = dmpc::matching::det_maximal_matching(fam.g, config);
-      dmpc::RunningStats frac;
-      for (const auto& rep : r.reports) frac.add(rep.progress_fraction);
-      std::printf("| %s | matching | %.2e | %.3f | %.3f |\n", fam.name,
-                  params.delta() / 536.0, frac.min(), frac.mean());
+  std::printf("\n### %s — %s\n\n| %s |", doc.at("bench").as_string().c_str(),
+              doc.at("title").as_string().c_str(),
+              doc.at("axis").as_string().c_str());
+  for (const auto& column : columns) std::printf(" %s |", column.c_str());
+  std::printf("\n|---|");
+  for (std::size_t i = 0; i < columns.size(); ++i) std::printf("---|");
+  std::printf("\n");
+  for (const Json& point : points) {
+    std::printf("| %s |", cell(point.at("axis_value")).c_str());
+    const Json& model = point.at("model");
+    for (const auto& column : columns) {
+      const Json* value = model.find(column);
+      std::printf(" %s |", value != nullptr ? cell(*value).c_str() : "");
     }
-    {
-      dmpc::mis::DetMisConfig config;
-      const auto params = dmpc::mis::params_for(config, fam.g.num_nodes());
-      const auto r = dmpc::mis::det_mis(fam.g, config);
-      dmpc::RunningStats frac;
-      for (const auto& rep : r.reports) frac.add(rep.progress_fraction);
-      std::printf("| %s | MIS | %.2e | %.3f | %.3f |\n", fam.name,
-                  params.delta() * params.delta() / 400.0, frac.min(),
-                  frac.mean());
-    }
+    std::printf("\n");
   }
-}
-
-void e6() {
-  header("E6", "Theorem 1 (§5): rounds = O(log Delta + log log n)");
-  std::printf("| Delta (n=4096) | lowdeg rounds | stages | phases/stage | general rounds |\n");
-  std::printf("|---|---|---|---|---|\n");
-  for (const std::uint32_t d : {2u, 4u, 8u, 16u, 32u}) {
-    const auto g = dmpc::graph::random_regular(4096, d, 600 + d);
-    const auto low = dmpc::lowdeg::lowdeg_mis(g, {});
-    const auto gen = dmpc::mis::det_mis(g, {});
-    std::printf("| %u | %llu | %llu | %u | %llu |\n", d,
-                (unsigned long long)low.metrics.rounds(),
-                (unsigned long long)low.stages, low.phases_per_stage,
-                (unsigned long long)gen.metrics.rounds());
-  }
-  std::printf("\n| n (Delta=4) | lowdeg rounds | gather (log log n) rounds |\n");
-  std::printf("|---|---|---|\n");
-  for (const std::uint64_t n : {512ull, 2048ull, 8192ull, 32768ull}) {
-    const auto g = dmpc::graph::random_regular(static_cast<NodeId>(n), 4,
-                                               700 + n);
-    const auto low = dmpc::lowdeg::lowdeg_mis(g, {});
-    const auto it = low.metrics.rounds_by_label().find("lowdeg/gather");
-    std::printf("| %llu | %llu | %llu |\n", (unsigned long long)n,
-                (unsigned long long)low.metrics.rounds(),
-                (unsigned long long)(it == low.metrics.rounds_by_label().end()
-                                         ? 0
-                                         : it->second));
-  }
-}
-
-void e7() {
-  header("E7", "Corollary 2: CONGESTED CLIQUE MIS, ours vs [15]-style baseline");
-  std::printf("| Delta (n=2048) | ours rounds | baseline rounds | speedup |\n");
-  std::printf("|---|---|---|---|\n");
-  for (const std::uint32_t d : {2u, 4u, 8u, 16u, 32u}) {
-    const auto g = dmpc::graph::random_regular(2048, d, 800 + d);
-    const auto ours = dmpc::cclique::cc_mis(g);
-    const auto base = dmpc::cclique::cc_mis_censor_hillel(g);
-    std::printf("| %u | %llu | %llu | %.1fx |\n", d,
-                (unsigned long long)ours.metrics.rounds(),
-                (unsigned long long)base.metrics.rounds(),
-                double(base.metrics.rounds()) /
-                    double(std::max<std::uint64_t>(ours.metrics.rounds(), 1)));
-  }
-}
-
-void e8() {
-  header("E8", "Space: peak machine load vs S = O(n^eps)");
-  std::printf("| n | eps | S budget | peak load | peak/budget | peak/n^eps |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  for (const std::uint64_t n : {512ull, 2048ull, 8192ull}) {
-    for (const double eps : {0.3, 0.5, 0.7}) {
-      const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                      static_cast<EdgeId>(8 * n), 900 + n);
-      dmpc::mis::DetMisConfig config;
-      config.eps = eps;
-      const auto cc =
-          dmpc::mis::cluster_config_for(config, g.num_nodes(), g.num_edges());
-      const auto r = dmpc::mis::det_mis(g, config);
-      std::printf("| %llu | %.1f | %llu | %llu | %.2f | %.2f |\n",
-                  (unsigned long long)n, eps,
-                  (unsigned long long)cc.machine_space,
-                  (unsigned long long)r.metrics.peak_machine_load(),
-                  double(r.metrics.peak_machine_load()) /
-                      double(cc.machine_space),
-                  double(r.metrics.peak_machine_load()) /
-                      std::pow(double(n), eps));
-    }
-  }
-}
-
-void e9() {
-  header("E9", "Derandomization cost: seed trials per O(1)-round step");
-  std::printf("| n | matching sel. trials (mean) | MIS sel. trials (mean) | sparsify stage trials (max) |\n");
-  std::printf("|---|---|---|---|\n");
-  for (const std::uint64_t n : {512ull, 1024ull, 2048ull}) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(8 * n), 1000 + n);
-    const auto mm = dmpc::matching::det_maximal_matching(g, {});
-    const auto mis = dmpc::mis::det_mis(g, {});
-    dmpc::RunningStats mmr, misr;
-    for (const auto& r : mm.reports) mmr.add(double(r.selection_trials));
-    for (const auto& r : mis.reports) misr.add(double(r.selection_trials));
-    // Dense instance for stage trials.
-    const auto dense = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                        static_cast<EdgeId>(n * n / 16),
-                                        1100 + n);
-    dmpc::mpc::ClusterConfig cc;
-    cc.machine_space = 1 << 16;
-    cc.num_machines = 1 << 10;
-    dmpc::mpc::Cluster cluster(cc);
-    dmpc::sparsify::Params params;
-    params.n = dense.num_nodes();
-    params.inv_delta = 8;
-    std::vector<bool> alive(dense.num_nodes(), true);
-    const auto good = dmpc::sparsify::select_matching_good_set(
-        cluster, params, dense, alive);
-    const auto sp =
-        dmpc::sparsify::sparsify_edges(cluster, params, dense, good, {});
-    std::uint64_t max_trials = 0;
-    for (const auto& s : sp.stages) {
-      max_trials = std::max(max_trials, s.trials);
-    }
-    std::printf("| %llu | %.0f | %.0f | %llu |\n", (unsigned long long)n,
-                mmr.mean(), misr.mean(), (unsigned long long)max_trials);
-  }
-}
-
-void e10() {
-  header("E10", "Deterministic vs randomized Luby (iterations to finish)");
-  std::printf("| n | det MM | Luby MM | Israeli-Itai | det MIS | Luby MIS | Luby MIS (pairwise) |\n");
-  std::printf("|---|---|---|---|---|---|---|\n");
-  for (const auto n : sweep_n()) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(8 * n), 1200 + n);
-    std::printf(
-        "| %llu | %llu | %llu | %llu | %llu | %llu | %llu |\n",
-        (unsigned long long)n,
-        (unsigned long long)dmpc::matching::det_maximal_matching(g, {})
-            .iterations,
-        (unsigned long long)dmpc::baselines::luby_matching(g, 1).iterations,
-        (unsigned long long)dmpc::baselines::israeli_itai(g, 1).iterations,
-        (unsigned long long)dmpc::mis::det_mis(g, {}).iterations,
-        (unsigned long long)dmpc::baselines::luby_mis(g, 1).iterations,
-        (unsigned long long)dmpc::baselines::luby_mis_pairwise(g, 1)
-            .iterations);
-  }
-}
-
-void e11() {
-  header("E11", "Ablation: 2-hop footprint with vs without sparsification");
-  std::printf("| n | S budget | 2-hop words without E* | with E* | without fits? | with fits? |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  for (const std::uint64_t n : {512ull, 1024ull, 2048ull}) {
-    const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                    static_cast<EdgeId>(n * n / 16),
-                                    1300 + n);
-    dmpc::matching::DetMatchingConfig config;
-    const auto cc = dmpc::matching::cluster_config_for(config, g.num_nodes(),
-                                                       g.num_edges());
-    auto unchecked = cc;
-    unchecked.enforce_space = false;
-    dmpc::mpc::Cluster cluster(unchecked);
-    const auto params = dmpc::matching::params_for(config, g.num_nodes());
-    std::vector<bool> alive(g.num_nodes(), true);
-    const auto good =
-        dmpc::sparsify::select_matching_good_set(cluster, params, g, alive);
-    auto two_hop = [&](const std::vector<bool>& mask) {
-      std::vector<std::vector<EdgeId>> inc(g.num_nodes());
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (!mask[e]) continue;
-        inc[g.edge(e).u].push_back(e);
-        inc[g.edge(e).v].push_back(e);
-      }
-      std::uint64_t worst = 0;
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (!good.in_B[v]) continue;
-        std::uint64_t words = inc[v].size();
-        for (EdgeId e : inc[v]) words += inc[g.other_endpoint(e, v)].size();
-        worst = std::max(worst, 2 * words);
-      }
-      return worst;
-    };
-    const auto without = two_hop(good.in_E0);
-    const auto sp =
-        dmpc::sparsify::sparsify_edges(cluster, params, g, good, {});
-    const auto with = two_hop(sp.in_Estar);
-    std::printf("| %llu | %llu | %llu | %llu | %s | %s |\n",
-                (unsigned long long)n, (unsigned long long)cc.machine_space,
-                (unsigned long long)without, (unsigned long long)with,
-                without <= cc.machine_space ? "yes" : "no",
-                with <= cc.machine_space ? "yes" : "no");
-  }
-}
-
-void e12() {
-  header("E12", "Ablations: independence degree c; selection batch size");
-  std::printf("| hash k | iterations (dense G(1024, 64k)) |\n|---|---|\n");
-  for (const unsigned k : {2u, 4u, 8u}) {
-    const auto g = dmpc::graph::gnm(1024, 65536, 1400 + k);
-    dmpc::matching::DetMatchingConfig config;
-    config.sparsify.hash_k = k;
-    const auto r = dmpc::matching::det_maximal_matching(g, config);
-    std::printf("| %u | %llu |\n", k, (unsigned long long)r.iterations);
-  }
-  std::printf("\n| selection batch | iterations | mean removed frac | rounds |\n|---|---|---|---|\n");
-  for (const std::uint64_t b : {1ull, 4ull, 16ull, 64ull}) {
-    const auto g = dmpc::graph::gnm(2048, 16384, 1500 + b);
-    dmpc::matching::DetMatchingConfig config;
-    config.selection_batch = b;
-    const auto r = dmpc::matching::det_maximal_matching(g, config);
-    dmpc::RunningStats frac;
-    for (const auto& rep : r.reports) frac.add(rep.progress_fraction);
-    std::printf("| %llu | %llu | %.3f | %llu |\n", (unsigned long long)b,
-                (unsigned long long)r.iterations, frac.mean(),
-                (unsigned long long)r.metrics.rounds());
-  }
-}
-
-void e13() {
-  header("E13", "Lemma-4 realizability: message-passing vs charged primitives");
-  std::printf("| primitive | n | S | real rounds | charged rounds | peak load |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  dmpc::Rng rng(77);
-  for (const auto& [n, sp] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-           {100000, 64}, {100000, 256}}) {
-    std::vector<dmpc::mpc::Word> v(n);
-    for (auto& x : v) x = rng.next_below(1u << 30);
-    dmpc::mpc::ClusterConfig cc;
-    cc.machine_space = sp;
-    cc.num_machines = 1 << 16;
-    dmpc::mpc::Cluster real(cc);
-    dmpc::mpc::lowlevel::prefix_sum(real, v);
-    dmpc::mpc::Cluster charged(cc);
-    dmpc::mpc::prefix_sum_exclusive(charged, v);
-    std::printf("| prefix sum | %llu | %llu | %llu | %llu | %llu |\n",
-                (unsigned long long)n, (unsigned long long)sp,
-                (unsigned long long)real.metrics().rounds(),
-                (unsigned long long)charged.metrics().rounds(),
-                (unsigned long long)real.metrics().peak_machine_load());
-  }
-  for (const auto& [n, sp] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-           {3000, 256}, {12000, 512}}) {
-    std::vector<dmpc::mpc::Word> v(n);
-    for (auto& x : v) x = rng.next_below(1u << 30);
-    dmpc::mpc::ClusterConfig cc;
-    cc.machine_space = sp;
-    cc.num_machines = 1 << 16;
-    dmpc::mpc::Cluster real(cc);
-    dmpc::mpc::lowlevel::sort(real, v);
-    dmpc::mpc::Cluster charged(cc);
-    auto copy = v;
-    dmpc::mpc::dsort(charged, copy, std::less<>{});
-    std::printf("| sample sort | %llu | %llu | %llu | %llu | %llu |\n",
-                (unsigned long long)n, (unsigned long long)sp,
-                (unsigned long long)real.metrics().rounds(),
-                (unsigned long long)charged.metrics().rounds(),
-                (unsigned long long)real.metrics().peak_machine_load());
-  }
-}
-
-void e14() {
-  header("E14", "Application guarantees (Koenig-exact vertex cover; coloring)");
-  std::printf("| n (bipartite) | cover/OPT (<=2) | maximal/maximum (>=0.5) |\n");
-  std::printf("|---|---|---|\n");
-  for (const std::uint64_t n : {256ull, 512ull, 1024ull}) {
-    const auto g = dmpc::graph::random_bipartite(
-        static_cast<NodeId>(n / 2), static_cast<NodeId>(n - n / 2),
-        static_cast<EdgeId>(4 * n), 1600 + n);
-    const auto maximum = dmpc::graph::hopcroft_karp(g);
-    const auto cover = dmpc::apps::vertex_cover_2approx(g);
-    std::printf("| %llu | %.3f | %.3f |\n", (unsigned long long)n,
-                double(cover.cover_size) / double(maximum.size),
-                double(cover.matching_size) / double(maximum.size));
-  }
-  std::printf("\n| Delta | colors used | palette |\n|---|---|---|\n");
-  for (const std::uint32_t d : {3u, 5u, 8u}) {
-    const auto g = dmpc::graph::random_regular(512, d, 1700 + d);
-    const auto coloring = dmpc::apps::delta_plus_one_coloring(g);
-    std::printf("| %u | %u | %u |\n", g.max_degree(), coloring.colors_used,
-                g.max_degree() + 1);
-  }
-}
-
-void e15() {
-  header("E15", "§6 extension: derandomized Luby in CONGEST (round cost vs D)");
-  std::printf("| topology | BFS depth | det rounds | randomized rounds |\n");
-  std::printf("|---|---|---|---|\n");
-  struct Top {
-    const char* name;
-    Graph g;
-  };
-  std::vector<Top> tops;
-  tops.push_back({"star(1023)", dmpc::graph::star(1023)});
-  tops.push_back({"grid(32x32)", dmpc::graph::grid(32, 32)});
-  tops.push_back({"path(1024)", dmpc::graph::path(1024)});
-  for (const auto& top : tops) {
-    const auto det = dmpc::congest::congest_mis(top.g);
-    const auto rand = dmpc::congest::luby_mis_congest(top.g, 1);
-    std::printf("| %s | %u | %llu | %llu |\n", top.name, det.bfs_depth,
-                (unsigned long long)det.metrics.rounds(),
-                (unsigned long long)rand.metrics.rounds());
-  }
-}
-
-void e16() {
-  header("E16", "Observability: metrics-registry snapshot of one traced MIS run");
-  const std::uint64_t n = g_quick ? 512 : 1024;
-  const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
-                                  static_cast<EdgeId>(8 * n), 1800 + n);
-  // One traced solve through the Solver; the aggregate table below is the
-  // model section of the solve's registry delta (Solver::metrics_snapshot),
-  // not a hand re-aggregation of the collected spans — the spans stay
-  // available for drill-down, the registry is the source of truth for sums.
-  dmpc::obs::CollectorSink collector;
-  dmpc::obs::TraceSession session(&collector);
-  dmpc::SolveOptions options;
-  options.trace = &session;
-  const dmpc::Solver solver(options);
-  const auto r = solver.mis(g);
-  session.finish();
-  std::printf("| metric | value |\n");
-  std::printf("|---|---|\n");
-  const auto& snapshot = solver.metrics_snapshot();
-  for (const auto& entry : snapshot.entries) {
-    if (entry.section != dmpc::obs::MetricSection::kModel) continue;
-    if (entry.value == 0) continue;
-    if (entry.kind == dmpc::obs::MetricKind::kHistogram) {
-      std::printf("| %s | total=%lld sum=%lld |\n", entry.name.c_str(),
-                  (long long)entry.value, (long long)entry.sum);
-    } else {
-      std::printf("| %s | %lld |\n", entry.name.c_str(),
-                  (long long)entry.value);
-    }
-  }
-  const auto* rounds = snapshot.find("mpc/rounds");
-  const auto* comm = snapshot.find("mpc/communication");
-  const bool matches =
-      rounds != nullptr && comm != nullptr &&
-      std::uint64_t(rounds->value) == r.report.metrics.rounds() &&
-      std::uint64_t(comm->value) == r.report.metrics.total_communication();
-  std::printf("\ntrace events: %llu (%llu collected); registry matches "
-              "report totals: %s\n",
-              (unsigned long long)session.events_emitted(),
-              (unsigned long long)collector.events().size(),
-              matches ? "yes" : "NO");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const dmpc::ArgParser args(argc, argv);
-  g_quick = args.has("quick");
-  std::printf("# dmpc experiment report%s\n", g_quick ? " (quick)" : "");
-  e1_e2();
-  e3();
-  e4();
-  e5();
-  e6();
-  e7();
-  e8();
-  e9();
-  e10();
-  e11();
-  e12();
-  e13();
-  e14();
-  e15();
-  e16();
-  std::printf("\n(report complete)\n");
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: repro_report BENCH_*.json...\n");
+    return 2;
+  }
+  for (int i = 1; i < argc; ++i) {
+    try {
+      render(Json::parse_file(argv[i]));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s: %s\n", argv[i], e.what());
+      return 2;
+    }
+  }
   return 0;
 }
