@@ -128,6 +128,14 @@ std::uint64_t set_size(const std::vector<bool>& in_set) {
       std::count(in_set.begin(), in_set.end(), true));
 }
 
+/// Report JSON with the recovery ledger zeroed: the identity fault recovery
+/// promises is "everything except the recovery block".
+std::string comparable_report(const dmpc::MisSolution& solution) {
+  auto report = solution.report;
+  report.recovery = dmpc::mpc::RecoveryStats{};
+  return to_json(report).dump();
+}
+
 /// Wraps one sweep point: snapshots the global registry before the body so
 /// the point's "registry" block is exactly this point's model-section delta.
 class PointScope {
@@ -823,13 +831,8 @@ Json e18_points(const RunConfig& cfg) {
   auto run = [&](const dmpc::mpc::FaultPlan& faults) {
     dmpc::SolveOptions options;
     options.faults = faults;
-    const dmpc::Solver solver(options);
-    const auto solution = solver.mis(g);
-    auto comparable = solution.report;
-    comparable.recovery = dmpc::mpc::RecoveryStats{};
-    // The registry delta's recovery section varies by plan too; clear it from
-    // the comparable serialization the same way.
-    return std::make_pair(solution, to_json(comparable).dump());
+    const auto solution = dmpc::Solver(options).mis(g);
+    return std::make_pair(solution, comparable_report(solution));
   };
   const auto baseline = run(dmpc::mpc::FaultPlan{});
   const std::uint64_t total_rounds = baseline.first.report.metrics.rounds();
@@ -903,6 +906,8 @@ struct ScratchDir {
     std::error_code ignored;
     fs::remove_all(path, ignored);
   }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
   fs::path path;
 };
 
@@ -936,14 +941,6 @@ Json shard_model(const dmpc::mpc::ShardBuildStats& stats) {
       .set("shards", stats.shards);
 }
 
-/// Report JSON with the recovery ledger zeroed: the identity fault recovery
-/// promises is "everything except the recovery block".
-std::string comparable_report(const dmpc::MisSolution& solution) {
-  auto report = solution.report;
-  report.recovery = dmpc::mpc::RecoveryStats{};
-  return to_json(report).dump();
-}
-
 // E19: out-of-core shard storage — bounded build RSS + backend identity.
 //
 // The streaming shard builder (mpc/shard_format.hpp) promises peak host
@@ -967,7 +964,7 @@ Json e19_points(const RunConfig& cfg) {
   build.rss_budget_bytes = kDirtyPageBudget;
 
   // Degree 2k = 16 throughout, n doubling. The full sweep's largest point
-  // has a ~420 MB in-memory CSR; the builder must stay flat.
+  // has a ~211 MB in-memory CSR; the builder must stay flat.
   constexpr std::uint64_t k = 8;
   std::vector<std::uint64_t> ns = {100000, 200000, 400000};
   if (!cfg.quick) ns.push_back(800000);
