@@ -3,10 +3,9 @@
 // Every headline bound reproduced here is a scaling law — Theorem 1 rounds
 // are O(log n), the low-degree regime (Theorem 7) is O(log Δ + log log n),
 // and peak machine load is capped by S = n^eps. This module turns a measured
-// (x, y) series into a pass/fail verdict against such an envelope, shared by
-// `tools/scaling_check` (the CI regression gate over BENCH_*.json artifacts)
-// and `bench/repro_report` (the E1/E2 fit columns), so both judge the data
-// with the same arithmetic.
+// (x, y) series into a pass/fail verdict against such an envelope for
+// `tools/scaling_check`, the CI regression gate over the BENCH_*.json
+// artifacts that `bench/bench_runner` writes.
 //
 // Method: least-squares fit y = intercept + slope * f(x) with f = log2 or
 // log2∘log2, then require every point to sit within a relative residual
