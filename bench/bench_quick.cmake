@@ -1,4 +1,4 @@
-# ctest driver for the quick experiment pipeline (see CMakeLists.txt):
+# ctest entry point for the quick experiment pipeline (see CMakeLists.txt):
 #
 #   cmake -DRUNNER=<bench_runner> -DSCALING_CHECK=<scaling_check>
 #         -DREPORT=<repro_report> -DBASELINES=<dir> -DOUT=<dir>
