@@ -59,8 +59,8 @@ struct EdgeListHeader {
 /// range-checked, u != v unless a kDedupe self-loop was dropped before the
 /// call). Duplicate-edge detection is NOT performed here — it needs
 /// per-node state; callers wanting kReject semantics detect duplicates
-/// downstream (read_edge_list via a hash set, shard_build at shard
-/// finalization).
+/// downstream (read_edge_list with the sort that builds its CSR, shard_build
+/// at shard finalization). Lines are parsed in place, without allocating.
 void scan_edge_list(
     std::istream& in, const EdgeListLimits& limits,
     const std::function<void(const EdgeListHeader&)>& on_header,
@@ -69,7 +69,9 @@ void scan_edge_list(
 
 /// Read an edge list. Throws dmpc::ParseError (derives CheckFailure) on any
 /// malformed input; never aborts, never allocates proportionally to an
-/// adversarial header.
+/// adversarial header. Under kReject the duplicate reported is the first
+/// edge, in input order, that repeats an earlier one, and it wins over any
+/// error on a later line — as if each edge were checked on arrival.
 Graph read_edge_list(std::istream& in, const EdgeListLimits& limits = {});
 
 /// Read from a file. Open and read failures carry errno context

@@ -117,7 +117,8 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       // Locate the value token precisely: its column is just past the '='.
       const parse::Token value_tok{tok.text.substr(eq + 1),
                                    tok.column + eq + 1};
-      const std::uint64_t value = parse::require_u64(value_tok, line_no);
+      const std::uint64_t value =
+          parse::require_u64(value_tok.text, value_tok.column, line_no);
       if (key == "round") {
         event.round = value;
       } else if (key == "machine") {

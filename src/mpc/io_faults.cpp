@@ -114,7 +114,8 @@ IoFaultPlan IoFaultPlan::parse(const std::string& text) {
         event.shard = kManifestShard;
         continue;
       }
-      const std::uint64_t value = parse::require_u64(value_tok, line_no);
+      const std::uint64_t value =
+          parse::require_u64(value_tok.text, value_tok.column, line_no);
       if (key == "shard") {
         event.shard = value;
       } else if (key == "access") {

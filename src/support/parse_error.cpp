@@ -49,7 +49,7 @@ std::string ParseError::format(ParseErrorCode code, const std::string& message,
 
 namespace parse {
 
-bool parse_u64(const std::string& token, std::uint64_t* value, bool* overflow) {
+bool parse_u64(std::string_view token, std::uint64_t* value, bool* overflow) {
   if (overflow != nullptr) *overflow = false;
   if (token.empty()) return false;
   std::uint64_t out = 0;
@@ -81,23 +81,24 @@ std::vector<Token> tokenize(const std::string& line) {
   return out;
 }
 
-std::string clip(const std::string& token) {
+std::string clip(std::string_view token) {
   constexpr std::size_t kMax = 64;
-  if (token.size() <= kMax) return token;
-  return token.substr(0, kMax) + "...";
+  if (token.size() <= kMax) return std::string(token);
+  return std::string(token.substr(0, kMax)) + "...";
 }
 
-std::uint64_t require_u64(const Token& tok, std::uint64_t line) {
+std::uint64_t require_u64(std::string_view text, std::uint64_t column,
+                          std::uint64_t line) {
   std::uint64_t value = 0;
   bool overflow = false;
-  if (!parse_u64(tok.text, &value, &overflow)) {
+  if (!parse_u64(text, &value, &overflow)) {
     if (overflow) {
       throw ParseError(ParseErrorCode::kOverflow,
-                       "numeric token exceeds 64-bit range", line, tok.column,
-                       clip(tok.text));
+                       "numeric token exceeds 64-bit range", line, column,
+                       clip(text));
     }
     throw ParseError(ParseErrorCode::kBadToken, "expected unsigned integer",
-                     line, tok.column, clip(tok.text));
+                     line, column, clip(text));
   }
   return value;
 }

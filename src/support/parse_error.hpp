@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -82,7 +83,7 @@ namespace parse {
 /// Strict base-10 u64 parse with overflow detection: the whole token must be
 /// digits and the value must fit. Returns false (leaving *value untouched)
 /// otherwise; `overflow` (optional) distinguishes the overflow case.
-bool parse_u64(const std::string& token, std::uint64_t* value,
+bool parse_u64(std::string_view token, std::uint64_t* value,
                bool* overflow = nullptr);
 
 /// A whitespace-delimited token with its 1-based column.
@@ -96,10 +97,12 @@ std::vector<Token> tokenize(const std::string& line);
 
 /// A token as shown in a diagnostic, truncated so a pathological input line
 /// cannot balloon the error message.
-std::string clip(const std::string& token);
+std::string clip(std::string_view token);
 
-/// parse_u64 or throw ParseError (kBadToken / kOverflow) locating `tok`.
-std::uint64_t require_u64(const Token& tok, std::uint64_t line);
+/// parse_u64 or throw ParseError (kBadToken / kOverflow) locating the token
+/// `text` at `line`, `column`.
+std::uint64_t require_u64(std::string_view text, std::uint64_t column,
+                          std::uint64_t line);
 
 }  // namespace parse
 

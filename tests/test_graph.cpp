@@ -1,9 +1,13 @@
 // Unit tests for the core graph type, builder, validators, and IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/validate.hpp"
@@ -162,6 +166,42 @@ TEST(Io, RoundTrip) {
   EXPECT_EQ(h.num_edges(), g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(h.edge(e), g.edge(e));
+  }
+}
+
+// The reader must build exactly the CSR from_edges builds, whatever the
+// order, orientation and line decoration of the input.
+TEST(Io, ShuffledRoundTripMatchesFromEdges) {
+  const Graph g = gnm(4096, 32768, 11);
+  std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+  std::mt19937_64 rng(5);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  std::ostringstream text;
+  text << "# shuffled gnm\r\n" << g.num_nodes() << ' ' << edges.size()
+       << "\r\n";
+  for (Edge& e : edges) {
+    if (rng() & 1) std::swap(e.u, e.v);
+    if (rng() % 8 == 0) text << "# between edges\r\n";
+    text << e.u << ' ' << e.v << "\r\n";
+  }
+  const Graph want = Graph::from_edges(g.num_nodes(), edges);
+  const GraphExtent& w = want.extents()[0];
+  const std::size_t n = want.num_nodes();
+  const std::size_t m = want.num_edges();
+  for (const DuplicatePolicy policy :
+       {DuplicatePolicy::kReject, DuplicatePolicy::kDedupe}) {
+    EdgeListLimits limits;
+    limits.duplicates = policy;
+    std::istringstream in(text.str());
+    const Graph got = read_edge_list(in, limits);
+    ASSERT_EQ(got.num_nodes(), want.num_nodes());
+    ASSERT_EQ(got.num_edges(), want.num_edges());
+    ASSERT_EQ(got.extents().size(), 1u);
+    const GraphExtent& h = got.extents()[0];
+    EXPECT_TRUE(std::equal(w.offsets, w.offsets + n + 1, h.offsets));
+    EXPECT_TRUE(std::equal(w.adjacency, w.adjacency + 2 * m, h.adjacency));
+    EXPECT_TRUE(std::equal(w.incident, w.incident + 2 * m, h.incident));
+    EXPECT_TRUE(std::equal(w.edges, w.edges + m, h.edges));
   }
 }
 

@@ -152,6 +152,66 @@ TEST(IoHardening, DuplicateEdgeRejectedByDefaultSkippedUnderDedupe) {
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
+// Duplicates are found by sorting after the scan, but are reported as if
+// each edge were checked on arrival: the first edge (in input order) that
+// repeats an earlier one, ahead of any error on a later line.
+TEST(IoHardening, DuplicateIsReportedBeforeALaterOutOfRangeEndpoint) {
+  const ParseError e = capture("3 3\n0 1\n1 0\n0 5\n");
+  EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  EXPECT_EQ(e.line(), 3u);
+  EXPECT_EQ(e.column(), 1u);
+  EXPECT_STREQ(e.what(),
+               "parse error [duplicate_edge] at line 3, column 1: "
+               "duplicate edge {0, 1}");
+}
+
+TEST(IoHardening, DuplicateIsReportedBeforeAHeaderCountMismatch) {
+  const ParseError e = capture("4 5\n1 2\n2 3\n3 2\n");
+  EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  EXPECT_EQ(e.line(), 4u);
+  EXPECT_STREQ(e.what(),
+               "parse error [duplicate_edge] at line 4, column 1: "
+               "duplicate edge {2, 3}");
+}
+
+TEST(IoHardening, DuplicateIsReportedBeforeTheEdgeCap) {
+  EdgeListLimits limits;
+  limits.max_edges = 2;
+  limits.check_edge_count = false;
+  const ParseError e = capture("4 2\n2 3\n3 2\n0 1\n", limits);
+  EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  EXPECT_EQ(e.line(), 3u);
+  EXPECT_STREQ(e.what(),
+               "parse error [duplicate_edge] at line 3, column 1: "
+               "duplicate edge {2, 3}");
+}
+
+TEST(IoHardening, IndentedDuplicateNamesItsColumn) {
+  const ParseError e = capture("3 2\n0 1\n  1 0\n");
+  EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  EXPECT_EQ(e.line(), 3u);
+  EXPECT_EQ(e.column(), 3u);
+  EXPECT_STREQ(e.what(),
+               "parse error [duplicate_edge] at line 3, column 3: "
+               "duplicate edge {0, 1}");
+}
+
+TEST(IoHardening, FirstRepeatInInputOrderIsTheWitness) {
+  // {0,1} sorts first, but {3,4} repeats first.
+  const ParseError e = capture("5 4\n3 4\n0 1\n4 3\n1 0\n");
+  EXPECT_EQ(e.line(), 4u);
+  EXPECT_STREQ(e.what(),
+               "parse error [duplicate_edge] at line 4, column 1: "
+               "duplicate edge {3, 4}");
+  // Comments, blank lines and indentation before the witness keep its
+  // line and column exact.
+  const ParseError f =
+      capture("# c\n6 5\n0 1\n\n\t1 2 # x\n# y\n2 3\n3 4\n4 3\n");
+  EXPECT_EQ(f.line(), 9u);
+  EXPECT_EQ(f.column(), 1u);
+  EXPECT_EQ(f.message(), "duplicate edge {3, 4}");
+}
+
 TEST(IoHardening, OversizedLineIsCappedWithoutReadingIt) {
   EdgeListLimits limits;
   limits.max_line_bytes = 16;

@@ -1,7 +1,10 @@
 #include "fuzz_drivers.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "api/cli_options.hpp"
@@ -28,10 +31,70 @@ graph::EdgeListLimits fuzz_limits(graph::DuplicatePolicy policy) {
   return limits;
 }
 
-void read_one(const std::string& text, graph::DuplicatePolicy policy) {
+/// The outcome of one edge-list read: the canonical edge list if accepted,
+/// else the ParseError's code, location and text.
+struct ReadOutcome {
+  bool accepted = false;
+  graph::NodeId n = 0;
+  std::vector<graph::Edge> edges;
+  ParseErrorCode code = ParseErrorCode::kIoError;
+  std::uint64_t line = 0;
+  std::uint64_t column = 0;
+  std::string what;
+
+  friend bool operator==(const ReadOutcome&, const ReadOutcome&) = default;
+};
+
+ReadOutcome rejected(const ParseError& e) {
+  ReadOutcome out;
+  out.code = e.code();
+  out.line = e.line();
+  out.column = e.column();
+  out.what = e.what();
+  return out;
+}
+
+/// Reference for read_edge_list: the streaming scan plus a hash-set check of
+/// each edge as it arrives, so a repeated edge is reported at its own line,
+/// ahead of any error on a later line.
+ReadOutcome reference_read(const std::string& text,
+                           const graph::EdgeListLimits& limits) {
   try {
     std::istringstream in(text);
-    const graph::Graph g = graph::read_edge_list(in, fuzz_limits(policy));
+    ReadOutcome out;
+    std::unordered_set<std::uint64_t> seen;
+    graph::scan_edge_list(
+        in, limits,
+        [&](const graph::EdgeListHeader& header) { out.n = header.n; },
+        [&](graph::NodeId a, graph::NodeId b, std::uint64_t line,
+            std::uint64_t column) {
+          const graph::NodeId lo = std::min(a, b), hi = std::max(a, b);
+          if (!seen.insert((std::uint64_t{lo} << 32) | hi).second) {
+            if (limits.duplicates == graph::DuplicatePolicy::kDedupe) return;
+            throw ParseError(ParseErrorCode::kDuplicateEdge,
+                             "duplicate edge {" + std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "}",
+                             line, column);
+          }
+          out.edges.push_back({lo, hi});
+        });
+    std::sort(out.edges.begin(), out.edges.end());
+    out.accepted = true;
+    return out;
+  } catch (const ParseError& e) {
+    return rejected(e);
+  }
+}
+
+void read_one(const std::string& text, graph::DuplicatePolicy policy) {
+  const graph::EdgeListLimits limits = fuzz_limits(policy);
+  ReadOutcome got;
+  try {
+    std::istringstream in(text);
+    const graph::Graph g = graph::read_edge_list(in, limits);
+    got.accepted = true;
+    got.n = g.num_nodes();
+    got.edges.assign(g.edges().begin(), g.edges().end());
     // Accepted input must survive a write/re-read round trip unchanged in
     // shape. The re-read uses kReject: the writer never emits duplicates.
     std::ostringstream out;
@@ -42,9 +105,13 @@ void read_one(const std::string& text, graph::DuplicatePolicy policy) {
     if (g2.num_nodes() != g.num_nodes() || g2.num_edges() != g.num_edges()) {
       __builtin_trap();
     }
-  } catch (const ParseError&) {
+  } catch (const ParseError& e) {
     // Typed rejection: the expected outcome for malformed input.
+    got = rejected(e);
   }
+  // The reader must accept and reject exactly what the reference does, with
+  // the same graph or the same diagnostic.
+  if (got != reference_read(text, limits)) __builtin_trap();
 }
 
 }  // namespace
