@@ -108,15 +108,11 @@ Json to_json(const obs::EventsSummary& events) {
       .set("filtered_events", events.filtered_events);
 }
 
-namespace {
-
-std::uint32_t solve_report_schema_version(const SolveReport& report) {
+std::uint32_t report_schema_version(const SolveReport& report) {
   if (report.events.enabled) return kEventsReportSchemaVersion;
   if (report.profile.enabled) return kProfiledReportSchemaVersion;
   return kReportSchemaVersion;
 }
-
-}  // namespace
 
 Json to_json(const SolveReport& report) {
   // Only the golden model section of the registry delta enters the report:
@@ -129,7 +125,7 @@ Json to_json(const SolveReport& report) {
   // only for solves with an event bus attached.
   Json json =
       Json::object()
-          .set("schema_version", solve_report_schema_version(report))
+          .set("schema_version", report_schema_version(report))
           .set("algorithm", report.algorithm_used)
           .set("iterations", report.iterations)
           .set("metrics", to_json(report.metrics))
@@ -146,28 +142,8 @@ Json to_json(const SolveReport& report) {
   return json;
 }
 
-Json to_json(const Report& report) {
-  Json json =
-      Json::object()
-          .set("schema_version", report.schema_version)
-          .set("algorithm", report.algorithm)
-          .set("iterations", report.iterations)
-          .set("metrics", to_json(report.metrics))
-          .set("recovery", to_json(report.recovery))
-          .set("sparsify_audit", to_json(report.sparsify))
-          .set("certificate", to_json(report.certificate))
-          .set("registry",
-               obs::to_json_section(report.registry, obs::MetricSection::kModel,
-                                    /*include_zero=*/false));
-  if (report.profile.enabled) json.set("profile", to_json(report.profile));
-  if (report.events.enabled) {
-    json.set("events_summary", to_json(report.events));
-  }
-  return json;
-}
-
 std::string Solver::report_json(const SolveReport& solve_report) const {
-  return to_json(report(solve_report)).dump();
+  return to_json(solve_report).dump();
 }
 
 Json to_json(const matching::IterationReport& report) {

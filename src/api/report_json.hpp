@@ -19,7 +19,12 @@ Json to_json(const verify::Certificate& certificate);
 Json to_json(const verify::SparsifyAudit& audit);
 Json to_json(const obs::EventsSummary& events);
 Json to_json(const SolveReport& report);
-Json to_json(const Report& report);
+
+/// The schema version a report serializes with: the highest enabled tier
+/// (events > profile > base), so an unobserved solve serializes
+/// byte-identically to pre-events output. Shared by to_json and the CLI's
+/// --metrics-out document.
+std::uint32_t report_schema_version(const SolveReport& report);
 Json to_json(const matching::IterationReport& report);
 Json to_json(const mis::MisIterationReport& report);
 

@@ -158,22 +158,6 @@ inline constexpr std::uint32_t kProfiledReportSchemaVersion = 7;
 /// was on; the stamp is the highest enabled tier (events > profile > base).
 inline constexpr std::uint32_t kEventsReportSchemaVersion = 8;
 
-/// The typed, versioned view of a SolveReport that Solver::report() returns;
-/// serialize with to_json(report) / Solver::report_json(). Downstream
-/// parsers consume this struct (or its JSON) instead of scraping strings.
-struct Report {
-  std::uint32_t schema_version = kReportSchemaVersion;
-  std::string algorithm;          ///< "sparsification" or "lowdeg".
-  std::uint64_t iterations = 0;
-  mpc::Metrics metrics;
-  mpc::RecoveryStats recovery;
-  verify::SparsifyAudit sparsify;
-  verify::Certificate certificate;  ///< Empty when certify == kOff.
-  obs::MetricsSnapshot registry;    ///< Per-solve registry delta.
-  obs::ProfileSnapshot profile;     ///< Skew timeline (when profiled).
-  obs::EventsSummary events;        ///< Event-stream summary (when attached).
-};
-
 struct MisSolution {
   std::vector<bool> in_set;
   SolveReport report;

@@ -22,16 +22,11 @@ namespace {
 // config types deliberately have identical field names, so one template
 // replaces the former per-call-site copies.
 template <typename Config>
-Config pipeline_config(const SolveOptions& options) {
+Config pipeline_config(const SolveOptions& options, mpc::ClusterSetup setup) {
   Config config;
-  config.trace = options.trace;
-  config.events = options.events;
   config.eps = options.eps;
   config.space_headroom = options.space_headroom;
-  config.threads = options.threads;
-  config.cluster = options.cluster;
-  config.faults = options.faults;
-  config.recovery = options.recovery;
+  config.setup = std::move(setup);
   return config;
 }
 
@@ -202,47 +197,30 @@ exec::Executor Solver::make_executor() const {
 mpc::ClusterConfig Solver::cluster_config(std::uint64_t n,
                                           std::uint64_t m) const {
   require_valid();
-  // The §3/§4 provisioning formula (shared by both sparsification
-  // pipelines): S = max(64, headroom * n^eps), M sized to hold the input
-  // with the paper's constant-factor total-space slack.
-  matching::DetMatchingConfig base;
-  base.eps = options_.eps;
-  base.space_headroom = options_.space_headroom;
-  return mpc::apply_overrides(matching::cluster_config_for(base, n, m),
-                              options_.cluster);
+  // The pipelines' default total-space factor: Solver does not expose it.
+  return mpc::apply_overrides(
+      matching::sparsification_cluster_config(
+          options_.eps, options_.space_headroom,
+          matching::DetMatchingConfig{}.total_space_factor, n, m),
+      options_.cluster);
+}
+
+mpc::ClusterSetup Solver::cluster_setup(obs::RoundProfiler* profiler) const {
+  mpc::ClusterSetup setup;
+  setup.threads = options_.threads;
+  setup.overrides = options_.cluster;
+  setup.faults = options_.faults;
+  setup.recovery = options_.recovery;
+  setup.trace = options_.trace;
+  setup.profiler = profiler;
+  setup.events = options_.events;
+  return setup;
 }
 
 mpc::Cluster Solver::cluster(std::uint64_t n, std::uint64_t m) const {
-  mpc::Cluster cluster(cluster_config(n, m));
-  cluster.set_executor(make_executor());
-  if (!options_.faults.empty()) {
-    cluster.set_faults(options_.faults, options_.recovery);
-  }
-  // Deliberately no set_trace here: the session would bind to this
-  // instance's Metrics and dangle after the move; callers attach a trace to
-  // the placed cluster.
-  return cluster;
-}
-
-Report Solver::report(const SolveReport& solve_report) const {
-  Report report;
-  report.algorithm = solve_report.algorithm_used;
-  report.iterations = solve_report.iterations;
-  report.metrics = solve_report.metrics;
-  report.recovery = solve_report.recovery;
-  report.sparsify = solve_report.sparsify;
-  report.certificate = solve_report.certificate;
-  report.registry = solve_report.registry;
-  report.profile = solve_report.profile;
-  report.events = solve_report.events;
-  // Highest enabled tier wins: events > profile > base. An unobserved solve
-  // therefore serializes byte-identically to pre-events output.
-  report.schema_version = solve_report.events.enabled
-                              ? kEventsReportSchemaVersion
-                              : (solve_report.profile.enabled
-                                     ? kProfiledReportSchemaVersion
-                                     : kReportSchemaVersion);
-  return report;
+  // cluster_config already carries the overrides; re-applying is the
+  // identity.
+  return mpc::Cluster(cluster_config(n, m), cluster_setup(nullptr));
 }
 
 void Solver::emit_solve_started(const char* algorithm,
@@ -377,9 +355,8 @@ MisSolution Solver::mis(const graph::Graph& g) const {
         options_.algorithm == Algorithm::kLowDegree ||
         (options_.algorithm == Algorithm::kAuto && low_degree_regime(g));
     if (lowdeg) {
-      auto config = pipeline_config<lowdeg::LowDegConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<lowdeg::LowDegConfig>(
+          options_, cluster_setup(prof));
       auto result = lowdeg::lowdeg_mis(g, config);
       solution.in_set = std::move(result.in_set);
       solution.report.algorithm_used = "lowdeg";
@@ -387,9 +364,8 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.metrics = result.metrics;
       solution.report.recovery = result.recovery;
     } else {
-      auto config = pipeline_config<mis::DetMisConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config =
+          pipeline_config<mis::DetMisConfig>(options_, cluster_setup(prof));
       auto result = mis::det_mis(g, config);
       solution.in_set = std::move(result.in_set);
       solution.report.algorithm_used = "sparsification";
@@ -426,9 +402,8 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
         options_.algorithm == Algorithm::kLowDegree ||
         (options_.algorithm == Algorithm::kAuto && low_degree_regime(g));
     if (lowdeg) {
-      auto config = pipeline_config<lowdeg::LowDegConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<lowdeg::LowDegConfig>(
+          options_, cluster_setup(prof));
       auto result = lowdeg::lowdeg_matching(g, config);
       solution.matching = std::move(result.matching);
       solution.report.algorithm_used = "lowdeg";
@@ -436,9 +411,8 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
       solution.report.metrics = result.line_mis.metrics;
       solution.report.recovery = result.line_mis.recovery;
     } else {
-      auto config = pipeline_config<matching::DetMatchingConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<matching::DetMatchingConfig>(
+          options_, cluster_setup(prof));
       auto result = matching::det_maximal_matching(g, config);
       solution.matching = std::move(result.matching);
       solution.report.algorithm_used = "sparsification";

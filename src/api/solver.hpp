@@ -76,8 +76,7 @@ class Solver {
   /// Throws OptionsError if validate() fails.
   MatchingSolution maximal_matching(const graph::Graph& g) const;
 
-  /// Storage-seam entry points: solve the graph owned by `storage`, attach
-  /// the backend to the pipeline's cluster (mpc::Cluster::set_storage), and
+  /// Storage-seam entry points: solve the graph owned by `storage` and
   /// export its residency stats into the registry's kHost section (so
   /// --metrics-out and benches see storage/bytes_mapped etc.). The answer
   /// and every kModel byte are identical to the plain-graph overloads.
@@ -106,22 +105,18 @@ class Solver {
   /// adjacent work (graph stats, custom objectives).
   exec::Executor make_executor() const;
 
-  /// The cluster this solver would provision for an (n, m)-size input:
-  /// geometry auto-sized from eps/space_headroom, overrides applied, the
-  /// executor and fault plan installed. This is the supported way for
-  /// benches and tests to obtain a cluster (hand-building mpc::ClusterConfig
-  /// is deprecated); attach a trace session to the placed instance
-  /// afterwards if needed. Throws OptionsError on invalid options.
+  /// The cluster this solver would provision for an (n, m)-size input,
+  /// set up exactly like a solve's: geometry auto-sized from
+  /// eps/space_headroom, overrides applied, the executor, fault plan, trace
+  /// session and event bus installed. This is the supported way for benches
+  /// and tests to obtain a cluster (hand-building mpc::ClusterConfig is
+  /// deprecated). Throws OptionsError on invalid options.
   mpc::Cluster cluster(std::uint64_t n, std::uint64_t m) const;
 
   /// The raw geometry cluster(n, m) would use (after overrides).
   mpc::ClusterConfig cluster_config(std::uint64_t n, std::uint64_t m) const;
 
-  /// The typed, versioned report for a finished solve (schema_version,
-  /// algorithm, metrics, recovery ledger, certificate).
-  Report report(const SolveReport& solve_report) const;
-
-  /// Thin wrapper: to_json(report(solve_report)).dump().
+  /// Thin wrapper: to_json(solve_report).dump().
   std::string report_json(const SolveReport& solve_report) const;
 
   /// The certificate of the most recent solve on this Solver instance
@@ -146,6 +141,11 @@ class Solver {
 
  private:
   void require_valid() const;
+
+  /// The host wiring of every cluster this solver builds: threads,
+  /// overrides, fault plan, trace session and event bus from the options,
+  /// plus `profiler` (the solve's own, or null).
+  mpc::ClusterSetup cluster_setup(obs::RoundProfiler* profiler) const;
 
   /// Emit solve_started for `algorithm` over `g` on the attached bus.
   void emit_solve_started(const char* algorithm, const graph::Graph& g) const;
@@ -200,9 +200,8 @@ class Solver {
 
   SolveOptions options_;
   /// Storage backend attached for the duration of a storage-overload solve
-  /// (mutable output-slot style, like the certificate): pipeline configs
-  /// pick it up so the cluster sees its residency seam, and
-  /// capture_registry_delta exports its host stats.
+  /// (mutable output-slot style, like the certificate):
+  /// capture_registry_delta exports its host stats and recovery ledger.
   mutable const mpc::Storage* active_storage_ = nullptr;
   /// The attached backend's integrity verdict from the pre-solve gate
   /// (meaningful only while active_storage_ is set).

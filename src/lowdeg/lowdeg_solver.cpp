@@ -46,23 +46,14 @@ mpc::ClusterConfig cluster_config_for(const LowDegConfig& config,
 }
 
 LowDegMisResult lowdeg_mis(const Graph& g, const LowDegConfig& config) {
-  mpc::Cluster cluster(mpc::apply_overrides(
+  mpc::Cluster cluster(
       cluster_config_for(config, g.num_nodes(), g.num_edges(), g.max_degree()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+      config.setup);
   return lowdeg_mis(cluster, g, config);
 }
 
 LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
                            const LowDegConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   LowDegMisResult result;
   result.in_set.assign(g.num_nodes(), false);
   if (g.num_nodes() == 0) return result;
@@ -151,16 +142,9 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
   if (g.num_edges() == 0) return result;
   const Graph lg = graph::line_graph(g);
   // Line-graph construction is local to 1-hop neighborhoods: one exchange.
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, lg.num_nodes(), lg.num_edges(),
-                         lg.max_degree()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+  mpc::Cluster cluster(cluster_config_for(config, lg.num_nodes(),
+                                          lg.num_edges(), lg.max_degree()),
+                       config.setup);
   cluster.charge_recoverable(1, "lowdeg/line_graph");
   result.line_mis = lowdeg_mis(cluster, lg, config);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

@@ -17,12 +17,6 @@
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
 
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
-
 namespace dmpc::lowdeg {
 
 struct LowDegConfig {
@@ -33,30 +27,10 @@ struct LowDegConfig {
   std::uint64_t per_phase_cap = 1024;   ///< Per-phase seeds enumerable.
   std::uint32_t max_phases = 8;         ///< Upper clamp on l (sim cost).
   std::uint64_t max_stages = 100000;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overloads apply this.
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overloads apply them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overloads install them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); null = tracing off.
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
-
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overloads attach it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+  /// Host wiring (threads, overrides, fault plan, observers) of the clusters
+  /// the cluster-creating overloads build. The cluster-taking lowdeg_mis
+  /// reads none of it: whoever built that cluster set it up.
+  mpc::ClusterSetup setup;
 };
 
 struct LowDegMisResult {

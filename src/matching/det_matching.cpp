@@ -178,28 +178,30 @@ derand::SearchResult select_with_threshold(mpc::Cluster& cluster,
 }  // namespace
 
 sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n) {
-  sparsify::Params params;
-  params.n = std::max<std::uint64_t>(n, 2);
-  params.inv_delta =
-      config.inv_delta != 0
-          ? config.inv_delta
-          : std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
-  return params;
+  return sparsify::Params::for_eps(n, config.eps, config.inv_delta);
+}
+
+mpc::ClusterConfig sparsification_cluster_config(double eps,
+                                                 double space_headroom,
+                                                 double total_space_factor,
+                                                 std::uint64_t n,
+                                                 std::uint64_t m) {
+  mpc::ClusterConfig cc;
+  cc.machine_space = std::max<std::uint64_t>(
+      64, static_cast<std::uint64_t>(
+              space_headroom *
+              std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
+                       eps)));
+  const auto total = static_cast<std::uint64_t>(
+      total_space_factor * static_cast<double>(m + n + 2));
+  cc.num_machines = ceil_div(total, cc.machine_space) + 1;
+  return cc;
 }
 
 mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
                                       std::uint64_t n, std::uint64_t m) {
-  mpc::ClusterConfig cc;
-  cc.machine_space = std::max<std::uint64_t>(
-      64, static_cast<std::uint64_t>(
-              config.space_headroom *
-              std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
-                       config.eps)));
-  const auto total = static_cast<std::uint64_t>(
-      config.total_space_factor * static_cast<double>(m + n + 2));
-  cc.num_machines = ceil_div(total, cc.machine_space) + 1;
-  return cc;
+  return sparsification_cluster_config(
+      config.eps, config.space_headroom, config.total_space_factor, n, m);
 }
 
 namespace detail {
@@ -238,23 +240,13 @@ std::vector<std::uint32_t> local_minima(std::uint32_t n,
 
 DetMatchingResult det_maximal_matching(const Graph& g,
                                        const DetMatchingConfig& config) {
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, g.num_nodes(), g.num_edges()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+  mpc::Cluster cluster(cluster_config_for(config, g.num_nodes(), g.num_edges()),
+                       config.setup);
   return det_maximal_matching(cluster, g, config);
 }
 
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
                                        const DetMatchingConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   const sparsify::Params params = params_for(config, g.num_nodes());
   DetMatchingResult result;
   std::vector<bool> alive(g.num_nodes(), true);

@@ -26,12 +26,6 @@
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/params.hpp"
 
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
-
 namespace dmpc::matching {
 
 /// How the per-iteration selection seed is committed.
@@ -68,32 +62,10 @@ struct DetMatchingConfig {
   std::uint64_t trials_per_threshold = 256;
   std::uint64_t max_iterations = 100000;
   SelectionMode selection_mode = SelectionMode::kThresholdSearch;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overload applies this (the cluster-taking overload
-  /// uses the caller's executor).
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overload applies them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overload installs them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); spans and progress events are
-  /// emitted when set. Null = tracing off (zero cost).
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
-
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overload attaches it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+  /// Host wiring (threads, overrides, fault plan, observers) of the cluster
+  /// the cluster-creating overload builds. The cluster-taking overload reads
+  /// none of it: whoever built that cluster set it up.
+  mpc::ClusterSetup setup;
 };
 
 struct IterationReport {
@@ -133,7 +105,17 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster,
                                        const graph::Graph& g,
                                        const DetMatchingConfig& config);
 
-/// The cluster the config would build for graph size (n, m).
+/// The §3/§4 provisioning formula of both sparsification pipelines (MIS
+/// and matching) and Solver::cluster_config: S = max(64, space_headroom *
+/// n^eps) words, M = ceil(total_space_factor * (m + n + 2) / S) + 1.
+mpc::ClusterConfig sparsification_cluster_config(double eps,
+                                                 double space_headroom,
+                                                 double total_space_factor,
+                                                 std::uint64_t n,
+                                                 std::uint64_t m);
+
+/// The cluster the config would build for graph size (n, m), before
+/// setup.overrides.
 mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
                                       std::uint64_t n, std::uint64_t m);
 

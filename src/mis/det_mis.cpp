@@ -190,48 +190,23 @@ derand::SearchResult select_with_threshold(
 }  // namespace
 
 sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n) {
-  sparsify::Params params;
-  params.n = std::max<std::uint64_t>(n, 2);
-  params.inv_delta =
-      config.inv_delta != 0
-          ? config.inv_delta
-          : std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
-  return params;
+  return sparsify::Params::for_eps(n, config.eps, config.inv_delta);
 }
 
 mpc::ClusterConfig cluster_config_for(const DetMisConfig& config,
                                       std::uint64_t n, std::uint64_t m) {
-  mpc::ClusterConfig cc;
-  cc.machine_space = std::max<std::uint64_t>(
-      64, static_cast<std::uint64_t>(
-              config.space_headroom *
-              std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
-                       config.eps)));
-  const auto total = static_cast<std::uint64_t>(
-      config.total_space_factor * static_cast<double>(m + n + 2));
-  cc.num_machines = ceil_div(total, cc.machine_space) + 1;
-  return cc;
+  return matching::sparsification_cluster_config(
+      config.eps, config.space_headroom, config.total_space_factor, n, m);
 }
 
 DetMisResult det_mis(const Graph& g, const DetMisConfig& config) {
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, g.num_nodes(), g.num_edges()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+  mpc::Cluster cluster(cluster_config_for(config, g.num_nodes(), g.num_edges()),
+                       config.setup);
   return det_mis(cluster, g, config);
 }
 
 DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
                      const DetMisConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   obs::Span pipeline_span(cluster.trace(), "mis/pipeline");
   const sparsify::Params params = params_for(config, g.num_nodes());
   DetMisResult result;

@@ -24,12 +24,6 @@
 #include "mpc/metrics.hpp"
 #include "sparsify/params.hpp"
 
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
-
 namespace dmpc::mis {
 
 struct DetMisConfig {
@@ -45,30 +39,10 @@ struct DetMisConfig {
   std::uint64_t max_iterations = 100000;
   matching::SelectionMode selection_mode =
       matching::SelectionMode::kThresholdSearch;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overload applies this.
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overload applies them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overload installs them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); null = tracing off.
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
-
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overload attaches it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+  /// Host wiring (threads, overrides, fault plan, observers) of the cluster
+  /// the cluster-creating overload builds. The cluster-taking overload reads
+  /// none of it: whoever built that cluster set it up.
+  mpc::ClusterSetup setup;
 };
 
 struct MisIterationReport {

@@ -29,36 +29,32 @@ ClusterConfig apply_overrides(ClusterConfig base,
   if (overrides.num_machines != 0) {
     base.num_machines = overrides.num_machines;
   }
-  base.enforce_space = overrides.enforce_space;
+  if (!overrides.enforce_space) base.enforce_space = false;
   return base;
 }
 
-Cluster::Cluster(ClusterConfig config) : config_(config) {
+Cluster::Cluster(ClusterConfig base, const ClusterSetup& setup)
+    : config_(apply_overrides(base, setup.overrides)),
+      trace_(setup.trace),
+      profiler_(setup.profiler),
+      events_(setup.events),
+      executor_(exec::Executor::with_threads(setup.threads)) {
   DMPC_CHECK_MSG(config_.machine_space >= 2, "machine space must be >= 2");
   if (config_.num_machines == 0) config_.num_machines = 1;
+  if (trace_ != nullptr) trace_->attach_metrics(&metrics_);
+  if (setup.faults.empty()) return;
+  const std::string problem = setup.faults.check();
+  DMPC_CHECK_MSG(problem.empty(), "inadmissible fault plan: " << problem);
+  const RecoveryOptions& recovery = setup.recovery;
+  DMPC_CHECK_MSG(recovery.backoff_rounds >= 1, "backoff_rounds must be >= 1");
+  DMPC_CHECK_MSG(recovery.max_retries <= RecoveryOptions::kMaxRetries,
+                 "max_retries " << recovery.max_retries << " exceeds cap "
+                                << RecoveryOptions::kMaxRetries);
+  fault_plan_ = setup.faults;
+  recovery_ = recovery;
 }
 
 Cluster::~Cluster() { close_open_phase(); }
-
-Cluster::Cluster(Cluster&& other) noexcept
-    : config_(other.config_),
-      metrics_(std::move(other.metrics_)),
-      trace_(other.trace_),
-      profiler_(other.profiler_),
-      events_(other.events_),
-      open_phase_(std::move(other.open_phase_)),
-      phase_open_(other.phase_open_),
-      storage_(other.storage_),
-      executor_(std::move(other.executor_)),
-      locals_(std::move(other.locals_)),
-      fault_plan_(std::move(other.fault_plan_)),
-      recovery_(other.recovery_),
-      recovery_stats_(other.recovery_stats_),
-      phase_round_(other.phase_round_),
-      fault_covered_round_(other.fault_covered_round_) {
-  other.phase_open_ = false;
-  other.events_ = nullptr;
-}
 
 void Cluster::close_open_phase() {
   if (!phase_open_) return;
@@ -104,30 +100,11 @@ void Cluster::emit_recovery_event(obs::EventType type, const std::string& label,
   events_->emit(std::move(e));
 }
 
-void Cluster::set_faults(FaultPlan plan, RecoveryOptions recovery) {
-  const std::string problem = plan.check();
-  DMPC_CHECK_MSG(problem.empty(), "inadmissible fault plan: " << problem);
-  DMPC_CHECK_MSG(recovery.backoff_rounds >= 1, "backoff_rounds must be >= 1");
-  DMPC_CHECK_MSG(recovery.max_retries <= RecoveryOptions::kMaxRetries,
-                 "max_retries " << recovery.max_retries << " exceeds cap "
-                                << RecoveryOptions::kMaxRetries);
-  fault_plan_ = std::move(plan);
-  recovery_ = recovery;
-  recovery_stats_.reset();
-  phase_round_ = metrics_.rounds();
-  fault_covered_round_ = metrics_.rounds();
-}
-
 std::uint64_t Cluster::tree_depth(std::uint64_t items) const {
   if (items <= 1) return 1;
   const double depth = std::log(static_cast<double>(items)) /
                        std::log(static_cast<double>(config_.machine_space));
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(depth)));
-}
-
-void Cluster::set_trace(obs::TraceSession* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) trace_->attach_metrics(&metrics_);
 }
 
 namespace {

@@ -42,8 +42,6 @@ class TraceSession;
 
 namespace dmpc::mpc {
 
-class Storage;
-
 using Word = std::uint64_t;
 
 struct ClusterConfig {
@@ -71,9 +69,50 @@ struct ClusterOverrides {
   }
 };
 
-/// Apply non-zero override fields on top of a derived base config.
+/// Apply non-zero override fields on top of a derived base config. A false
+/// enforce_space disables enforcement; the default leaves the base's value,
+/// so applying default overrides is the identity.
 ClusterConfig apply_overrides(ClusterConfig base,
                               const ClusterOverrides& overrides);
+
+/// Everything the host wires onto a Cluster besides its geometry, applied
+/// once by the constructor (the only way to configure a cluster). The
+/// observer pointers are non-owning; null leaves that observer off.
+///
+/// Determinism contract: every observer hook fires on the orchestrating
+/// thread, after the corresponding Metrics charge, and faulted attempts
+/// never charge Metrics. So traces, profiles and the model section of the
+/// event stream are byte-identical across `threads`, admissible fault plans
+/// and storage backends (the kModel contract).
+struct ClusterSetup {
+  /// Host threads for per-machine local computation (0 = hardware
+  /// concurrency, 1 = serial). The model is unchanged: the simulated
+  /// machines are independent within a round, and every loop dispatched
+  /// through the executor uses the deterministic helpers in
+  /// exec/parallel.hpp, so results are identical for every value.
+  std::uint32_t threads = 1;
+  /// Provisioning overrides on the base geometry.
+  ClusterOverrides overrides;
+  /// Deterministic fault schedule plus the recovery policy that tolerates
+  /// it. An empty plan disables every fault/recovery code path: no
+  /// checkpoints are taken and the run is bit-for-bit the fault-free
+  /// execution with an all-zero RecoveryStats ledger.
+  FaultPlan faults;
+  RecoveryOptions recovery;
+  /// Trace session, bound to this cluster's Metrics so spans report
+  /// round/communication deltas.
+  obs::TraceSession* trace = nullptr;
+  /// Round profiler: check_load() forwards every observation and each round
+  /// charge commits a window, so it sees the skew timeline the aggregate
+  /// Metrics erases.
+  obs::RoundProfiler* profiler = nullptr;
+  /// Progress-event bus: every round charge emits a model-section
+  /// round_completed event (with per-window load max / Gini when a profiler
+  /// is also attached); phase marks emit phase_started/phase_finished
+  /// pairs; the recovery engine emits checkpoint/retry/recovered events
+  /// into the recovery section.
+  obs::EventBus* events = nullptr;
+};
 
 /// A message in the low-level interface.
 struct Message {
@@ -102,15 +141,13 @@ class MachineContext {
 
 class Cluster {
  public:
-  explicit Cluster(ClusterConfig config);
+  /// `base` with `setup.overrides` applied; throws CheckFailure on a space
+  /// below 2 or an inadmissible fault plan / recovery policy.
+  explicit Cluster(ClusterConfig base, const ClusterSetup& setup = {});
   /// Closes a still-open phase (emits its phase_finished) on teardown.
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-  /// Move disarms the source's phase/event state so only the destination's
-  /// destructor closes an open phase (Solver::cluster returns by value).
-  Cluster(Cluster&& other) noexcept;
-  Cluster& operator=(Cluster&&) = delete;
 
   std::uint64_t space() const { return config_.machine_space; }
   std::uint64_t machines() const { return config_.num_machines; }
@@ -119,58 +156,13 @@ class Cluster {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Attach a trace session (non-owning; null detaches). The session is
-  /// wired to this cluster's metrics so spans report round/communication
-  /// deltas; every instrumented call site reaches the session through here.
-  void set_trace(obs::TraceSession* trace);
   obs::TraceSession* trace() const { return trace_; }
-
-  /// Attach a round profiler (non-owning; null detaches). check_load()
-  /// forwards every observation and each round charge commits a window, so
-  /// the profiler sees the skew timeline the aggregate Metrics erases. All
-  /// hooks run on the orchestrating thread, and faulted attempts never
-  /// charge Metrics, so the profile is byte-identical across thread counts
-  /// and admissible fault plans (same contract as kModel metrics).
-  void set_profiler(obs::RoundProfiler* profiler) { profiler_ = profiler; }
   obs::RoundProfiler* profiler() const { return profiler_; }
-
-  /// Attach a progress-event bus (non-owning; null detaches). Every round
-  /// charge emits a model-section round_completed event (with per-window
-  /// load max / Gini when a profiler is also attached); phase marks emit
-  /// phase_started/phase_finished pairs; the recovery engine emits
-  /// checkpoint/retry/recovered events into the recovery section. All
-  /// emission happens on the orchestrating thread, after the corresponding
-  /// Metrics charge, so the model event stream inherits the kModel
-  /// determinism contract (byte-identical across thread counts, admissible
-  /// fault plans, and storage backends).
-  void set_events(obs::EventBus* events) { events_ = events; }
   obs::EventBus* events() const { return events_; }
-
-  /// Host executor for per-machine local computation (default: serial). The
-  /// model is unchanged — the simulated machines are independent within a
-  /// round, so the host may run their local compute concurrently. Every loop
-  /// dispatched through this executor uses the deterministic helpers in
-  /// exec/parallel.hpp, so results are identical for any executor.
-  void set_executor(exec::Executor executor) { executor_ = std::move(executor); }
   const exec::Executor& executor() const { return executor_; }
-
-  /// Attach the storage backend whose residency this cluster's input graph
-  /// lives in (non-owning; null = unattached). The seam carries no model
-  /// semantics — rounds, loads, and traces are byte-identical with and
-  /// without it — but it is where host-side residency is observable from
-  /// pipeline code (Solver exports its stats to the kHost registry section),
-  /// and where a future multi-process backend will hand machines their
-  /// per-shard slices instead of a shared address space.
-  void set_storage(const Storage* storage) { storage_ = storage; }
-  const Storage* storage() const { return storage_; }
 
   // ---- Fault injection & recovery ----
 
-  /// Install a deterministic fault schedule plus the recovery policy that
-  /// tolerates it. An empty plan (the default) disables every fault/recovery
-  /// code path: no checkpoints are taken and the run is bit-for-bit the
-  /// fault-free execution with an all-zero RecoveryStats ledger.
-  void set_faults(FaultPlan plan, RecoveryOptions recovery = {});
   const FaultPlan& fault_plan() const { return fault_plan_; }
   const RecoveryOptions& recovery_options() const { return recovery_; }
 
@@ -290,7 +282,6 @@ class Cluster {
   obs::EventBus* events_ = nullptr;
   std::string open_phase_;  ///< Label of the phase awaiting phase_finished.
   bool phase_open_ = false;
-  const Storage* storage_ = nullptr;
   exec::Executor executor_;
   std::vector<std::vector<Word>> locals_;
   FaultPlan fault_plan_;

@@ -107,7 +107,7 @@ struct ProfileSnapshot {
 /// Sorts its argument; exposed for tests.
 std::uint64_t gini_ppm(std::vector<std::uint64_t> samples);
 
-/// Collects the skew timeline. Attach to a Cluster via set_profiler(); the
+/// Collects the skew timeline. Attach to a Cluster via ClusterSetup; the
 /// cluster calls observe_load() from check_load() and commit() after every
 /// round charge (charge_recoverable and route_and_deliver), so windows tile
 /// the round axis exactly like fault windows. Not thread-safe by design:

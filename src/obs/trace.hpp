@@ -88,8 +88,8 @@ class TraceSession {
 
   bool active() const { return sink_ != nullptr; }
 
-  /// Attach the metrics source spans snapshot. The Cluster does this in
-  /// set_trace(); pass nullptr to detach.
+  /// Attach the metrics source spans snapshot. The Cluster constructor does
+  /// this for its ClusterSetup::trace; pass nullptr to detach.
   void attach_metrics(const mpc::Metrics* metrics) { metrics_ = metrics; }
   const mpc::Metrics* metrics() const { return metrics_; }
 

@@ -297,6 +297,55 @@ TEST(DeterminismMatrix, PowerLaw) {
   expect_matrix_identical(graph::power_law(400, 1600, 2.5, 13), "power_law");
 }
 
+// ---- Pipelines on the observer axes ----
+//
+// The profiler and events axes run every pipeline the Solver dispatches to,
+// so each cluster the pipelines build (including the lowdeg line-graph
+// cluster) is checked to carry the solve's observers.
+
+struct PipelineCase {
+  const char* name;
+  bool matching;          ///< Maximal matching, else MIS.
+  const char* algorithm;  ///< The SolveReport::algorithm_used kAuto picks.
+  Graph g;
+};
+
+std::vector<PipelineCase> pipeline_cases() {
+  const Graph dense = graph::gnm(400, 3200, 14);
+  const Graph regular = graph::random_regular(400, 4, 15);
+  return {{"mis/sparsification", false, "sparsification", dense},
+          {"matching/sparsification", true, "sparsification", dense},
+          {"mis/lowdeg", false, "lowdeg", regular},
+          {"matching/lowdeg", true, "lowdeg", regular}};
+}
+
+struct CaseSolution {
+  std::vector<std::uint64_t> answer;  ///< MIS node ids or matched edge ids.
+  SolveReport report;
+};
+
+/// Solve `c` on its graph, or through the storage overload when `storage`
+/// is set, and check the dispatch took the case's algorithm.
+CaseSolution solve_case(const Solver& solver, const PipelineCase& c,
+                        const mpc::Storage* storage = nullptr) {
+  CaseSolution out;
+  if (c.matching) {
+    auto solution = storage != nullptr ? solver.maximal_matching(*storage)
+                                       : solver.maximal_matching(c.g);
+    out.answer.assign(solution.matching.begin(), solution.matching.end());
+    out.report = std::move(solution.report);
+  } else {
+    auto solution =
+        storage != nullptr ? solver.mis(*storage) : solver.mis(c.g);
+    for (std::uint64_t v = 0; v < solution.in_set.size(); ++v) {
+      if (solution.in_set[v]) out.answer.push_back(v);
+    }
+    out.report = std::move(solution.report);
+  }
+  EXPECT_EQ(out.report.algorithm_used, c.algorithm) << c.name;
+  return out;
+}
+
 // ---- Profiler axis ----
 //
 // The round profiler (obs/profiler.hpp) extends the matrix: with
@@ -307,22 +356,22 @@ TEST(DeterminismMatrix, PowerLaw) {
 // attempts.
 
 struct ProfiledRun {
-  std::vector<bool> in_set;
-  std::string report_json;   ///< Schema 5, recovery ledger zeroed.
+  std::vector<std::uint64_t> answer;
+  std::string report_json;   ///< Schema 7, recovery ledger zeroed.
   std::string profile_json;  ///< The profile block alone.
   std::string registry_json;
 };
 
-ProfiledRun run_profiled(const Graph& g, std::uint32_t threads,
+ProfiledRun run_profiled(const PipelineCase& c, std::uint32_t threads,
                          const mpc::FaultPlan& plan) {
   SolveOptions options;
   options.threads = threads;
   options.faults = plan;
   options.profile = true;
   const Solver solver(options);
-  const auto solution = solver.mis(g);
+  const CaseSolution solution = solve_case(solver, c);
   ProfiledRun out;
-  out.in_set = solution.in_set;
+  out.answer = solution.answer;
   out.profile_json = obs::to_json(solution.report.profile).dump();
   out.registry_json = registry_model_json(solver);
   auto comparable = solution.report;
@@ -332,37 +381,42 @@ ProfiledRun run_profiled(const Graph& g, std::uint32_t threads,
 }
 
 TEST(DeterminismMatrix, ProfilerAxis) {
-  const auto g = graph::gnm(400, 3200, 14);
   mpc::FaultPlan crashes;
   crashes.add({mpc::FaultKind::kCrash, /*round=*/2, /*machine=*/0});
   crashes.add({mpc::FaultKind::kCrash, /*round=*/7, /*machine=*/1});
 
-  const auto reference = run_profiled(g, /*threads=*/1, mpc::FaultPlan{});
-  EXPECT_NE(reference.report_json.find("\"profile\""), std::string::npos);
-  EXPECT_NE(reference.report_json.find("\"schema_version\":7"),
-            std::string::npos);
-  EXPECT_NE(reference.profile_json.find("\"records_committed\""),
-            std::string::npos);
-  // The exported profile counters land in the golden registry section.
-  EXPECT_NE(reference.registry_json.find("\"profile/records\""),
-            std::string::npos);
+  for (const PipelineCase& c : pipeline_cases()) {
+    const auto reference = run_profiled(c, /*threads=*/1, mpc::FaultPlan{});
+    EXPECT_NE(reference.report_json.find("\"profile\""), std::string::npos)
+        << c.name;
+    EXPECT_NE(reference.report_json.find("\"schema_version\":7"),
+              std::string::npos)
+        << c.name;
+    EXPECT_NE(reference.profile_json.find("\"records_committed\""),
+              std::string::npos)
+        << c.name;
+    // The exported profile counters land in the golden registry section.
+    EXPECT_NE(reference.registry_json.find("\"profile/records\""),
+              std::string::npos)
+        << c.name;
 
-  const struct {
-    const char* name;
-    const mpc::FaultPlan* plan;
-  } axes[] = {{"none", nullptr}, {"crashes", &crashes}};
-  for (const auto& axis : axes) {
-    for (std::uint32_t threads : kThreadCounts) {
-      const auto run = run_profiled(
-          g, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
-      EXPECT_EQ(run.in_set, reference.in_set)
-          << "faults=" << axis.name << " threads=" << threads;
-      EXPECT_EQ(run.profile_json, reference.profile_json)
-          << "faults=" << axis.name << " threads=" << threads;
-      EXPECT_EQ(run.report_json, reference.report_json)
-          << "faults=" << axis.name << " threads=" << threads;
-      EXPECT_EQ(run.registry_json, reference.registry_json)
-          << "faults=" << axis.name << " threads=" << threads;
+    const struct {
+      const char* name;
+      const mpc::FaultPlan* plan;
+    } axes[] = {{"none", nullptr}, {"crashes", &crashes}};
+    for (const auto& axis : axes) {
+      for (std::uint32_t threads : kThreadCounts) {
+        const auto run = run_profiled(
+            c, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
+        EXPECT_EQ(run.answer, reference.answer)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+        EXPECT_EQ(run.profile_json, reference.profile_json)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+        EXPECT_EQ(run.report_json, reference.report_json)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+        EXPECT_EQ(run.registry_json, reference.registry_json)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+      }
     }
   }
 }
@@ -549,13 +603,13 @@ TEST(DeterminismMatrix, IoFaultAxis) {
 // and zeroed for comparison, like the recovery ledger).
 
 struct EventsRun {
-  std::vector<bool> in_set;
+  std::vector<std::uint64_t> answer;
   std::string model_projection;
   std::string report_json;  ///< Recovery ledger + plan-scoped counts zeroed.
   std::uint64_t model_events = 0;
 };
 
-EventsRun run_with_events(const Graph& g, std::uint32_t threads,
+EventsRun run_with_events(const PipelineCase& c, std::uint32_t threads,
                           const mpc::FaultPlan& plan,
                           const mpc::Storage* storage = nullptr) {
   obs::CollectorEventSink collector;
@@ -566,10 +620,9 @@ EventsRun run_with_events(const Graph& g, std::uint32_t threads,
   options.faults = plan;
   options.events = &bus;
   const Solver solver(options);
-  const auto solution =
-      storage != nullptr ? solver.mis(*storage) : solver.mis(g);
+  const CaseSolution solution = solve_case(solver, c, storage);
   EventsRun out;
-  out.in_set = solution.in_set;
+  out.answer = solution.answer;
   out.model_projection = obs::model_projection(collector.events());
   out.model_events = solution.report.events.model_events;
   auto comparable = solution.report;
@@ -581,7 +634,6 @@ EventsRun run_with_events(const Graph& g, std::uint32_t threads,
 }
 
 TEST(DeterminismMatrix, EventsAxisFaults) {
-  const Graph g = graph::gnm(400, 3200, 14);
   mpc::FaultPlan crashes;
   crashes.add({mpc::FaultKind::kCrash, /*round=*/2, /*machine=*/0});
   crashes.add({mpc::FaultKind::kCrash, /*round=*/7, /*machine=*/1});
@@ -589,27 +641,31 @@ TEST(DeterminismMatrix, EventsAxisFaults) {
   drops.add({mpc::FaultKind::kDrop, /*round=*/3, /*machine=*/0,
              /*message=*/0});
 
-  const auto reference = run_with_events(g, /*threads=*/1, mpc::FaultPlan{});
-  EXPECT_GT(reference.model_events, 0u);
-  EXPECT_FALSE(reference.model_projection.empty());
-  // Attaching a bus must not perturb the answer.
-  const auto unobserved = run_all(g, /*threads=*/1);
-  EXPECT_EQ(reference.in_set, unobserved.mis_in_set);
+  for (const PipelineCase& c : pipeline_cases()) {
+    const auto reference = run_with_events(c, /*threads=*/1, mpc::FaultPlan{});
+    EXPECT_GT(reference.model_events, 0u) << c.name;
+    // Round charges reach the bus only through the pipeline's cluster.
+    EXPECT_NE(reference.model_projection.find("\"round_completed\""),
+              std::string::npos)
+        << c.name;
+    // Attaching a bus must not perturb the answer.
+    EXPECT_EQ(reference.answer, solve_case(Solver(), c).answer) << c.name;
 
-  const struct {
-    const char* name;
-    const mpc::FaultPlan* plan;
-  } axes[] = {{"none", nullptr}, {"crashes", &crashes}, {"drops", &drops}};
-  for (const auto& axis : axes) {
-    for (std::uint32_t threads : kThreadCounts) {
-      const auto run = run_with_events(
-          g, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
-      EXPECT_EQ(run.in_set, reference.in_set)
-          << "faults=" << axis.name << " threads=" << threads;
-      EXPECT_EQ(run.model_projection, reference.model_projection)
-          << "faults=" << axis.name << " threads=" << threads;
-      EXPECT_EQ(run.report_json, reference.report_json)
-          << "faults=" << axis.name << " threads=" << threads;
+    const struct {
+      const char* name;
+      const mpc::FaultPlan* plan;
+    } axes[] = {{"none", nullptr}, {"crashes", &crashes}, {"drops", &drops}};
+    for (const auto& axis : axes) {
+      for (std::uint32_t threads : kThreadCounts) {
+        const auto run = run_with_events(
+            c, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
+        EXPECT_EQ(run.answer, reference.answer)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+        EXPECT_EQ(run.model_projection, reference.model_projection)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+        EXPECT_EQ(run.report_json, reference.report_json)
+            << c.name << " faults=" << axis.name << " threads=" << threads;
+      }
     }
   }
 }
@@ -635,7 +691,10 @@ TEST(DeterminismMatrix, EventsAxisStorage) {
             /*delay=*/1, /*attempts=*/2});
 
   mpc::InMemoryStorage memory(graph::read_edge_list_file(edge_path));
-  const auto reference = run_with_events(g, /*threads=*/1, mpc::FaultPlan{});
+  const PipelineCase mis_case{"mis/sparsification", false, "sparsification",
+                              g};
+  const auto reference =
+      run_with_events(mis_case, /*threads=*/1, mpc::FaultPlan{});
   const struct {
     const char* name;
     bool io_faults;
@@ -651,8 +710,8 @@ TEST(DeterminismMatrix, EventsAxisStorage) {
         storage = owned.get();
       }
       const auto run =
-          run_with_events(g, threads, mpc::FaultPlan{}, storage);
-      EXPECT_EQ(run.in_set, reference.in_set)
+          run_with_events(mis_case, threads, mpc::FaultPlan{}, storage);
+      EXPECT_EQ(run.answer, reference.answer)
           << cell.name << " threads=" << threads;
       EXPECT_EQ(run.model_projection, reference.model_projection)
           << cell.name << " threads=" << threads;

@@ -18,6 +18,7 @@
 #include "mpc/cluster.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/primitives.hpp"
+#include "obs/events.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 
@@ -101,11 +102,15 @@ TEST(FaultPlan, ActiveFiltersWindowAndAttempt) {
 
 // ---- Low-level step: crash / drop / duplicate / straggler recovery ----
 
-Cluster small_cluster() {
+Cluster small_cluster(const FaultPlan& plan = {},
+                      RecoveryOptions recovery = {}) {
   ClusterConfig cc;
   cc.machine_space = 64;
   cc.num_machines = 4;
-  return Cluster(cc);
+  mpc::ClusterSetup setup;
+  setup.faults = plan;
+  setup.recovery = recovery;
+  return Cluster(cc, setup);
 }
 
 /// One deterministic superstep: every machine increments its words and sends
@@ -126,9 +131,8 @@ void sum_step(Cluster& cluster) {
 std::vector<std::vector<Word>> run_steps(const FaultPlan& plan,
                                          RecoveryOptions recovery,
                                          int steps = 3) {
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  if (!plan.empty()) cluster.set_faults(plan, recovery);
   for (int i = 0; i < steps; ++i) sum_step(cluster);
   std::vector<std::vector<Word>> locals;
   for (std::uint64_t i = 0; i < cluster.low_level_machines(); ++i) {
@@ -145,9 +149,8 @@ TEST(FaultRecovery, CrashedStepReplaysToIdenticalState) {
   const auto faulty = run_steps(plan, RecoveryOptions{});
   EXPECT_EQ(faulty, clean);
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  cluster.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(cluster);
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
   EXPECT_EQ(cluster.recovery_stats().retries, 1u);
@@ -174,9 +177,8 @@ TEST(FaultRecovery, DuplicateAndStragglerNeverReplay) {
   straggler.delay = 5;
   plan.add(straggler);
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  cluster.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(cluster);
   std::vector<std::vector<Word>> locals;
   for (std::uint64_t i = 0; i < cluster.low_level_machines(); ++i) {
@@ -197,9 +199,8 @@ TEST(FaultRecovery, MetricsAreByteIdenticalUnderFaults) {
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/0, /*machine=*/0});
   plan.add({FaultKind::kDrop, /*round=*/2, /*machine=*/2, /*message=*/0});
-  Cluster faulty = small_cluster();
+  Cluster faulty = small_cluster(plan);
   faulty.load({{1, 2}, {3}, {4, 5}, {}});
-  faulty.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(faulty);
 
   EXPECT_EQ(faulty.metrics().rounds(), clean.metrics().rounds());
@@ -219,9 +220,8 @@ TEST(FaultRecovery, RetryExhaustionThrowsTypedErrorNotHang) {
   RecoveryOptions recovery;
   recovery.max_retries = 2;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   try {
     sum_step(cluster);
     FAIL() << "expected FaultError";
@@ -241,9 +241,8 @@ TEST(FaultRecovery, CheckpointOffMakesCrashUnrecoverable) {
   RecoveryOptions recovery;
   recovery.checkpoint = CheckpointMode::kOff;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   EXPECT_THROW(sum_step(cluster), FaultError);
 }
 
@@ -264,17 +263,15 @@ TEST(FaultRecovery, PhaseCheckpointingReplaysFurtherBack) {
   plan.add({FaultKind::kCrash, /*round=*/2, /*machine=*/0});
 
   RecoveryOptions round_ckpt;  // default kRound
-  Cluster a = small_cluster();
+  Cluster a = small_cluster(plan, round_ckpt);
   a.load({{1}, {}, {}, {}});
-  a.set_faults(plan, round_ckpt);
   a.mark_phase("test/phase");
   for (int i = 0; i < 3; ++i) sum_step(a);
 
   RecoveryOptions phase_ckpt;
   phase_ckpt.checkpoint = CheckpointMode::kPhase;
-  Cluster b = small_cluster();
+  Cluster b = small_cluster(plan, phase_ckpt);
   b.load({{1}, {}, {}, {}});
-  b.set_faults(plan, phase_ckpt);
   b.mark_phase("test/phase");
   for (int i = 0; i < 3; ++i) sum_step(b);
 
@@ -296,9 +293,8 @@ TEST(FaultRecovery, BackoffGrowsExponentially) {
   RecoveryOptions recovery;
   recovery.max_retries = 4;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   sum_step(cluster);
   // Three retries of a 1-round superstep at backoff_rounds=1:
   // 1*2^0 + 1*2^1 + 1*2^2 = 7 replayed rounds.
@@ -320,8 +316,7 @@ TEST(FaultRecovery, PrimitivesReplayToIdenticalResults) {
   plan.add({FaultKind::kCrash, /*round=*/0, /*machine=*/0});
   plan.add({FaultKind::kDrop, /*round=*/clean.metrics().rounds() / 2,
             /*machine=*/1, /*message=*/0});
-  Cluster faulty = small_cluster();
-  faulty.set_faults(plan, RecoveryOptions{});
+  Cluster faulty = small_cluster(plan);
   EXPECT_EQ(mpc::prefix_sum_exclusive(faulty, values), clean_prefix);
   EXPECT_EQ(mpc::reduce_sum(faulty, values), clean_sum);
   EXPECT_GT(faulty.recovery_stats().faults_injected, 0u);
@@ -335,8 +330,7 @@ TEST(FaultRecovery, WindowsTileAcrossCentralCharges) {
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/3, /*machine=*/0});
 
-  Cluster cluster = small_cluster();
-  cluster.set_faults(plan, RecoveryOptions{});
+  Cluster cluster = small_cluster(plan);
   cluster.charge_recoverable(2, "test/stage_a");  // rounds [0, 2)
   cluster.charge_recoverable(5, "test/stage_b");  // rounds [2, 7) — fires
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
@@ -410,6 +404,51 @@ TEST(FaultSolverApi, SolverOwnedClusterCarriesFaultPlan) {
   EXPECT_EQ(cluster.fault_plan().events().size(), 1u);
 }
 
+TEST(FaultSolverApi, SolverOwnedClusterCarriesObservers) {
+  // Solver::cluster() sets the cluster up like a solve does: the trace
+  // session binds to this cluster's Metrics, and the event bus sees its
+  // round charges.
+  obs::CollectorSink sink;
+  obs::TraceSession session(&sink);
+  obs::CollectorEventSink collector;
+  obs::EventBus bus;
+  ASSERT_TRUE(bus.subscribe(&collector));
+  SolveOptions options;
+  options.trace = &session;
+  options.events = &bus;
+  auto cluster = Solver(options).cluster(100, 400);
+  ASSERT_EQ(cluster.trace(), &session);
+  EXPECT_EQ(session.metrics(), &cluster.metrics());
+  {
+    obs::Span span(cluster.trace(), "test/span");
+    cluster.charge_recoverable(1, "test/charge");
+  }
+  session.finish();
+
+  const obs::TraceEvent* span_end = nullptr;
+  for (const auto& event : sink.events()) {
+    if (event.kind == obs::EventKind::kSpanEnd && event.name == "test/span") {
+      span_end = &event;
+    }
+  }
+  ASSERT_NE(span_end, nullptr);
+  std::int64_t span_rounds = -1;
+  for (const auto& arg : span_end->args) {
+    if (arg.key == "rounds") span_rounds = std::get<std::int64_t>(arg.value);
+  }
+  EXPECT_EQ(span_rounds, 1);
+  EXPECT_EQ(cluster.metrics().rounds(), 1u);
+
+  std::uint64_t rounds_completed = 0;
+  for (const auto& event : collector.events()) {
+    if (event.type != obs::EventType::kRoundCompleted) continue;
+    ++rounds_completed;
+    EXPECT_EQ(event.label, "test/charge");
+    EXPECT_EQ(event.rounds, 1u);
+  }
+  EXPECT_EQ(rounds_completed, 1u);
+}
+
 TEST(FaultSolverApi, EndToEndSolveIsIdenticalAndLedgersOverhead) {
   const auto g = graph::gnm(300, 2400, 7);
   const auto clean = Solver(SolveOptions{}).mis(g);
@@ -451,10 +490,13 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
   const Solver solver(options);
   const auto solution = solver.mis(g);
 
-  const Report typed = solver.report(solution.report);
-  EXPECT_EQ(typed.schema_version, kReportSchemaVersion);
-  EXPECT_EQ(typed.algorithm, solution.report.algorithm_used);
-  EXPECT_EQ(typed.recovery.retries, solution.report.recovery.retries);
+  EXPECT_EQ(report_schema_version(solution.report), kReportSchemaVersion);
+  const Json typed = to_json(solution.report);
+  EXPECT_EQ(typed.at("schema_version").as_int64(), kReportSchemaVersion);
+  EXPECT_EQ(typed.at("algorithm").as_string(),
+            solution.report.algorithm_used);
+  EXPECT_EQ(typed.at("recovery").at("retries").as_int64(),
+            static_cast<std::int64_t>(solution.report.recovery.retries));
 
   const std::string json = solver.report_json(solution.report);
   EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos) << json;

@@ -276,7 +276,7 @@ TEST(Trace, PipelineSpanDeltaMatchesRunTotals) {
   obs::CollectorSink sink;
   obs::TraceSession session(&sink);
   mis::DetMisConfig config;
-  config.trace = &session;
+  config.setup.trace = &session;
   const auto result = mis::det_mis(g, config);
   session.finish();
 
@@ -342,7 +342,7 @@ TEST(Trace, DisabledTracingLeavesMetricsIdentical) {
   obs::CollectorSink sink;
   obs::TraceSession session(&sink);
   mis::DetMisConfig traced_config;
-  traced_config.trace = &session;
+  traced_config.setup.trace = &session;
   const auto traced = mis::det_mis(g, traced_config);
   session.finish();
 
@@ -367,7 +367,7 @@ TEST(Sinks, GoldenJsonlTraceIsByteIdentical) {
     obs::JsonlTraceSink sink(&out, /*include_wall_time=*/false);
     obs::TraceSession session(&sink);
     mis::DetMisConfig config;
-    config.trace = &session;
+    config.setup.trace = &session;
     mis::det_mis(g, config);
     session.finish();
     return out.str();
@@ -404,7 +404,7 @@ TEST(Sinks, ChromeTraceIsWellFormedAndBalanced) {
   obs::ChromeTraceSink sink(&out);
   obs::TraceSession session(&sink);
   mis::DetMisConfig config;
-  config.trace = &session;
+  config.setup.trace = &session;
   mis::det_mis(g, config);
   session.finish();
 

@@ -203,16 +203,10 @@ void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
     f << solver.metrics_openmetrics();
     return;
   }
-  const bool profiled = report.profile.enabled;
-  const std::uint32_t schema =
-      report.events.enabled
-          ? dmpc::kEventsReportSchemaVersion
-          : (profiled ? dmpc::kProfiledReportSchemaVersion
-                      : dmpc::kReportSchemaVersion);
   auto out = dmpc::Json::object()
-                 .set("schema_version", schema)
+                 .set("schema_version", dmpc::report_schema_version(report))
                  .set("registry", dmpc::obs::to_json(solver.metrics_snapshot()));
-  if (profiled) out.set("profile", to_json(report.profile));
+  if (report.profile.enabled) out.set("profile", to_json(report.profile));
   if (report.events.enabled) {
     out.set("events_summary", dmpc::to_json(report.events));
   }
