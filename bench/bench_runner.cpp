@@ -459,8 +459,8 @@ Json e8_points(const RunConfig& cfg) {
       const auto g = sweep_gnm(n, /*experiment=*/8);
       dmpc::mis::DetMisConfig config;
       config.eps = double(eps_tenths) / 10.0;
-      const auto cc =
-          dmpc::mis::cluster_config_for(config, g.num_nodes(), g.num_edges());
+      const auto cc = dmpc::matching::cluster_config_for(config, g.num_nodes(),
+                                                         g.num_edges());
       PointScope scope;
       auto options = solver_options(cfg);
       options.eps = config.eps;

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "graph/generators.hpp"
+#include "matching/det_matching.hpp"
 #include "mis/det_mis.hpp"
 #include "support/options.hpp"
 
@@ -24,8 +25,8 @@ int main(int argc, char** argv) {
   for (const double eps : {0.3, 0.5, 0.7}) {
     dmpc::mis::DetMisConfig config;
     config.eps = eps;
-    const auto cc =
-        dmpc::mis::cluster_config_for(config, g.num_nodes(), g.num_edges());
+    const auto cc = dmpc::matching::cluster_config_for(config, g.num_nodes(),
+                                                       g.num_edges());
     const auto result = dmpc::mis::det_mis(g, config);
     std::printf("\n-- eps=%.1f: S=%llu words, M=%llu machines --\n", eps,
                 static_cast<unsigned long long>(cc.machine_space),

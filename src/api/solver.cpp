@@ -197,11 +197,9 @@ exec::Executor Solver::make_executor() const {
 mpc::ClusterConfig Solver::cluster_config(std::uint64_t n,
                                           std::uint64_t m) const {
   require_valid();
-  // The pipelines' default total-space factor: Solver does not expose it.
   return mpc::apply_overrides(
-      matching::sparsification_cluster_config(
-          options_.eps, options_.space_headroom,
-          matching::DetMatchingConfig{}.total_space_factor, n, m),
+      matching::sparsification_cluster_config(options_.eps,
+                                              options_.space_headroom, n, m),
       options_.cluster);
 }
 
@@ -373,7 +371,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.metrics = result.metrics;
       solution.report.recovery = result.recovery;
       fill_audit(&solution.report.sparsify, result.reports,
-                 mis::params_for(config, g.num_nodes()).degree_cap(),
+                 matching::params_for(config, g.num_nodes()).degree_cap(),
                  [](const mis::MisIterationReport& r) {
                    return r.qprime_max_degree;
                  });

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <vector>
 
+#include "derand/cond_expect.hpp"
+#include "hash/seed.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -74,8 +76,10 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count) {
   return s;
 }
 
-SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
-                       std::uint64_t seed_count, const SearchOptions& options) {
+std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
+                                          const Objective& objective,
+                                          std::uint64_t seed_count,
+                                          const SearchOptions& options) {
   DMPC_CHECK(seed_count >= 1);
   obs::HostScope host_scope("derand/seed_search", cluster.trace());
   obs::Span span(cluster.trace(), options.label);
@@ -128,11 +132,93 @@ SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
     result.trials = batch_end;
     next = batch_end;
   }
-  DMPC_CHECK_MSG(false, options.label
-                            << ": no seed met threshold " << options.threshold
-                            << " within " << limit
-                            << " candidates — guarantee violated");
-  return result;  // unreachable
+  return std::nullopt;
+}
+
+SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
+                       std::uint64_t seed_count, const SearchOptions& options) {
+  const auto result = try_find_seed(cluster, objective, seed_count, options);
+  DMPC_CHECK_MSG(result.has_value(),
+                 options.label << ": no seed met threshold "
+                               << options.threshold << " within "
+                               << std::min(seed_count, options.max_trials)
+                               << " candidates — guarantee violated");
+  return *result;
+}
+
+SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
+                         const hash::KWiseFamily& family,
+                         const SelectionOptions& options) {
+  SearchResult best;
+  const std::uint64_t seed_count = family.seed_count();
+  if (options.mode == SelectionMode::kConditionalExpectation) {
+    // Fix the two coefficients of the pairwise seed chunk by chunk with
+    // exact conditional expectations. The oracle enumerates suffixes, so
+    // keep the family small.
+    DMPC_CHECK_MSG(seed_count <= (1ULL << 22),
+                   "conditional-expectation selection needs a small "
+                   "instance (family of <= 2^22 seeds)");
+    const hash::SeedSpace space({family.p(), family.p()});
+    ExhaustiveConditional conditional(objective, space);
+    FixOptions fix_options;
+    fix_options.label = options.label + "_ce";
+    const FixResult fixed = fix_seed(cluster, conditional, space, fix_options);
+    best.seed = fixed.seed;
+    best.value = fixed.value;
+    best.trials = space.size();
+    return best;
+  }
+  obs::HostScope host_scope("derand/selection", cluster.trace());
+  obs::Span span(cluster.trace(), options.label);
+  // Decorrelate committed priority functions across calls: trial k of salt
+  // s evaluates a stride-scrambled walk over the family (same rationale as
+  // SearchOptions::seed_stride).
+  auto seed_at = [&](std::uint64_t k) {
+    const __uint128_t pos =
+        static_cast<__uint128_t>(k) * 0xBF58476D1CE4E5B9ULL +
+        options.salt * 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::uint64_t>(pos % seed_count);
+  };
+  double t = options.threshold;
+  std::vector<std::uint64_t> seeds;
+  std::vector<double> values;
+  BatchStats batch_stats;
+  while (true) {
+    const std::uint64_t budget =
+        std::min<std::uint64_t>(options.batch, seed_count - best.trials);
+    DMPC_CHECK_MSG(budget > 0, options.label
+                                   << ": selection seed space exhausted — "
+                                      "guarantee violated");
+    charge_batch(cluster, objective.term_count(), budget, options.label);
+    ++best.batches;
+    // Batch evaluation through the range oracle (the objective is pure),
+    // then a serial lowest-trial-first scan with a strict improvement test:
+    // the committed seed is identical for every thread count and grain.
+    seeds.resize(budget);
+    for (std::uint64_t i = 0; i < budget; ++i) {
+      seeds[i] = seed_at(best.trials + i);
+    }
+    values.assign(budget, 0.0);
+    batch_stats += batch_evaluate(cluster.executor(), objective, seeds.data(),
+                                  budget, values.data(), options.grain);
+    for (std::uint64_t i = 0; i < budget; ++i) {
+      if (best.trials + i == 0 || values[i] > best.value) {
+        best.seed = seeds[i];
+        best.value = values[i];
+      }
+    }
+    best.trials += budget;
+    // A zero-progress seed never commits, however far t has halved. For
+    // the matching pipeline the guard is implied: the Corollary-8 check in
+    // select_matching_good_set makes b_degree_mass > 0, so t > 0.
+    if (best.value >= t && best.value > 0) {
+      span.arg("candidate_seeds", best.trials);
+      span.arg("committed_seed", best.seed);
+      record_batch_stats(batch_stats);
+      return best;
+    }
+    if (best.trials % kTrialsPerThreshold == 0) t /= 2.0;
+  }
 }
 
 SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,

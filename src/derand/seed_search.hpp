@@ -19,7 +19,9 @@
 // conditional expectations are exactly computable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "derand/engine_options.hpp"
@@ -70,8 +72,17 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 /// Batches are evaluated on the cluster's host executor; the committed seed
 /// is the first qualifying one in enumeration order regardless of thread
 /// count (the whole batch is evaluated, then scanned lowest-trial-first).
+/// CheckFailure when no seed within the budget qualifies.
 SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
                        std::uint64_t seed_count, const SearchOptions& options);
+
+/// find_seed without the guarantee check: nullopt when no seed within
+/// options.max_trials qualifies (the sparsifiers' cue to widen their
+/// windows). An exhausted search records nothing in the metrics registry.
+std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
+                                          const Objective& objective,
+                                          std::uint64_t seed_count,
+                                          const SearchOptions& options);
 
 /// Evaluate the first `budget` seeds and return the best — used when a
 /// threshold is not known a priori (e.g. §5 phase compression picks the
@@ -79,5 +90,49 @@ SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
 SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,
                             std::uint64_t seed_count, std::uint64_t budget,
                             const std::string& label = "seed_search");
+
+/// How a pipeline's selection step (§3 Lemma 13, §4 Lemma 21) commits its
+/// pairwise-hash seed.
+enum class SelectionMode {
+  /// Batched best-of threshold search over the family (production path).
+  kThresholdSearch,
+  /// The textbook §2.4 method of conditional expectations with the
+  /// exact-enumeration oracle. Exponential in the seed length, so only
+  /// valid for small instances (the family size is checked); used to
+  /// demonstrate the paper's §2.4 machinery end-to-end in the real
+  /// pipeline.
+  kConditionalExpectation,
+};
+
+/// Seeds select_seed evaluates at one threshold level before halving it.
+inline constexpr std::uint64_t kTrialsPerThreshold = 256;
+
+struct SelectionOptions {
+  /// Span and round-charge label; the CE path charges `<label>_ce`.
+  std::string label = "selection";
+  SelectionMode mode = SelectionMode::kThresholdSearch;
+  /// The lemma's bound on the objective (threshold search only).
+  double threshold = 0.0;
+  /// Candidates per O(1)-round batch (threshold search only).
+  std::uint64_t batch = 16;
+  /// Decorrelates the seed walk across calls (the pipeline iteration).
+  std::uint64_t salt = 0;
+  /// batch_evaluate grain: seeds per host pool task.
+  std::size_t grain = 1;
+};
+
+/// The selection commit of both sparsification pipelines over a pairwise
+/// `family`. Threshold search walks the family in a salt-scrambled order,
+/// `batch` seeds per O(1)-round batch, keeping the best seed so far
+/// (strict improvement, so the earliest on ties). It commits once the best
+/// value v has v >= t and v > 0, where t starts at `threshold` and halves
+/// after every kTrialsPerThreshold seeds: the finite-n escape hatch of
+/// DESIGN.md (the constant-factor bounds of Lemmas 13/21 are asymptotic,
+/// while any nonzero objective value still makes progress). CheckFailure
+/// if the family runs out. SelectionMode::kConditionalExpectation runs
+/// fix_seed over the family instead; `trials` is then the family size.
+SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
+                         const hash::KWiseFamily& family,
+                         const SelectionOptions& options);
 
 }  // namespace dmpc::derand

@@ -40,7 +40,7 @@ mpc::ClusterConfig cluster_config_for(const LowDegConfig& config,
           std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
                    config.eps)));
   const auto total = static_cast<std::uint64_t>(
-      config.total_space_factor * static_cast<double>(m + n + 2));
+      mpc::kTotalSpaceFactor * static_cast<double>(m + n + 2));
   cc.num_machines = ceil_div(total, cc.machine_space) + 1;
   return cc;
 }

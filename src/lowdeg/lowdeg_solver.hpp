@@ -22,7 +22,6 @@ namespace dmpc::lowdeg {
 struct LowDegConfig {
   double eps = 0.5;              ///< S = space_headroom * n^eps.
   double space_headroom = 8.0;
-  double total_space_factor = 8.0;
   std::uint64_t sequence_budget = 64;   ///< Candidate sequences per stage.
   std::uint64_t per_phase_cap = 1024;   ///< Per-phase seeds enumerable.
   std::uint32_t max_phases = 8;         ///< Upper clamp on l (sim cost).

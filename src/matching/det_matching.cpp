@@ -4,12 +4,10 @@
 #include <cmath>
 #include <optional>
 
-#include "derand/cond_expect.hpp"
 #include "derand/seed_search.hpp"
 #include "graph/validate.hpp"
 #include "hash/kwise.hpp"
 #include "mpc/distribution.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "support/check.hpp"
@@ -112,78 +110,14 @@ class SelectionObjective final : public derand::RangeObjective {
   std::vector<Edge> estar_ends_;  ///< E*-position -> endpoints
 };
 
-/// Batched best-of search with threshold halving (header comment in
-/// det_matching.hpp explains the finite-n rationale).
-derand::SearchResult select_with_threshold(mpc::Cluster& cluster,
-                                           const SelectionObjective& objective,
-                                           std::uint64_t seed_count,
-                                           double threshold, std::uint64_t salt,
-                                           const DetMatchingConfig& config) {
-  derand::SearchResult best;
-  obs::HostScope host_scope("derand/selection", cluster.trace());
-  obs::Span span(cluster.trace(), "matching/selection");
-  bool have = false;
-  std::uint64_t evaluated = 0;
-  double t = threshold;
-  derand::BatchStats batch_stats;
-  // Decorrelate committed priority functions across iterations: trial k of
-  // iteration `salt` evaluates a stride-scrambled walk over the family
-  // (same rationale as derand::SearchOptions::seed_stride).
-  auto seed_at = [&](std::uint64_t k) {
-    const __uint128_t pos =
-        static_cast<__uint128_t>(k) * 0xBF58476D1CE4E5B9ULL +
-        salt * 0x9E3779B97F4A7C15ULL;
-    return static_cast<std::uint64_t>(pos % seed_count);
-  };
-  while (true) {
-    const std::uint64_t budget =
-        std::min<std::uint64_t>(config.selection_batch, seed_count - evaluated);
-    DMPC_CHECK_MSG(budget > 0, "selection seed space exhausted");
-    const std::uint64_t depth = cluster.tree_depth(
-        std::max<std::uint64_t>(objective.term_count(), 2));
-    cluster.charge_recoverable(2 * depth, "matching/selection");
-    cluster.metrics().add_communication(budget * cluster.machines(),
-                                        "matching/selection");
-    // Host-parallel batch evaluation through the range oracle (the
-    // objective is pure), then a serial lowest-trial-first scan with a
-    // strict improvement test — the committed seed is identical for every
-    // thread count and dispatch path.
-    std::vector<std::uint64_t> seeds(budget);
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      seeds[i] = seed_at(evaluated + i);
-    }
-    std::vector<double> values(budget, 0.0);
-    batch_stats += derand::batch_evaluate(cluster.executor(), objective,
-                                          seeds.data(), budget, values.data());
-    for (std::uint64_t k = evaluated; k < evaluated + budget; ++k) {
-      const double value = values[k - evaluated];
-      if (!have || value > best.value) {
-        have = true;
-        best.seed = seed_at(k);
-        best.value = value;
-      }
-    }
-    evaluated += budget;
-    best.trials = evaluated;
-    if (have && best.value >= t) {
-      span.arg("candidate_seeds", best.trials);
-      span.arg("committed_seed", best.seed);
-      derand::record_batch_stats(batch_stats);
-      return best;
-    }
-    if (evaluated % config.trials_per_threshold == 0) t /= 2.0;
-  }
-}
-
 }  // namespace
 
 sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n) {
-  return sparsify::Params::for_eps(n, config.eps, config.inv_delta);
+  return sparsify::Params::for_eps(n, config.eps);
 }
 
 mpc::ClusterConfig sparsification_cluster_config(double eps,
                                                  double space_headroom,
-                                                 double total_space_factor,
                                                  std::uint64_t n,
                                                  std::uint64_t m) {
   mpc::ClusterConfig cc;
@@ -193,15 +127,15 @@ mpc::ClusterConfig sparsification_cluster_config(double eps,
               std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
                        eps)));
   const auto total = static_cast<std::uint64_t>(
-      total_space_factor * static_cast<double>(m + n + 2));
+      mpc::kTotalSpaceFactor * static_cast<double>(m + n + 2));
   cc.num_machines = ceil_div(total, cc.machine_space) + 1;
   return cc;
 }
 
 mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
                                       std::uint64_t n, std::uint64_t m) {
-  return sparsification_cluster_config(
-      config.eps, config.space_headroom, config.total_space_factor, n, m);
+  return sparsification_cluster_config(config.eps, config.space_headroom, n,
+                                       m);
 }
 
 namespace detail {
@@ -282,14 +216,10 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     }();
     report.sparsify_stages = sparse.stages.size();
     report.estar_max_degree = sparse.max_degree;
-    for (const sparsify::StageReport& s : sparse.stages) {
-      report.invariant_degree_ratio =
-          std::max(report.invariant_degree_ratio, s.invariant_degree_ratio);
-      report.invariant_xv_ratio =
-          std::min(report.invariant_xv_ratio, s.invariant_xv_ratio);
-      report.window_multiplier =
-          std::max(report.window_multiplier, s.window_multiplier);
-    }
+    const auto worst = sparsify::worst_invariants(sparse.stages);
+    report.invariant_degree_ratio = worst.degree_ratio;
+    report.invariant_xv_ratio = worst.xv_ratio;
+    report.window_multiplier = worst.window_multiplier;
 
     // 3. Gather 2-hop neighborhoods of B-nodes in E* (space check, §3.3).
     cluster.mark_phase("matching/phase/gather", phase_words);
@@ -337,31 +267,15 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     hash::KWiseFamily family(domain, domain, /*k=*/2);
     SelectionObjective objective(g, family, estar_edges, good.in_B,
                                  alive_degree);
-    const double threshold =
-        config.threshold_factor * static_cast<double>(good.b_degree_mass);
-    derand::SearchResult committed;
-    if (config.selection_mode == SelectionMode::kConditionalExpectation) {
-      // The textbook §2.4 path: fix the two coefficients of the pairwise
-      // seed chunk by chunk with exact conditional expectations. The oracle
-      // enumerates suffixes, so keep the family small.
-      DMPC_CHECK_MSG(family.seed_count() <= (1ULL << 22),
-                     "conditional-expectation selection needs a small "
-                     "instance (family of <= 2^22 seeds)");
-      const hash::SeedSpace space({family.p(), family.p()});
-      derand::ExhaustiveConditional conditional(objective, space);
-      derand::FixOptions fix_options;
-      fix_options.guarantee = 0.0;
-      fix_options.label = "matching/selection_ce";
-      const auto fixed =
-          derand::fix_seed(cluster, conditional, space, fix_options);
-      committed.seed = fixed.seed;
-      committed.value = fixed.value;
-      committed.trials = space.size();
-    } else {
-      committed = select_with_threshold(cluster, objective,
-                                        family.seed_count(), threshold,
-                                        result.iterations, config);
-    }
+    derand::SelectionOptions selection;
+    selection.label = "matching/selection";
+    selection.mode = config.selection_mode;
+    selection.threshold =
+        kLemma13Threshold * static_cast<double>(good.b_degree_mass);
+    selection.batch = config.selection_batch;
+    selection.salt = result.iterations;
+    const auto committed =
+        derand::select_seed(cluster, objective, family, selection);
     report.selection_trials = committed.trials;
     if (derand_span->active()) {
       derand_span->arg("candidate_seeds", committed.trials);

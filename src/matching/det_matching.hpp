@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "derand/seed_search.hpp"
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
@@ -28,40 +29,26 @@
 
 namespace dmpc::matching {
 
-/// How the per-iteration selection seed is committed.
-enum class SelectionMode {
-  /// Batched threshold search over the family (production path; see
-  /// derand/seed_search.hpp for the guarantee argument).
-  kThresholdSearch,
-  /// The textbook §2.4 method of conditional expectations with the
-  /// exact-enumeration oracle. Exponential in the seed length, so only
-  /// valid for small instances (the family size is checked); used to
-  /// demonstrate the paper's §2.4 machinery end-to-end in the real
-  /// pipeline.
-  kConditionalExpectation,
-};
+/// The Lemma 13 constant: the committed seed must reach
+/// q >= kLemma13Threshold * sum_{v in B} d(v) (before finite-n halving,
+/// see derand::select_seed).
+inline constexpr double kLemma13Threshold = 1.0 / 109.0;
 
+/// The configuration of both sparsification pipelines (this one and
+/// mis::det_mis, whose DetMisConfig names the same type).
 struct DetMatchingConfig {
-  /// Space exponent: S = space_headroom * n^eps words per machine.
+  /// Space exponent: S = space_headroom * n^eps words per machine; the
+  /// pipelines use the paper's delta = eps/8.
   double eps = 0.5;
-  /// 1/delta; 0 derives the paper's delta = eps/8 (inv_delta = 8/eps).
-  std::uint32_t inv_delta = 0;
   /// Constant-factor headroom on S (the paper's O(n^{8 delta}) constants).
   double space_headroom = 8.0;
-  /// Total-space constant: M = total_space_factor * (m + n) / S machines.
-  double total_space_factor = 8.0;
   sparsify::SparsifyConfig sparsify;
-  /// Selection threshold: q >= threshold_factor * sum_{v in B} d(v);
-  /// the paper's Lemma 13 constant is 1/109.
-  double threshold_factor = 1.0 / 109.0;
   /// Candidates per selection batch; the best candidate meeting the
   /// threshold is committed (better practical progress at the same cost).
   std::uint64_t selection_batch = 16;
-  /// Seeds per threshold level before the threshold is halved (finite-n
-  /// escape hatch; q >= 1 always holds so this terminates — see DESIGN.md).
-  std::uint64_t trials_per_threshold = 256;
   std::uint64_t max_iterations = 100000;
-  SelectionMode selection_mode = SelectionMode::kThresholdSearch;
+  derand::SelectionMode selection_mode =
+      derand::SelectionMode::kThresholdSearch;
   /// Host wiring (threads, overrides, fault plan, observers) of the cluster
   /// the cluster-creating overload builds. The cluster-taking overload reads
   /// none of it: whoever built that cluster set it up.
@@ -107,10 +94,9 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster,
 
 /// The §3/§4 provisioning formula of both sparsification pipelines (MIS
 /// and matching) and Solver::cluster_config: S = max(64, space_headroom *
-/// n^eps) words, M = ceil(total_space_factor * (m + n + 2) / S) + 1.
+/// n^eps) words, M = ceil(mpc::kTotalSpaceFactor * (m + n + 2) / S) + 1.
 mpc::ClusterConfig sparsification_cluster_config(double eps,
                                                  double space_headroom,
-                                                 double total_space_factor,
                                                  std::uint64_t n,
                                                  std::uint64_t m);
 

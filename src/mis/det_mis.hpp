@@ -19,31 +19,19 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "matching/det_matching.hpp"  // DetMatchingConfig shape is shared
+#include "matching/det_matching.hpp"  // DetMatchingConfig
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
-#include "sparsify/params.hpp"
 
 namespace dmpc::mis {
 
-struct DetMisConfig {
-  double eps = 0.5;
-  std::uint32_t inv_delta = 0;  ///< 0 = paper default 8/eps.
-  double space_headroom = 8.0;
-  double total_space_factor = 8.0;
-  sparsify::SparsifyConfig sparsify;
-  /// Lemma 21 constant: q >= threshold_factor * delta * sum_{v in B} d(v).
-  double threshold_factor = 0.01;
-  std::uint64_t selection_batch = 16;
-  std::uint64_t trials_per_threshold = 256;
-  std::uint64_t max_iterations = 100000;
-  matching::SelectionMode selection_mode =
-      matching::SelectionMode::kThresholdSearch;
-  /// Host wiring (threads, overrides, fault plan, observers) of the cluster
-  /// the cluster-creating overload builds. The cluster-taking overload reads
-  /// none of it: whoever built that cluster set it up.
-  mpc::ClusterSetup setup;
-};
+/// The Lemma 21 constant: the committed seed must reach
+/// q >= kLemma21Threshold * delta * sum_{v in B} d(v) (before finite-n
+/// halving, see derand::select_seed).
+inline constexpr double kLemma21Threshold = 0.01;
+
+/// Both sparsification pipelines take one configuration type.
+using DetMisConfig = matching::DetMatchingConfig;
 
 struct MisIterationReport {
   std::uint64_t iteration = 0;
@@ -74,9 +62,5 @@ struct DetMisResult {
 DetMisResult det_mis(const graph::Graph& g, const DetMisConfig& config);
 DetMisResult det_mis(mpc::Cluster& cluster, const graph::Graph& g,
                      const DetMisConfig& config);
-
-mpc::ClusterConfig cluster_config_for(const DetMisConfig& config,
-                                      std::uint64_t n, std::uint64_t m);
-sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n);
 
 }  // namespace dmpc::mis

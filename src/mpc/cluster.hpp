@@ -55,6 +55,10 @@ struct ClusterConfig {
                                  std::uint64_t min_space = 16);
 };
 
+/// Total-space constant of the pipelines' provisioning formulas: M is sized
+/// so the cluster holds kTotalSpaceFactor * (m + n + 2) words.
+inline constexpr double kTotalSpaceFactor = 8.0;
+
 /// User-facing knobs over the auto-derived provisioning. `dmpc::Solver` owns
 /// the derivation (S and M from n, eps, space_headroom); overrides let
 /// benches/tests pin an exact geometry without hand-building a ClusterConfig.

@@ -123,6 +123,17 @@ void append_owner(WindowSet& set, const std::vector<EdgeId>& owner_items,
 
 }  // namespace
 
+StageInvariants worst_invariants(const std::vector<StageReport>& stages) {
+  StageInvariants worst;
+  for (const StageReport& s : stages) {
+    worst.degree_ratio = std::max(worst.degree_ratio, s.invariant_degree_ratio);
+    worst.xv_ratio = std::min(worst.xv_ratio, s.invariant_xv_ratio);
+    worst.window_multiplier =
+        std::max(worst.window_multiplier, s.window_multiplier);
+  }
+  return worst;
+}
+
 EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
                                   const Graph& g, const MatchingGoodSet& good,
                                   const SparsifyConfig& config) {
@@ -156,7 +167,7 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
       const std::uint32_t max_deg =
           *std::max_element(deg_now.begin(), deg_now.end());
       if (max_deg <= params.degree_cap() ||
-          extra_used >= config.extra_stage_cap) {
+          extra_used >= kExtraStageCap) {
         break;
       }
       ++extra_used;
@@ -173,7 +184,7 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     // lower windows). ---
     WindowSet windows;
     std::vector<std::uint64_t> counts(g.num_nodes(), 0);
-    double mult = config.slack_factor;
+    double mult = kWindowSlack;
     {
       std::vector<std::vector<EdgeId>> incident(g.num_nodes());
       std::vector<EdgeId> all_edges;
@@ -210,7 +221,7 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     // widens lo/hi, which the objective reads through the WindowSet pointer.
     StageObjective objective(family, cutoff, windows);
     for (std::uint32_t attempt = 0;; ++attempt) {
-      DMPC_CHECK_MSG(attempt <= config.max_escalations,
+      DMPC_CHECK_MSG(attempt <= kMaxEscalations,
                      "edge sparsifier: window escalation cap reached");
       if (attempt > 0) {
         mult *= 2.0;
@@ -218,20 +229,18 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
       }
       derand::SearchOptions opts;
       opts.threshold = static_cast<double>(windows.owners.size());
-      opts.max_trials = config.trials_per_window;
+      opts.max_trials = kTrialsPerWindow;
       opts.label = "sparsify/seed";
       // Decorrelate committed functions across stages (see SearchOptions).
       opts.seed_base = 0x9E3779B97F4A7C15ULL * (stage + 1);
       opts.seed_stride = 0xBF58476D1CE4E5B9ULL;
-      bool found = true;
-      try {
-        committed = derand::find_seed(cluster, objective,
-                                      family.seed_count(), opts);
-      } catch (const CheckFailure&) {
-        found = false;
+      const auto found =
+          derand::try_find_seed(cluster, objective, family.seed_count(), opts);
+      total_trials += found ? found->trials : kTrialsPerWindow;
+      if (found) {
+        committed = *found;
+        break;
       }
-      total_trials += found ? committed.trials : config.trials_per_window;
-      if (found) break;
       if (auto* trace = cluster.trace(); obs::enabled(trace)) {
         trace->instant("sparsify/escalate",
                        {obs::arg("stage", static_cast<std::uint64_t>(stage)),

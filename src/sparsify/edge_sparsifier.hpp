@@ -12,7 +12,7 @@
 //
 // Finite-n adaptation (documented in DESIGN.md §2.3): the paper's window is
 // sized for asymptotic union bounds. We start from the paper's formula
-// scaled by `slack_factor` and, if no seed in the search budget makes all
+// scaled by kWindowSlack and, if no seed in the search budget makes all
 // machines good (possible only at small n where the window is narrower than
 // the binomial spread), deterministically double the window and retry. The
 // committed seed always makes every machine good *for the window actually
@@ -31,12 +31,17 @@
 
 namespace dmpc::sparsify {
 
+/// The finite-n window schedule of both sparsifiers (DESIGN.md §2.3):
+/// windows start at kWindowSlack times the paper's width and double at most
+/// kMaxEscalations times, each width getting kTrialsPerWindow seeds; at
+/// most kExtraStageCap extra stages run while degrees exceed the cap.
+inline constexpr double kWindowSlack = 3.0;
+inline constexpr std::uint32_t kMaxEscalations = 16;
+inline constexpr std::uint64_t kTrialsPerWindow = 64;
+inline constexpr std::uint32_t kExtraStageCap = 16;
+
 struct SparsifyConfig {
-  double slack_factor = 3.0;          ///< Multiplier on the paper's window.
-  std::uint32_t max_escalations = 16; ///< Window doublings before giving up.
-  std::uint64_t trials_per_window = 64;  ///< Seeds tried per window size.
-  unsigned hash_k = 4;                ///< Independence degree c.
-  std::uint32_t extra_stage_cap = 16; ///< Extra stages if degrees above cap.
+  unsigned hash_k = 4;  ///< Independence degree c.
 };
 
 struct StageReport {
@@ -55,6 +60,16 @@ struct StageReport {
   /// |X(v) ∩ E_j| / (n^{-j delta} |X(v)|).
   double invariant_xv_ratio = 0.0;
 };
+
+/// The worst invariant measurements across one iteration's stages. The
+/// defaults are what an iteration without stages reports.
+struct StageInvariants {
+  double degree_ratio = 0.0;       ///< Max of invariant_degree_ratio.
+  double xv_ratio = 2.0;           ///< Min of invariant_xv_ratio.
+  double window_multiplier = 0.0;  ///< Max of window_multiplier.
+};
+
+StageInvariants worst_invariants(const std::vector<StageReport>& stages);
 
 struct EdgeSparsifyResult {
   std::vector<bool> in_Estar;        ///< Edge mask of E* over g.num_edges().

@@ -177,7 +177,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     const bool planned_stage = stage < planned;
     if (!planned_stage) {
       if (max_q_degree() <= params.degree_cap() ||
-          extra_used >= config.extra_stage_cap) {
+          extra_used >= kExtraStageCap) {
         break;
       }
       ++extra_used;
@@ -192,7 +192,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     // --- Distribute neighbor lists into per-owner windows. ---
     NodeWindowSet windows;
     std::vector<std::uint64_t> counts(g.num_nodes(), 0);
-    double mult = config.slack_factor;
+    double mult = kWindowSlack;
     auto append = [&](NodeId owner, bool weighted) {
       NodeWindow w;
       w.begin = windows.items.size();
@@ -245,7 +245,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     // rewrites the window bounds, read through the NodeWindowSet pointer.
     NodeStageObjective objective(family, cutoff, windows);
     for (std::uint32_t attempt = 0;; ++attempt) {
-      DMPC_CHECK_MSG(attempt <= config.max_escalations,
+      DMPC_CHECK_MSG(attempt <= kMaxEscalations,
                      "node sparsifier: window escalation cap reached");
       if (attempt > 0) {
         mult *= 2.0;
@@ -261,20 +261,18 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
       }
       derand::SearchOptions opts;
       opts.threshold = static_cast<double>(windows.owners.size());
-      opts.max_trials = config.trials_per_window;
+      opts.max_trials = kTrialsPerWindow;
       opts.label = "mis_sparsify/seed";
       // Decorrelate committed functions across stages (see SearchOptions).
       opts.seed_base = 0x9E3779B97F4A7C15ULL * (stage + 1);
       opts.seed_stride = 0xBF58476D1CE4E5B9ULL;
-      bool found = true;
-      try {
-        committed =
-            derand::find_seed(cluster, objective, family.seed_count(), opts);
-      } catch (const CheckFailure&) {
-        found = false;
+      const auto found =
+          derand::try_find_seed(cluster, objective, family.seed_count(), opts);
+      total_trials += found ? found->trials : kTrialsPerWindow;
+      if (found) {
+        committed = *found;
+        break;
       }
-      total_trials += found ? committed.trials : config.trials_per_window;
-      if (found) break;
       if (auto* trace = cluster.trace(); obs::enabled(trace)) {
         trace->instant("mis_sparsify/escalate",
                        {obs::arg("stage", static_cast<std::uint64_t>(stage)),

@@ -20,16 +20,13 @@ struct Params {
   std::uint64_t n = 0;       ///< Original node count.
   std::uint32_t inv_delta = 8;  ///< 1/delta (integer per the paper).
 
-  /// The pipelines' parameters on an n-node input (n clamped to >= 2);
-  /// inv_delta = 0 derives the paper's delta = eps/8 (inv_delta = 8/eps).
-  static Params for_eps(std::uint64_t n, double eps, std::uint32_t inv_delta) {
+  /// The pipelines' parameters on an n-node input (n clamped to >= 2):
+  /// the paper's delta = eps/8, i.e. inv_delta = round(8/eps), at least 1.
+  static Params for_eps(std::uint64_t n, double eps) {
     Params params;
     params.n = std::max<std::uint64_t>(n, 2);
-    params.inv_delta =
-        inv_delta != 0
-            ? inv_delta
-            : std::max<std::uint32_t>(
-                  1, static_cast<std::uint32_t>(std::lround(8.0 / eps)));
+    params.inv_delta = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(std::lround(8.0 / eps)));
     return params;
   }
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -177,6 +178,65 @@ TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
   const auto result = find_seed(cluster, objective, 1 << 8, options);
   EXPECT_EQ(result.seed, 255u);
   EXPECT_LE(result.trials, 256u);
+}
+
+// --- The pipelines' selection commit (select_seed). ---
+
+/// Every seed scores the same value c.
+class ConstantObjective final : public Objective {
+ public:
+  explicit ConstantObjective(double c) : c_(c) {}
+  double evaluate(std::uint64_t /*seed*/) const override { return c_; }
+  std::uint64_t term_count() const override { return 4; }
+
+ private:
+  double c_;
+};
+
+SearchResult select_constant(std::uint32_t threads, std::uint64_t domain,
+                             double threshold) {
+  mpc::ClusterConfig config;
+  config.machine_space = 256;
+  config.num_machines = 64;
+  mpc::ClusterSetup setup;
+  setup.threads = threads;
+  mpc::Cluster cluster(config, setup);
+  const hash::KWiseFamily family(domain, domain, /*k=*/2);
+  ConstantObjective objective(1.5);
+  SelectionOptions options;
+  options.label = "test/selection";
+  options.threshold = threshold;
+  options.batch = 16;
+  options.salt = 3;
+  return select_seed(cluster, objective, family, options);
+}
+
+TEST(SelectSeed, ThresholdHalvesEveryTrialsPerThreshold) {
+  // Threshold 4c: 256 trials at 4c, 256 at 2c, then the first batch at c
+  // commits. Strict improvement keeps the first trial's seed.
+  static_assert(kTrialsPerThreshold == 256);
+  const hash::KWiseFamily family(64, 64, /*k=*/2);
+  const std::uint64_t first_seed =
+      static_cast<std::uint64_t>(3 * 0x9E3779B97F4A7C15ULL) %
+      family.seed_count();
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const SearchResult result = select_constant(threads, 64, 4 * 1.5);
+    EXPECT_EQ(result.trials, 528u) << "threads=" << threads;
+    EXPECT_EQ(result.seed, first_seed) << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(result.value, 1.5);
+  }
+}
+
+TEST(SelectSeed, ExhaustionThrowsLabelledCheckFailure) {
+  // A family smaller than kTrialsPerThreshold never halves an unreachable
+  // threshold, so the walk runs out of seeds.
+  try {
+    select_constant(1, /*domain=*/4, /*threshold=*/10.0);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("test/selection"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Method of conditional expectations on a real hash family. ---

@@ -159,11 +159,11 @@ TEST_P(SelectionModeSweep, MatchingAndMisValid) {
   const int family = GetParam();
   const Graph g = kWorkloads[family].make(72, 4);
   matching::DetMatchingConfig mm_config;
-  mm_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mm_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto mm = matching::det_maximal_matching(g, mm_config);
   EXPECT_TRUE(graph::is_maximal_matching(g, mm.matching));
   mis::DetMisConfig mis_config;
-  mis_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mis_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto m = mis::det_mis(g, mis_config);
   EXPECT_TRUE(graph::is_maximal_independent_set(g, m.in_set));
 }

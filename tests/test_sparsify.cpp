@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/faults.hpp"
 #include "sparsify/degree_classes.hpp"
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/good_nodes.hpp"
@@ -288,6 +289,36 @@ TEST(NodeSparsifier, LowClassKeepsQ0) {
                                      SparsifyConfig{});
   EXPECT_EQ(sparse.stages.size(), 0u);
   EXPECT_EQ(sparse.in_Qprime, good.in_Q0);
+}
+
+// An unrecoverable fault inside a stage's seed search is not an exhausted
+// window: it surfaces as mpc::FaultError instead of escalating the window
+// until the escalation cap.
+TEST(Sparsifiers, UnrecoverableSeedSearchFaultPropagates) {
+  const Graph g = graph::gnm(512, 16000, 10);
+  Params params;
+  params.n = g.num_nodes();
+  params.inv_delta = 8;
+  const std::vector<bool> alive(g.num_nodes(), true);
+  mpc::ClusterConfig config;
+  config.machine_space = 1 << 16;
+  config.num_machines = 1 << 10;
+  mpc::ClusterSetup setup;
+  setup.faults.add({mpc::FaultKind::kCrash, /*round=*/8, /*machine=*/0});
+  setup.recovery.checkpoint = mpc::CheckpointMode::kOff;
+  {
+    mpc::Cluster cluster(config, setup);
+    const auto good = select_matching_good_set(cluster, params, g, alive);
+    EXPECT_THROW(sparsify_edges(cluster, params, g, good, SparsifyConfig{}),
+                 mpc::FaultError);
+  }
+  {
+    mpc::Cluster cluster(config, setup);
+    const auto good = select_mis_good_set(cluster, params, g, alive);
+    EXPECT_THROW(
+        sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{}),
+        mpc::FaultError);
+  }
 }
 
 }  // namespace

@@ -129,8 +129,11 @@ Graph generate(const dmpc::ArgParser& args) {
         static_cast<std::uint32_t>(args.get_int("core_degree", 64)), n, m,
         seed);
   }
-  DMPC_CHECK_MSG(false, "unknown family: " << family);
-  return {};
+  throw dmpc::ParseError(dmpc::ParseErrorCode::kBadToken,
+                         "value of --family must be one of gnm, gnp, "
+                         "power_law, regular, bipartite, grid, tree, star, "
+                         "lopsided",
+                         0, 0, dmpc::parse::clip(family));
 }
 
 dmpc::CliSolveOptions solve_options(const dmpc::ArgParser& args) {
