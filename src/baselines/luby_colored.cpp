@@ -28,34 +28,19 @@ ColoredLubyResult luby_mis_colored(const Graph& g, std::uint64_t seed) {
       2 * ceil_log2(std::max<std::uint64_t>(family.p(), 2));
 
   Rng rng(seed);
+  std::vector<std::uint64_t> z(g.num_nodes());
   while (graph::alive_edge_count(g, alive) > 0) {
     ++result.phases;
     const auto fn = family.at(rng.next_below(family.seed_count()));
     // Priorities per color class; distance-2 distinct colors make adjacent
     // (and 2-hop) nodes' priorities pairwise independent.
-    std::vector<NodeId> winners;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!alive[v]) continue;
-      const std::uint64_t zv = fn.raw(coloring.color[v]);
-      bool is_min = true;
-      bool has_live_neighbor = false;
-      for (NodeId u : g.neighbors(v)) {
-        if (!alive[u]) continue;
-        has_live_neighbor = true;
-        const std::uint64_t zu = fn.raw(coloring.color[u]);
-        if (zu < zv || (zu == zv && u < v)) {
-          is_min = false;
-          break;
-        }
-      }
-      if (is_min && has_live_neighbor) winners.push_back(v);
+      if (alive[v]) z[v] = fn.raw(coloring.color[v]);
     }
+    const auto winners = graph::winners(g, alive, z);
     DMPC_CHECK_MSG(!winners.empty(), "colored Luby phase made no progress");
-    for (NodeId v : winners) {
-      result.in_set[v] = true;
-      alive[v] = false;
-      for (NodeId u : g.neighbors(v)) alive[u] = false;
-    }
+    for (NodeId v : winners) result.in_set[v] = true;
+    graph::remove_closed(g, winners, alive);
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (alive[v]) result.in_set[v] = true;

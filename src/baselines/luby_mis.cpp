@@ -13,37 +13,6 @@ using graph::NodeId;
 
 namespace {
 
-/// One Luby round given per-node priorities: local minima join, winners and
-/// their neighbors die. Returns whether anything changed.
-bool luby_round(const Graph& g, std::vector<bool>& alive,
-                std::vector<bool>& in_set,
-                const std::vector<std::uint64_t>& priority) {
-  std::vector<bool> joins(g.num_nodes(), false);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!alive[v]) continue;
-    bool is_min = true;
-    for (NodeId u : g.neighbors(v)) {
-      if (!alive[u]) continue;
-      // Ties broken by id so the round is well-defined for any priorities.
-      if (priority[u] < priority[v] ||
-          (priority[u] == priority[v] && u < v)) {
-        is_min = false;
-        break;
-      }
-    }
-    if (is_min) joins[v] = true;
-  }
-  bool changed = false;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!joins[v]) continue;
-    changed = true;
-    in_set[v] = true;
-    alive[v] = false;
-    for (NodeId u : g.neighbors(v)) alive[u] = false;
-  }
-  return changed;
-}
-
 LubyMisResult run(const Graph& g,
                   const std::function<void(std::vector<std::uint64_t>&)>&
                       draw_priorities) {
@@ -53,8 +22,10 @@ LubyMisResult run(const Graph& g,
   std::vector<std::uint64_t> priority(g.num_nodes());
   while (graph::alive_edge_count(g, alive) > 0) {
     draw_priorities(priority);
-    const bool changed = luby_round(g, alive, result.in_set, priority);
-    DMPC_CHECK_MSG(changed, "Luby round made no progress");
+    const auto winners = graph::winners(g, alive, priority);
+    DMPC_CHECK_MSG(!winners.empty(), "Luby round made no progress");
+    for (NodeId v : winners) result.in_set[v] = true;
+    graph::remove_closed(g, winners, alive);
     ++result.iterations;
     result.edges_after.push_back(graph::alive_edge_count(g, alive));
   }

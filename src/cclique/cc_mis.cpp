@@ -19,20 +19,19 @@ using graph::NodeId;
 
 namespace {
 
-std::uint32_t cc_phases(const CcMisConfig& config, std::uint64_t n,
-                        std::uint32_t max_degree) {
+std::uint32_t cc_phases(std::uint64_t n, std::uint32_t max_degree) {
   // Per-node memory is O(n): l = floor(log n / (2 log Delta)), clamped.
   const double log_n = std::log(static_cast<double>(std::max<std::uint64_t>(n, 4)));
   const double log_d =
       std::log(static_cast<double>(std::max<std::uint32_t>(max_degree, 2)));
   const auto l = static_cast<std::uint32_t>(std::floor(log_n / (2.0 * log_d)));
-  return std::clamp<std::uint32_t>(l, 1, config.max_phases);
+  return std::clamp<std::uint32_t>(l, 1, lowdeg::kMaxPhases);
 }
 
 /// Shared stage loop; `rounds_per_stage` distinguishes ours (O(1)) from the
 /// [15]-style baseline (Theta(log n) per Luby phase, i.e. per stage of 1).
-CcMisResult run_cc_mis(const Graph& g, const CcMisConfig& config,
-                       std::uint32_t phases, std::uint64_t rounds_per_stage,
+CcMisResult run_cc_mis(const Graph& g, std::uint32_t phases,
+                       std::uint64_t rounds_per_stage,
                        const std::string& label) {
   CongestedClique cc(std::max<std::uint64_t>(g.num_nodes(), 1));
   CcMisResult result;
@@ -74,39 +73,21 @@ CcMisResult run_cc_mis(const Graph& g, const CcMisConfig& config,
     }
 
     hash::SmallFamily family(std::max<std::uint32_t>(num_colors, 2));
-    hash::FunctionSequence sequence(family, phases, config.per_phase_cap);
+    hash::FunctionSequence sequence(family, phases, lowdeg::kPerPhaseCap);
+    const std::uint64_t limit = std::min<std::uint64_t>(
+        lowdeg::kSequenceBudget, sequence.sequence_count());
 
     while (graph::alive_edge_count(g, alive) > 0) {
-      DMPC_CHECK_MSG(result.stages < config.max_stages, "stage cap exceeded");
+      DMPC_CHECK_MSG(result.stages < lowdeg::kMaxStages, "stage cap exceeded");
       // Stage body reuses the §5 machinery; only the round charge differs
       // between the two algorithms, so charge on the clique directly.
-      EdgeId best_after = 0;
-      std::vector<NodeId> best_set;
-      bool have = false;
-      const std::uint64_t limit =
-          std::min<std::uint64_t>(config.sequence_budget,
-                                  sequence.sequence_count());
-      for (std::uint64_t t = 0; t < limit; ++t) {
-        const auto joined = lowdeg::simulate_stage(
-            g, alive, color, sequence, sequence.diverse(t));
-        std::vector<bool> live = alive;
-        for (NodeId v : joined) {
-          live[v] = false;
-          for (NodeId u : g.neighbors(v)) live[u] = false;
-        }
-        const EdgeId after = graph::alive_edge_count(g, live);
-        if (!have || after < best_after) {
-          have = true;
-          best_after = after;
-          best_set = joined;
-        }
-      }
-      DMPC_CHECK_MSG(have && !best_set.empty(), "CC stage made no progress");
-      for (NodeId v : best_set) {
-        result.in_set[v] = true;
-        alive[v] = false;
-        for (NodeId u : g.neighbors(v)) alive[u] = false;
-      }
+      const auto stage = lowdeg::best_of_candidates(
+          g, alive, limit, exec::Executor::serial(), [&](std::uint64_t t) {
+            return lowdeg::simulate_stage(g, alive, color, sequence,
+                                          sequence.diverse(t));
+          });
+      DMPC_CHECK_MSG(!stage.independent.empty(), "CC stage made no progress");
+      for (NodeId v : stage.independent) result.in_set[v] = true;
       cc.charge_rounds(rounds_per_stage, label + "/stage");
       ++result.stages;
     }
@@ -121,27 +102,27 @@ CcMisResult run_cc_mis(const Graph& g, const CcMisConfig& config,
 
 }  // namespace
 
-CcMisResult cc_mis(const Graph& g, const CcMisConfig& config) {
-  const std::uint32_t phases = cc_phases(config, g.num_nodes(), g.max_degree());
+CcMisResult cc_mis(const Graph& g) {
+  const std::uint32_t phases = cc_phases(g.num_nodes(), g.max_degree());
   // One stage = one candidate-evaluation + aggregation + ball update: O(1).
-  return run_cc_mis(g, config, phases, /*rounds_per_stage=*/3, "cc_mis");
+  return run_cc_mis(g, phases, /*rounds_per_stage=*/3, "cc_mis");
 }
 
-CcMisResult cc_mis_censor_hillel(const Graph& g, const CcMisConfig& config) {
+CcMisResult cc_mis_censor_hillel(const Graph& g) {
   // Baseline: one Luby phase per derandomization step, seed fixed by
   // bit-by-bit voting over its Theta(log n) bits — Theta(log n) rounds per
   // phase (paper §1.1.2 / [15]).
   const auto seed_bits = static_cast<std::uint64_t>(
       2 * ceil_log2(std::max<std::uint64_t>(g.num_nodes(), 4)));
-  return run_cc_mis(g, config, /*phases=*/1,
+  return run_cc_mis(g, /*phases=*/1,
                     /*rounds_per_stage=*/seed_bits, "cc_baseline");
 }
 
-CcMatchingResult cc_matching(const Graph& g, const CcMisConfig& config) {
+CcMatchingResult cc_matching(const Graph& g) {
   CcMatchingResult result;
   if (g.num_edges() == 0) return result;
   const Graph lg = graph::line_graph(g);
-  result.mis = cc_mis(lg, config);
+  result.mis = cc_mis(lg);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.mis.in_set[e]) result.matching.push_back(e);
   }

@@ -22,13 +22,6 @@
 
 namespace dmpc::cclique {
 
-struct CcMisConfig {
-  std::uint64_t sequence_budget = 64;
-  std::uint64_t per_phase_cap = 1024;
-  std::uint32_t max_phases = 8;
-  std::uint64_t max_stages = 100000;
-};
-
 struct CcMisResult {
   std::vector<bool> in_set;
   std::uint64_t stages = 0;
@@ -37,11 +30,10 @@ struct CcMisResult {
 };
 
 /// Our O(log Delta)-round deterministic MIS.
-CcMisResult cc_mis(const graph::Graph& g, const CcMisConfig& config = {});
+CcMisResult cc_mis(const graph::Graph& g);
 
 /// Baseline: [15]-style O(log Delta log n)-round deterministic MIS.
-CcMisResult cc_mis_censor_hillel(const graph::Graph& g,
-                                 const CcMisConfig& config = {});
+CcMisResult cc_mis_censor_hillel(const graph::Graph& g);
 
 /// Maximal matching via MIS on the line graph (valid when the line graph's
 /// degree O(Delta) admits the 2-hop collection, i.e. Delta = O(n^{1/3})).
@@ -49,7 +41,6 @@ struct CcMatchingResult {
   std::vector<graph::EdgeId> matching;
   CcMisResult mis;
 };
-CcMatchingResult cc_matching(const graph::Graph& g,
-                             const CcMisConfig& config = {});
+CcMatchingResult cc_matching(const graph::Graph& g);
 
 }  // namespace dmpc::cclique

@@ -4,6 +4,7 @@
 
 #include "graph/algorithms.hpp"
 #include "hash/kwise.hpp"
+#include "lowdeg/phase_compression.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -32,45 +33,20 @@ std::uint32_t bfs_depth(const Graph& g) {
   return depth;
 }
 
-/// One Luby phase under hash fn: winners = alive local minima with a live
-/// neighbor. Returns winners; does not modify alive.
-std::vector<NodeId> phase_winners(const Graph& g,
-                                  const std::vector<bool>& alive,
-                                  const hash::HashFn& fn) {
-  std::vector<NodeId> winners;
+/// One Luby phase's priorities z_v = fn(v) over node ids (alive nodes only).
+std::vector<std::uint64_t> priorities(const Graph& g,
+                                      const std::vector<bool>& alive,
+                                      const hash::HashFn& fn) {
+  std::vector<std::uint64_t> z(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!alive[v]) continue;
-    const std::uint64_t zv = fn.raw(v);
-    bool is_min = true;
-    bool has_live_neighbor = false;
-    for (NodeId u : g.neighbors(v)) {
-      if (!alive[u]) continue;
-      has_live_neighbor = true;
-      const std::uint64_t zu = fn.raw(u);
-      if (zu < zv || (zu == zv && u < v)) {
-        is_min = false;
-        break;
-      }
-    }
-    if (is_min && has_live_neighbor) winners.push_back(v);
+    if (alive[v]) z[v] = fn.raw(v);
   }
-  return winners;
-}
-
-/// Edges removed if `winners` and their neighborhoods leave the graph.
-std::uint64_t removed_edges(const Graph& g, const std::vector<bool>& alive,
-                            const std::vector<NodeId>& winners) {
-  std::vector<bool> live = alive;
-  for (NodeId v : winners) {
-    live[v] = false;
-    for (NodeId u : g.neighbors(v)) live[u] = false;
-  }
-  return graph::alive_edge_count(g, alive) - graph::alive_edge_count(g, live);
+  return z;
 }
 
 }  // namespace
 
-CongestMisResult congest_mis(const Graph& g, const CongestMisConfig& config) {
+CongestMisResult congest_mis(const Graph& g) {
   CongestNetwork net(g);
   CongestMisResult result;
   result.in_set.assign(g.num_nodes(), false);
@@ -85,38 +61,28 @@ CongestMisResult congest_mis(const Graph& g, const CongestMisConfig& config) {
   hash::KWiseFamily family(domain, domain, /*k=*/2);
 
   while (graph::alive_edge_count(g, alive) > 0) {
-    DMPC_CHECK_MSG(result.phases < config.max_phases, "phase cap exceeded");
+    DMPC_CHECK_MSG(result.phases < kMaxPhases, "phase cap exceeded");
     ++result.phases;
     // Deterministic best-of-K: stride-scrambled candidates (see
-    // derand::SearchOptions), objective = edges removed.
-    std::vector<NodeId> best;
-    std::uint64_t best_removed = 0;
-    bool have = false;
-    for (std::uint64_t t = 0; t < config.candidates_per_phase; ++t) {
-      const auto seed = static_cast<std::uint64_t>(
-          (static_cast<__uint128_t>(t) * 0xBF58476D1CE4E5B9ULL +
-           result.phases * 0x9E3779B97F4A7C15ULL) %
-          family.seed_count());
-      const auto winners = phase_winners(g, alive, family.at(seed));
-      const auto removed = removed_edges(g, alive, winners);
-      if (!have || removed > best_removed) {
-        have = true;
-        best_removed = removed;
-        best = winners;
-      }
-    }
-    DMPC_CHECK_MSG(have && !best.empty(), "CONGEST phase made no progress");
+    // derand::SearchOptions), objective = fewest edges left.
+    const auto phase = lowdeg::best_of_candidates(
+        g, alive, kCandidatesPerPhase, exec::Executor::serial(),
+        [&](std::uint64_t t) {
+          const auto seed = static_cast<std::uint64_t>(
+              (static_cast<__uint128_t>(t) * 0xBF58476D1CE4E5B9ULL +
+               result.phases * 0x9E3779B97F4A7C15ULL) %
+              family.seed_count());
+          return graph::winners(g, alive,
+                                priorities(g, alive, family.at(seed)));
+        });
+    DMPC_CHECK_MSG(!phase.independent.empty(),
+                   "CONGEST phase made no progress");
     // Round bill: 2 local rounds (neighbors exchange priorities; winners
     // announce) + the tree aggregation of K objective values + broadcast.
     net.charge_rounds(2, "congest/phase_local");
-    net.charge_tree_aggregation(result.bfs_depth,
-                                config.candidates_per_phase,
+    net.charge_tree_aggregation(result.bfs_depth, kCandidatesPerPhase,
                                 "congest/phase_vote");
-    for (NodeId v : best) {
-      result.in_set[v] = true;
-      alive[v] = false;
-      for (NodeId u : g.neighbors(v)) alive[u] = false;
-    }
+    for (NodeId v : phase.independent) result.in_set[v] = true;
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (alive[v]) result.in_set[v] = true;
@@ -137,16 +103,14 @@ CongestMisResult luby_mis_congest(const Graph& g, std::uint64_t seed) {
   hash::KWiseFamily family(domain, domain, /*k=*/2);
   while (graph::alive_edge_count(g, alive) > 0) {
     ++result.phases;
-    const auto winners = phase_winners(
-        g, alive, family.at(rng.next_below(family.seed_count())));
+    const auto winners = graph::winners(
+        g, alive,
+        priorities(g, alive, family.at(rng.next_below(family.seed_count()))));
     // Retry on a fruitless draw (possible but rare with random seeds).
     if (winners.empty()) continue;
     net.charge_rounds(2, "congest/phase_local");
-    for (NodeId v : winners) {
-      result.in_set[v] = true;
-      alive[v] = false;
-      for (NodeId u : g.neighbors(v)) alive[u] = false;
-    }
+    for (NodeId v : winners) result.in_set[v] = true;
+    graph::remove_closed(g, winners, alive);
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (alive[v]) result.in_set[v] = true;

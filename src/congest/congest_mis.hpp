@@ -23,10 +23,8 @@
 
 namespace dmpc::congest {
 
-struct CongestMisConfig {
-  std::uint64_t candidates_per_phase = 16;  ///< K.
-  std::uint64_t max_phases = 100000;
-};
+inline constexpr std::uint64_t kCandidatesPerPhase = 16;  ///< K.
+inline constexpr std::uint64_t kMaxPhases = 100000;
 
 struct CongestMisResult {
   std::vector<bool> in_set;
@@ -36,8 +34,7 @@ struct CongestMisResult {
 };
 
 /// Deterministic CONGEST MIS (per-phase derandomized Luby).
-CongestMisResult congest_mis(const graph::Graph& g,
-                             const CongestMisConfig& config = {});
+CongestMisResult congest_mis(const graph::Graph& g);
 
 /// Randomized baseline: classic Luby, one O(1)-round phase each.
 CongestMisResult luby_mis_congest(const graph::Graph& g, std::uint64_t seed);

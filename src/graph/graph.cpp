@@ -273,4 +273,32 @@ std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive) {
   return best;
 }
 
+std::vector<NodeId> winners(const Graph& g, const std::vector<bool>& live,
+                            const std::vector<std::uint64_t>& z) {
+  std::vector<NodeId> out;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!live[v]) continue;
+    bool is_min = true;
+    bool has_live_neighbor = false;
+    for (NodeId u : g.neighbors(v)) {
+      if (!live[u]) continue;
+      has_live_neighbor = true;
+      if (z[u] < z[v] || (z[u] == z[v] && u < v)) {
+        is_min = false;
+        break;
+      }
+    }
+    if (is_min && has_live_neighbor) out.push_back(v);
+  }
+  return out;
+}
+
+void remove_closed(const Graph& g, const std::vector<NodeId>& nodes,
+                   std::vector<bool>& alive) {
+  for (NodeId v : nodes) {
+    alive[v] = false;
+    for (NodeId u : g.neighbors(v)) alive[u] = false;
+  }
+}
+
 }  // namespace dmpc::graph

@@ -274,4 +274,14 @@ EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive,
 /// Maximum alive degree.
 std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive);
 
+/// One Luby phase's local minima (§2.1, Algorithm 1): the alive nodes with a
+/// live neighbor whose priority (z[v], v) is below every live neighbor's,
+/// ascending. Only z of alive nodes is read; ties break by id.
+std::vector<NodeId> winners(const Graph& g, const std::vector<bool>& live,
+                            const std::vector<std::uint64_t>& z);
+
+/// Clear every node of `nodes` and all of its neighbors in `alive`.
+void remove_closed(const Graph& g, const std::vector<NodeId>& nodes,
+                   std::vector<bool>& alive);
+
 }  // namespace dmpc::graph

@@ -16,16 +16,16 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-std::uint32_t phases_for(const LowDegConfig& config, std::uint64_t space,
-                         std::uint32_t max_degree) {
-  // Largest l with 4 * Delta^{2l+1} <= space.
+std::uint32_t phases_for(std::uint64_t space, std::uint32_t max_degree) {
+  // Largest l with 4 * Delta^{2l+1} <= space. Clamped before the cast: l is
+  // negative when not even a radius-0 ball fits (space / 4 < Delta).
   const double log_d =
       std::log(static_cast<double>(std::max<std::uint32_t>(max_degree, 2)));
   const double budget =
       std::log(std::max<double>(static_cast<double>(space) / 4.0, 4.0));
-  const auto l =
-      static_cast<std::uint32_t>(std::floor((budget - log_d) / (2.0 * log_d)));
-  return std::clamp<std::uint32_t>(l, 1, config.max_phases);
+  const double l = std::floor((budget - log_d) / (2.0 * log_d));
+  return static_cast<std::uint32_t>(
+      std::clamp(l, 1.0, static_cast<double>(kMaxPhases)));
 }
 
 mpc::ClusterConfig cluster_config_for(const LowDegConfig& config,
@@ -49,11 +49,10 @@ LowDegMisResult lowdeg_mis(const Graph& g, const LowDegConfig& config) {
   mpc::Cluster cluster(
       cluster_config_for(config, g.num_nodes(), g.num_edges(), g.max_degree()),
       config.setup);
-  return lowdeg_mis(cluster, g, config);
+  return lowdeg_mis(cluster, g);
 }
 
-LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
-                           const LowDegConfig& config) {
+LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   LowDegMisResult result;
   result.in_set.assign(g.num_nodes(), false);
   if (g.num_nodes() == 0) return result;
@@ -79,9 +78,9 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
   result.colors = coloring.num_colors;
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
 
-  const std::uint32_t l = phases_for(config, cluster.space(), g.max_degree());
+  const std::uint32_t l = phases_for(cluster.space(), g.max_degree());
   result.phases_per_stage = l;
-  hash::FunctionSequence sequence(family, l, config.per_phase_cap);
+  hash::FunctionSequence sequence(family, l, kPerPhaseCap);
 
   {
     cluster.mark_phase("lowdeg/phase/gather", phase_words);
@@ -91,12 +90,12 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
 
   // --- Stages. ---
   while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
-    DMPC_CHECK_MSG(result.stages < config.max_stages, "stage cap exceeded");
+    DMPC_CHECK_MSG(result.stages < kMaxStages, "stage cap exceeded");
     cluster.mark_phase("lowdeg/stage", phase_words);
     obs::Span stage_span(cluster.trace(), "lowdeg/stage");
     stage_span.arg("stage", static_cast<std::uint64_t>(result.stages + 1));
-    const auto outcome = run_stage(cluster, g, alive, coloring.color, sequence,
-                                   config.sequence_budget);
+    const auto outcome =
+        run_stage(cluster, g, alive, coloring.color, sequence);
     for (NodeId v : outcome.independent) result.in_set[v] = true;
     ++result.stages;
     // Stage progress series: one structured event per stage (the
@@ -122,7 +121,6 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
       stage_span.arg("edges_after",
                      static_cast<std::uint64_t>(outcome.edges_after));
     }
-    result.outcomes.push_back(outcome);
   }
   // Alive survivors are isolated; they join the MIS.
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -146,7 +144,7 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
                                           lg.num_edges(), lg.max_degree()),
                        config.setup);
   cluster.charge_recoverable(1, "lowdeg/line_graph");
-  result.line_mis = lowdeg_mis(cluster, lg, config);
+  result.line_mis = lowdeg_mis(cluster, lg);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.line_mis.in_set[e]) result.matching.push_back(e);
   }

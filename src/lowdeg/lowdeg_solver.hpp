@@ -22,13 +22,8 @@ namespace dmpc::lowdeg {
 struct LowDegConfig {
   double eps = 0.5;              ///< S = space_headroom * n^eps.
   double space_headroom = 8.0;
-  std::uint64_t sequence_budget = 64;   ///< Candidate sequences per stage.
-  std::uint64_t per_phase_cap = 1024;   ///< Per-phase seeds enumerable.
-  std::uint32_t max_phases = 8;         ///< Upper clamp on l (sim cost).
-  std::uint64_t max_stages = 100000;
   /// Host wiring (threads, overrides, fault plan, observers) of the clusters
-  /// the cluster-creating overloads build. The cluster-taking lowdeg_mis
-  /// reads none of it: whoever built that cluster set it up.
+  /// the cluster-creating overloads build.
   mpc::ClusterSetup setup;
 };
 
@@ -37,20 +32,18 @@ struct LowDegMisResult {
   std::uint64_t stages = 0;
   std::uint32_t phases_per_stage = 0;  ///< l.
   std::uint32_t colors = 0;            ///< Distance-2 palette size.
-  std::vector<StageOutcome> outcomes;
   mpc::Metrics metrics;
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
 };
 
 /// Phases per stage: the largest l with 4 * Delta^{2l+1} <= S (the radius-2l
 /// ball with its incident edges must fit on one machine), at least 1,
-/// clamped to max_phases.
-std::uint32_t phases_for(const LowDegConfig& config, std::uint64_t space,
-                         std::uint32_t max_degree);
+/// clamped to kMaxPhases.
+std::uint32_t phases_for(std::uint64_t space, std::uint32_t max_degree);
 
 LowDegMisResult lowdeg_mis(const graph::Graph& g, const LowDegConfig& config);
-LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const graph::Graph& g,
-                           const LowDegConfig& config);
+/// Runs on a cluster someone else provisioned and set up.
+LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const graph::Graph& g);
 
 struct LowDegMatchingResult {
   std::vector<graph::EdgeId> matching;

@@ -11,13 +11,11 @@ namespace dmpc::lowdeg {
 using graph::Graph;
 using graph::NodeId;
 
-NeighborhoodGather gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
-                                        const std::vector<bool>& alive,
-                                        std::uint32_t radius) {
+std::uint64_t gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
+                                   const std::vector<bool>& alive,
+                                   std::uint32_t radius) {
   DMPC_CHECK(radius >= 1);
-  NeighborhoodGather out;
-  out.radius = radius;
-  out.balls.resize(g.num_nodes());
+  std::uint64_t max_ball = 0;
 
   // Central truncated BFS per node; the model cost is the doubling scheme.
   std::vector<std::uint32_t> dist(g.num_nodes(), UINT32_MAX);
@@ -40,24 +38,21 @@ NeighborhoodGather gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
         touched.push_back(w);
       }
     }
-    out.balls[v].assign(touched.begin(), touched.end());
-    std::sort(out.balls[v].begin(), out.balls[v].end());
-    out.max_ball = std::max<std::uint64_t>(out.max_ball, touched.size());
+    max_ball = std::max<std::uint64_t>(max_ball, touched.size());
     for (NodeId w : touched) dist[w] = UINT32_MAX;
   }
 
   // Space: a ball of b nodes with degree <= Delta needs O(b * Delta) words
   // to hold the induced edges.
   const std::uint64_t words =
-      out.max_ball * std::max<std::uint32_t>(g.max_degree(), 1);
+      max_ball * std::max<std::uint32_t>(g.max_degree(), 1);
   cluster.check_load(words, "gather_neighborhoods", "lowdeg/gather");
-  out.rounds_charged = static_cast<std::uint64_t>(ceil_log2(
-                           std::max<std::uint64_t>(radius, 2))) +
-                       1;
-  cluster.charge_recoverable(out.rounds_charged, "lowdeg/gather");
+  const std::uint64_t rounds =
+      ceil_log2(std::max<std::uint64_t>(radius, 2)) + 1;
+  cluster.charge_recoverable(rounds, "lowdeg/gather");
   cluster.metrics().add_communication(words * cluster.machines(),
                                       "lowdeg/gather");
-  return out;
+  return max_ball;
 }
 
 }  // namespace dmpc::lowdeg

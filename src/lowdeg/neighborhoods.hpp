@@ -15,19 +15,13 @@
 
 namespace dmpc::lowdeg {
 
-struct NeighborhoodGather {
-  /// balls[v] = nodes within distance <= r of v (including v), sorted.
-  std::vector<std::vector<graph::NodeId>> balls;
-  std::uint32_t radius = 0;
-  std::uint64_t max_ball = 0;   ///< Largest ball size (space proxy).
-  std::uint64_t rounds_charged = 0;
-};
-
-/// Collect r-hop balls restricted to alive nodes; space-checks every ball
-/// against the cluster and charges ceil(log2(r)) + 1 doubling rounds.
-NeighborhoodGather gather_neighborhoods(mpc::Cluster& cluster,
-                                        const graph::Graph& g,
-                                        const std::vector<bool>& alive,
-                                        std::uint32_t radius);
+/// Measure the r-hop balls restricted to alive nodes without storing them:
+/// space-checks the largest one against the cluster, charges
+/// ceil(log2(r)) + 1 doubling rounds under "lowdeg/gather", and returns the
+/// largest ball's size (0 when no node is alive).
+std::uint64_t gather_neighborhoods(mpc::Cluster& cluster,
+                                   const graph::Graph& g,
+                                   const std::vector<bool>& alive,
+                                   std::uint32_t radius);
 
 }  // namespace dmpc::lowdeg

@@ -23,44 +23,55 @@ std::vector<NodeId> simulate_stage(const Graph& g,
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (live[v]) z[v] = fn.raw(color[v]);
     }
-    // Local minima join; ties broken by id (colors are 2-hop distinct, so
-    // adjacent nodes have distinct colors but hashes may still collide).
-    std::vector<NodeId> winners;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!live[v]) continue;
-      bool is_min = true;
-      bool has_live_neighbor = false;
-      for (NodeId u : g.neighbors(v)) {
-        if (!live[u]) continue;
-        has_live_neighbor = true;
-        if (z[u] < z[v] || (z[u] == z[v] && u < v)) {
-          is_min = false;
-          break;
-        }
-      }
-      if (is_min && has_live_neighbor) winners.push_back(v);
-    }
-    if (winners.empty()) break;  // residual graph has no edges
-    for (NodeId v : winners) {
-      joined.push_back(v);
-      live[v] = false;
-      for (NodeId u : g.neighbors(v)) live[u] = false;
-    }
+    // Colors are 2-hop distinct, so adjacent nodes have distinct colors but
+    // hashes may still collide; the kernel breaks ties by id.
+    const auto won = graph::winners(g, live, z);
+    if (won.empty()) break;  // residual graph has no edges
+    joined.insert(joined.end(), won.begin(), won.end());
+    graph::remove_closed(g, won, live);
   }
   return joined;
+}
+
+StageOutcome best_of_candidates(
+    const Graph& g, std::vector<bool>& alive, std::uint64_t count,
+    const exec::Executor& ex,
+    const std::function<std::vector<NodeId>(std::uint64_t)>& winners_for) {
+  StageOutcome outcome;
+  outcome.edges_before = graph::alive_edge_count(g, alive, ex);
+  DMPC_CHECK(outcome.edges_before > 0);
+  DMPC_CHECK(count > 0);
+
+  // Candidates are independent and pure — evaluate them host-parallel, then
+  // pick the minimizer with a serial strict-< scan.
+  struct Candidate {
+    EdgeId after = 0;
+    std::vector<NodeId> joined;
+  };
+  std::vector<Candidate> candidates(count);
+  ex.for_each(0, count, [&](std::uint64_t t) {
+    Candidate& cand = candidates[t];
+    cand.joined = winners_for(t);
+    std::vector<bool> live = alive;
+    graph::remove_closed(g, cand.joined, live);
+    cand.after = graph::alive_edge_count(g, live);
+  });
+  std::uint64_t best = 0;
+  for (std::uint64_t t = 1; t < count; ++t) {
+    if (candidates[t].after < candidates[best].after) best = t;
+  }
+  outcome.independent = std::move(candidates[best].joined);
+  outcome.edges_after = candidates[best].after;
+  graph::remove_closed(g, outcome.independent, alive);
+  return outcome;
 }
 
 StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
                        std::vector<bool>& alive,
                        const std::vector<std::uint32_t>& color,
-                       const hash::FunctionSequence& sequence,
-                       std::uint64_t budget) {
-  StageOutcome outcome;
-  outcome.edges_before = graph::alive_edge_count(g, alive, cluster.executor());
-  DMPC_CHECK(outcome.edges_before > 0);
-
+                       const hash::FunctionSequence& sequence) {
   const std::uint64_t limit =
-      std::min<std::uint64_t>(budget, sequence.sequence_count());
+      std::min<std::uint64_t>(kSequenceBudget, sequence.sequence_count());
   // All candidate sequences are simulated locally from the gathered balls;
   // one aggregation (fan-in-S tree, width = limit) picks the minimizer and
   // one broadcast announces it — O(1) charged rounds per stage.
@@ -71,52 +82,15 @@ StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
                                       "lowdeg/stage");
   cluster.check_load(limit, "lowdeg/stage: sequence table", "lowdeg/stage");
 
-  // Candidate simulations are independent and pure — run them host-parallel,
-  // then pick the minimizer with a serial strict-< scan (ties commit the
-  // lowest t, exactly like the serial loop, for every thread count).
-  struct Candidate {
-    std::uint64_t seq = 0;
-    EdgeId after = 0;
-    std::vector<NodeId> joined;
-  };
-  std::vector<Candidate> candidates(limit);
-  cluster.executor().for_each(0, limit, [&](std::uint64_t t) {
-    Candidate& cand = candidates[t];
-    cand.seq = sequence.diverse(t);
-    cand.joined = simulate_stage(g, alive, color, sequence, cand.seq);
-    // Residual edges under this sequence.
-    std::vector<bool> live = alive;
-    for (NodeId v : cand.joined) {
-      live[v] = false;
-      for (NodeId u : g.neighbors(v)) live[u] = false;
-    }
-    cand.after = graph::alive_edge_count(g, live);
-  });
-  EdgeId best_after = 0;
-  std::vector<NodeId> best_set;
-  bool have = false;
-  for (std::uint64_t t = 0; t < limit; ++t) {
-    if (!have || candidates[t].after < best_after) {
-      have = true;
-      best_after = candidates[t].after;
-      best_set = std::move(candidates[t].joined);
-      outcome.sequence_seed = candidates[t].seq;
-    }
-  }
-  outcome.sequences_tried = limit;
-  DMPC_CHECK_MSG(have && !best_set.empty(),
+  auto outcome = best_of_candidates(
+      g, alive, limit, cluster.executor(), [&](std::uint64_t t) {
+        return simulate_stage(g, alive, color, sequence, sequence.diverse(t));
+      });
+  DMPC_CHECK_MSG(!outcome.independent.empty(),
                  "phase compression stage made no progress");
-
-  for (NodeId v : best_set) {
-    DMPC_CHECK(alive[v]);
-    alive[v] = false;
-    for (NodeId u : g.neighbors(v)) alive[u] = false;
-  }
   // One more round: winners notify their r-hop balls (§5.2.2, "maintaining
   // the r-th hop neighborhood").
   cluster.charge_recoverable(1, "lowdeg/ball_update");
-  outcome.independent = std::move(best_set);
-  outcome.edges_after = graph::alive_edge_count(g, alive, cluster.executor());
   DMPC_CHECK(outcome.edges_after < outcome.edges_before);
   return outcome;
 }

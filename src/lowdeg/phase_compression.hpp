@@ -13,18 +13,24 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "hash/small_family.hpp"
 #include "mpc/cluster.hpp"
 
 namespace dmpc::lowdeg {
 
+/// Stage constants shared by lowdeg_mis and cclique::cc_mis.
+inline constexpr std::uint64_t kSequenceBudget = 64;  ///< Sequences per stage.
+inline constexpr std::uint64_t kPerPhaseCap = 1024;   ///< Per-phase seeds.
+inline constexpr std::uint32_t kMaxPhases = 8;  ///< Upper clamp on l.
+inline constexpr std::uint64_t kMaxStages = 100000;
+
 struct StageOutcome {
-  std::vector<graph::NodeId> independent;  ///< Union of the l phase sets.
-  std::uint64_t sequence_seed = 0;
-  std::uint64_t sequences_tried = 0;
+  std::vector<graph::NodeId> independent;  ///< The committed candidate's set.
   graph::EdgeId edges_before = 0;
   graph::EdgeId edges_after = 0;
 };
@@ -36,12 +42,23 @@ std::vector<graph::NodeId> simulate_stage(
     const std::vector<std::uint32_t>& color,
     const hash::FunctionSequence& sequence, std::uint64_t seq);
 
-/// Derandomize one stage: evaluate up to `budget` candidate sequences in
-/// O(1) charged rounds, commit the best, update `alive`, return the outcome.
+/// The best-of-candidates step: evaluates candidates t in [0, count) on `ex`
+/// (count >= 1; `winners_for(t)` must be pure), commits the one leaving the
+/// fewest alive edges — ties commit the lowest t, for every thread count —
+/// by removing its closed neighborhood from `alive`. Charges nothing; an
+/// empty `independent` means no candidate made progress.
+StageOutcome best_of_candidates(
+    const graph::Graph& g, std::vector<bool>& alive, std::uint64_t count,
+    const exec::Executor& ex,
+    const std::function<std::vector<graph::NodeId>(std::uint64_t)>&
+        winners_for);
+
+/// Derandomize one stage: evaluate up to kSequenceBudget candidate sequences
+/// in O(1) charged rounds, commit the best, update `alive`, return the
+/// outcome.
 StageOutcome run_stage(mpc::Cluster& cluster, const graph::Graph& g,
                        std::vector<bool>& alive,
                        const std::vector<std::uint32_t>& color,
-                       const hash::FunctionSequence& sequence,
-                       std::uint64_t budget);
+                       const hash::FunctionSequence& sequence);
 
 }  // namespace dmpc::lowdeg

@@ -261,9 +261,8 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
     for (NodeId v : independent) {
       DMPC_CHECK(alive[v]);
       result.in_set[v] = true;
-      alive[v] = false;
-      for (NodeId u : g.neighbors(v)) alive[u] = false;
     }
+    graph::remove_closed(g, independent, alive);
 
     report.edges_after = graph::alive_edge_count(g, alive, cluster.executor());
     report.progress_fraction =

@@ -71,7 +71,7 @@ TEST(FailureInjection, LowDegPipelineRejectsHighDegreeInput) {
   // check rather than produce wrong output.
   const Graph hub = graph::star(4000);
   auto cluster = pinned_cluster(/*machine_space=*/256, /*num_machines=*/4096);
-  EXPECT_THROW(lowdeg::lowdeg_mis(cluster, hub, lowdeg::LowDegConfig{}),
+  EXPECT_THROW(lowdeg::lowdeg_mis(cluster, hub),
                CheckFailure);
 }
 

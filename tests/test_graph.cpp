@@ -95,6 +95,31 @@ TEST(Graph, AliveHelpers) {
   EXPECT_EQ(deg[3], 0u);
 }
 
+TEST(Graph, WinnersBreakTiesById) {
+  const Graph g = triangle_plus_pendant();
+  const std::vector<bool> alive(4, true);
+  EXPECT_EQ(winners(g, alive, {5, 5, 5, 5}), (std::vector<NodeId>{0}));
+  EXPECT_EQ(winners(g, alive, {9, 9, 9, 1}), (std::vector<NodeId>{0, 3}));
+}
+
+TEST(Graph, WinnersNeedALiveNeighborAndIgnoreDeadOnes) {
+  const Graph g = triangle_plus_pendant();
+  std::vector<bool> alive(4, true);
+  alive[2] = false;
+  // 2 holds the smallest z but is dead; 3 is alive with no live neighbor.
+  EXPECT_EQ(winners(g, alive, {7, 3, 0, 0}), (std::vector<NodeId>{1}));
+  EXPECT_TRUE(winners(g, std::vector<bool>(4, false), {0, 0, 0, 0}).empty());
+}
+
+TEST(Graph, RemoveClosedClearsNodesAndNeighbors) {
+  const Graph g = triangle_plus_pendant();
+  std::vector<bool> alive(4, true);
+  remove_closed(g, {3}, alive);
+  EXPECT_EQ(alive, (std::vector<bool>{true, true, false, false}));
+  remove_closed(g, {0}, alive);
+  EXPECT_EQ(alive, std::vector<bool>(4, false));
+}
+
 TEST(Graph, MaskedDegrees) {
   const Graph g = triangle_plus_pendant();
   std::vector<bool> mask(g.num_edges(), false);

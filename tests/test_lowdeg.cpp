@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "exec/parallel.hpp"
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
 #include "lowdeg/coloring.hpp"
@@ -66,34 +67,30 @@ TEST(Coloring, ChargesOLogStarRounds) {
   EXPECT_GE(cluster.metrics().rounds(), result.reduction_steps);
 }
 
-TEST(Neighborhoods, BallsAreCorrect) {
+TEST(Neighborhoods, LargestBallOnCycle) {
   auto cluster = roomy_cluster();
   const Graph g = graph::cycle(12);
   std::vector<bool> alive(12, true);
-  const auto gather = gather_neighborhoods(cluster, g, alive, 2);
-  for (NodeId v = 0; v < 12; ++v) {
-    EXPECT_EQ(gather.balls[v].size(), 5u);  // v, two each side
-  }
-  EXPECT_EQ(gather.max_ball, 5u);
+  EXPECT_EQ(gather_neighborhoods(cluster, g, alive, 2), 5u);  // v, 2 per side
 }
 
 TEST(Neighborhoods, RespectsAliveMaskAndRadius) {
   auto cluster = roomy_cluster();
   const Graph g = graph::path(10);
   std::vector<bool> alive(10, true);
-  alive[5] = false;  // cuts the path
-  const auto gather = gather_neighborhoods(cluster, g, alive, 10);
-  // Node 0's ball stops at node 4.
-  EXPECT_EQ(gather.balls[0].size(), 5u);
-  EXPECT_TRUE(gather.balls[5].empty());
+  alive[5] = false;  // cuts the path into 0..4 and 6..9
+  EXPECT_EQ(gather_neighborhoods(cluster, g, alive, 10), 5u);
+  EXPECT_EQ(gather_neighborhoods(cluster, g, std::vector<bool>(10, false), 10),
+            0u);
 }
 
 TEST(Neighborhoods, ChargesLogRounds) {
   auto cluster = roomy_cluster();
   const Graph g = graph::cycle(32);
   std::vector<bool> alive(32, true);
-  const auto g4 = gather_neighborhoods(cluster, g, alive, 4);
-  EXPECT_EQ(g4.rounds_charged, 3u);  // ceil(log2 4) + 1
+  gather_neighborhoods(cluster, g, alive, 4);
+  EXPECT_EQ(cluster.metrics().rounds_by_label().at("lowdeg/gather"),
+            3u);  // ceil(log2 4) + 1
 }
 
 TEST(PhaseCompression, StageRemovesEdges) {
@@ -101,10 +98,9 @@ TEST(PhaseCompression, StageRemovesEdges) {
   const Graph g = graph::random_regular(200, 4, 4);
   const auto coloring = distance2_coloring_raw(g);
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
-  hash::FunctionSequence sequence(family, 3, 1024);
+  hash::FunctionSequence sequence(family, 3, kPerPhaseCap);
   std::vector<bool> alive(g.num_nodes(), true);
-  const auto outcome = run_stage(cluster, g, alive, coloring.color, sequence,
-                                 /*budget=*/32);
+  const auto outcome = run_stage(cluster, g, alive, coloring.color, sequence);
   EXPECT_LT(outcome.edges_after, outcome.edges_before);
   EXPECT_FALSE(outcome.independent.empty());
   // The committed set is independent and consistent with `alive`.
@@ -130,12 +126,67 @@ TEST(PhaseCompression, SimulationIsPureFunction) {
   EXPECT_TRUE(std::all_of(alive.begin(), alive.end(), [](bool x) { return x; }));
 }
 
+TEST(BestOfCandidates, SameCommitAtOneAndFourThreads) {
+  const Graph g = graph::random_regular(200, 4, 4);
+  const auto coloring = distance2_coloring_raw(g);
+  hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
+  hash::FunctionSequence sequence(family, 3, kPerPhaseCap);
+  std::vector<StageOutcome> outcomes;
+  std::vector<std::vector<bool>> alives;
+  for (std::uint32_t threads : {1u, 4u}) {
+    std::vector<bool> alive(g.num_nodes(), true);
+    const auto ex = exec::Executor::with_threads(threads);
+    outcomes.push_back(best_of_candidates(
+        g, alive, kSequenceBudget, ex, [&](std::uint64_t t) {
+          return simulate_stage(g, alive, coloring.color, sequence,
+                                sequence.diverse(t));
+        }));
+    alives.push_back(alive);
+  }
+  EXPECT_EQ(outcomes[0].independent, outcomes[1].independent);
+  EXPECT_EQ(outcomes[0].edges_after, outcomes[1].edges_after);
+  EXPECT_EQ(alives[0], alives[1]);
+
+  // The committed set is independent and its closed neighborhood is gone.
+  const auto& outcome = outcomes[0];
+  EXPECT_EQ(outcome.edges_before, g.num_edges());
+  EXPECT_EQ(outcome.edges_after, graph::alive_edge_count(g, alives[0]));
+  std::vector<bool> in_set(g.num_nodes(), false);
+  for (NodeId v : outcome.independent) {
+    in_set[v] = true;
+    EXPECT_FALSE(alives[0][v]);
+    for (NodeId u : g.neighbors(v)) EXPECT_FALSE(alives[0][u]);
+  }
+  EXPECT_TRUE(graph::is_independent_set(g, in_set));
+}
+
+TEST(BestOfCandidates, TiesCommitTheLowestCandidate) {
+  // On C12, {0, 6} and {3, 9} each leave 4 edges; {5} leaves 8.
+  const Graph g = graph::cycle(12);
+  const std::vector<std::vector<NodeId>> sets = {{5}, {0, 6}, {3, 9}};
+  for (std::uint32_t threads : {1u, 4u}) {
+    std::vector<bool> alive(12, true);
+    const auto outcome = best_of_candidates(
+        g, alive, sets.size(), exec::Executor::with_threads(threads),
+        [&](std::uint64_t t) { return sets[t]; });
+    EXPECT_EQ(outcome.independent, sets[1]);
+    EXPECT_EQ(outcome.edges_before, 12u);
+    EXPECT_EQ(outcome.edges_after, 4u);
+    EXPECT_EQ(graph::alive_edge_count(g, alive), 4u);
+  }
+}
+
 TEST(LowDegSolver, PhasesScaleInverselyWithLogDelta) {
-  LowDegConfig config;
-  const auto l_small = phases_for(config, 1 << 16, 2);
-  const auto l_big = phases_for(config, 1 << 16, 64);
+  const auto l_small = phases_for(1 << 16, 2);
+  const auto l_big = phases_for(1 << 16, 64);
   EXPECT_GT(l_small, l_big);
   EXPECT_GE(l_big, 1u);
+  EXPECT_LE(l_small, kMaxPhases);
+}
+
+TEST(LowDegSolver, PhasesIsOneWhenNoBallFits) {
+  // space / 4 < Delta: the unclamped l is negative.
+  EXPECT_EQ(phases_for(64, 299), 1u);
 }
 
 TEST(LowDegSolver, MisValidOnBoundedDegree) {
