@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   for (const auto& s : sparse.stages) {
     std::printf("  stage %u: |E| %llu -> %llu, max degree %u, committed "
                 "seed %llu after %llu trials (window x%.1f)\n",
-                s.stage, (unsigned long long)s.edges_before,
-                (unsigned long long)s.edges_after, s.max_degree_after,
+                s.stage, (unsigned long long)s.items_before,
+                (unsigned long long)s.items_after, s.max_degree_after,
                 (unsigned long long)s.seed, (unsigned long long)s.trials,
                 s.window_multiplier);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "lowdeg/lowdeg_solver.hpp"
@@ -99,6 +100,14 @@ Status Solver::validate(const SolveOptions& options) {
         StatusCode::kInvalidEps,
         "eps must satisfy 0 < eps < 1 (machine space is n^eps), got " +
             std::to_string(options.eps));
+  }
+  if (std::round(8.0 / options.eps) > kMaxInvDelta) {
+    std::ostringstream got;
+    got << options.eps;
+    return Status::error(
+        StatusCode::kInvalidEps,
+        "eps must be at least the floor 0.01 (1/delta = round(8/eps) <= 800), "
+        "got " + got.str());
   }
   if (!(options.space_headroom > 0.0)) {
     return Status::error(

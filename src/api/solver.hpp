@@ -38,6 +38,11 @@ class Solver {
   /// (e.g. passing a node count where a thread count was meant), not a
   /// tuning limit.
   static constexpr std::uint32_t kMaxThreads = 4096;
+  /// Largest 1/delta = round(8/eps) accepted, i.e. the eps floor 0.01. The
+  /// §4 good-set selection allocates (1/delta + 1) bits per node and the
+  /// planned sparsification stages grow as 1/delta, so a smaller eps runs
+  /// out of memory or time instead of solving.
+  static constexpr std::uint32_t kMaxInvDelta = 800;
 
   Solver() = default;
   explicit Solver(SolveOptions options) : options_(std::move(options)) {}
@@ -45,7 +50,8 @@ class Solver {
   const SolveOptions& options() const { return options_; }
 
   /// Validate this solver's options. Rules (one StatusCode each):
-  ///   - 0 < eps < 1                 (kInvalidEps)
+  ///   - 0 < eps < 1 and round(8/eps) <= kMaxInvDelta, i.e. eps >= 0.01
+  ///                                 (kInvalidEps)
   ///   - space_headroom > 0          (kInvalidSpaceHeadroom)
   ///   - dispatch_slack > 0          (kInvalidDispatchSlack)
   ///   - threads <= kMaxThreads      (kInvalidThreads; 0 = hardware)

@@ -5,8 +5,7 @@
 // degree upper bound (Invariant (i), Lemma 17); type-B machines (chunks of
 // each B-node's Q-neighbor list, weighted by 1/d(u)) enforce the harmonic
 // lower bound sum_{u in Q_j ~ v} 1/d(u) >= (delta - o(1)) / (3 n^{delta j})
-// (Invariant (ii), Lemma 18). Same finite-n window adaptation as the edge
-// sparsifier (see edge_sparsifier.hpp / DESIGN.md).
+// (Invariant (ii), Lemma 18). The stage is shared with §3.2 (stage.hpp).
 #pragma once
 
 #include <cstdint>
@@ -14,9 +13,9 @@
 
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
-#include "sparsify/edge_sparsifier.hpp"  // SparsifyConfig, StageReport
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage.hpp"
 
 namespace dmpc::sparsify {
 

@@ -1,0 +1,173 @@
+#include "sparsify/stage.hpp"
+
+#include <algorithm>
+#include <cmath>
+
+#include "derand/seed_search.hpp"
+#include "obs/trace.hpp"
+#include "support/check.hpp"
+#include "support/logging.hpp"
+
+namespace dmpc::sparsify {
+
+namespace {
+
+// The number of good windows under a seed. Each candidate costs one
+// PowerTable sweep over the points and a hash-free window scan; masses
+// accumulate in ascending point order. Escalation rewrites the bounds in
+// place, read through the pointer, without rebuilding the table.
+class StageObjective final : public derand::RangeObjective {
+ public:
+  StageObjective(const StageHash& stage_hash, const WindowSet& set)
+      : cutoff_(stage_hash.cutoff), set_(&set) {
+    bind_points(stage_hash.family, set.points.data(), set.points.size());
+  }
+
+  double accumulate_terms(std::uint64_t range_begin, std::uint64_t range_end,
+                          std::uint64_t /*seed*/,
+                          const std::uint64_t* values) const override {
+    std::uint64_t good = 0;
+    for (std::uint64_t o = range_begin; o < range_end; ++o) {
+      const Window& w = set_->windows[o];
+      if (w.side == Side::kMass) {
+        double mass = 0.0;
+        for (std::uint64_t i = w.begin; i < w.end; ++i) {
+          if (values[i] < cutoff_) mass += set_->point_weight[set_->points[i]];
+        }
+        if (mass >= w.mass_lo) ++good;
+      } else {
+        std::uint64_t kept = 0;
+        for (std::uint64_t i = w.begin; i < w.end; ++i) {
+          if (values[i] < cutoff_) ++kept;
+        }
+        if (kept >= w.lo && kept <= w.hi) ++good;
+      }
+    }
+    return static_cast<double>(good);
+  }
+
+  std::uint64_t range_count() const override { return set_->windows.size(); }
+  std::uint64_t term_count() const override { return set_->windows.size(); }
+
+ private:
+  std::uint64_t cutoff_;
+  const WindowSet* set_;
+};
+
+}  // namespace
+
+StageInvariants worst_invariants(const std::vector<StageReport>& stages) {
+  StageInvariants worst;
+  for (const StageReport& s : stages) {
+    worst.degree_ratio = std::max(worst.degree_ratio, s.invariant_degree_ratio);
+    worst.xv_ratio = std::min(worst.xv_ratio, s.invariant_xv_ratio);
+    worst.window_multiplier =
+        std::max(worst.window_multiplier, s.window_multiplier);
+  }
+  return worst;
+}
+
+std::uint64_t WindowSet::close(std::uint64_t begin, Side side) {
+  if (points.size() > begin) windows.push_back({begin, points.size(), side});
+  return points.size() - begin;
+}
+
+void WindowSet::add_global(const std::vector<bool>& mask) {
+  const std::uint64_t begin = points.size();
+  for (std::uint64_t x = 0; x < mask.size(); ++x) {
+    if (mask[x]) points.push_back(x);
+  }
+  close(begin, Side::kBoth);
+}
+
+void set_bounds(Window& w, const WindowSet& set, double q, double mult) {
+  if (w.side == Side::kMass) {
+    double mass = 0.0, sq = 0.0, wmax = 0.0;
+    for (std::uint64_t i = w.begin; i < w.end; ++i) {
+      const double weight = set.point_weight[set.points[i]];
+      mass += weight;
+      sq += weight * weight;
+      wmax = std::max(wmax, weight);
+    }
+    const double slack = mult * (std::sqrt(q * (1.0 - q) * sq) + wmax);
+    w.mass_lo = std::max(0.0, q * mass - slack);
+    return;
+  }
+  const double count = static_cast<double>(w.count());
+  const double mean = q * count;
+  const double slack = mult * (std::sqrt(count * q * (1.0 - q)) + 1.0);
+  w.hi = w.side == Side::kLower
+             ? w.count()
+             : static_cast<std::uint64_t>(
+                   std::min<double>(count, std::ceil(mean + slack)));
+  const double lo_real = mean - slack;
+  w.lo = w.side == Side::kUpper || lo_real <= 0
+             ? 0
+             : static_cast<std::uint64_t>(std::floor(lo_real));
+}
+
+StageHash::StageHash(std::uint64_t count, double q, unsigned hash_k)
+    : family(std::max<std::uint64_t>(2, count),
+             std::max<std::uint64_t>(2, count), hash_k),
+      q(q),
+      cutoff(static_cast<std::uint64_t>(q * static_cast<double>(family.p()))) {}
+
+StageReport find_stage_seed(mpc::Cluster& cluster, const StageHash& stage_hash,
+                            std::uint32_t stage, WindowSet& set,
+                            const std::string& prefix) {
+  StageReport report;
+  report.stage = stage;
+  report.machines = set.windows.size();
+  const StageObjective objective(stage_hash, set);
+  double mult = kWindowSlack;
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    DMPC_CHECK_MSG(attempt <= kMaxEscalations,
+                   prefix << ": window escalation cap reached");
+    if (attempt > 0) mult *= 2.0;
+    for (Window& w : set.windows) set_bounds(w, set, stage_hash.q, mult);
+    derand::SearchOptions opts;
+    opts.threshold = static_cast<double>(set.windows.size());
+    opts.max_trials = kTrialsPerWindow;
+    opts.label = prefix + "/seed";
+    // Decorrelate committed functions across stages (see SearchOptions).
+    opts.seed_base = 0x9E3779B97F4A7C15ULL * (stage + 1);
+    opts.seed_stride = 0xBF58476D1CE4E5B9ULL;
+    const auto found = derand::try_find_seed(
+        cluster, objective, stage_hash.family.seed_count(), opts);
+    report.trials += found ? found->trials : kTrialsPerWindow;
+    if (found) {
+      report.seed = found->seed;
+      report.window_multiplier = mult;
+      return report;
+    }
+    if (auto* trace = cluster.trace(); obs::enabled(trace)) {
+      trace->instant(prefix + "/escalate",
+                     {obs::arg("stage", static_cast<std::uint64_t>(stage)),
+                      obs::arg("window_multiplier", mult * 2.0)});
+    }
+    DMPC_DEBUG(prefix << " stage " << stage << ": escalating window to x"
+                      << mult * 2.0);
+  }
+}
+
+bool apply_stage_hash(const StageHash& stage_hash, std::vector<bool>& mask,
+                      StageReport& report, const std::string& prefix) {
+  const auto fn = stage_hash.family.at(report.seed);
+  std::vector<bool> next(mask.size(), false);
+  report.items_before = report.items_after = 0;
+  for (std::uint64_t x = 0; x < mask.size(); ++x) {
+    if (!mask[x]) continue;
+    ++report.items_before;
+    next[x] = fn.raw(x) < stage_hash.cutoff;
+    report.items_after += next[x];
+  }
+  if (report.items_after == 0) {
+    DMPC_WARN(prefix << " stage " << report.stage
+                     << " would empty the sample; stopping early");
+    return false;
+  }
+  mask = std::move(next);
+  return true;
+}
+
+}  // namespace dmpc::sparsify

@@ -1,0 +1,126 @@
+// One sparsification stage, shared by §3.2 (edges) and §4.2 (nodes).
+//
+// Stage j keeps the ids x of E_{j-1} (or Q_{j-1}) whose c-wise hash h(x) lies
+// below cutoff = q * p, q = n^{-delta}. Its seed must make every per-owner
+// window and one global window good. Windows start at kWindowSlack times the
+// binomial width and double while no seed in the budget fits (the finite-n
+// adaptation of DESIGN.md §2.0); the committed seed is good for the window
+// actually used, which is what the Lemma 10/11 and 17/18 algebra consumes.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "hash/kwise.hpp"
+#include "mpc/cluster.hpp"
+
+namespace dmpc::sparsify {
+
+/// At most kMaxEscalations window doublings of kTrialsPerWindow seeds each;
+/// at most kExtraStageCap extra stages while degrees exceed the cap.
+inline constexpr double kWindowSlack = 3.0;
+inline constexpr std::uint32_t kMaxEscalations = 16;
+inline constexpr std::uint64_t kTrialsPerWindow = 64;
+inline constexpr std::uint32_t kExtraStageCap = 16;
+
+struct SparsifyConfig {
+  unsigned hash_k = 4;  ///< Independence degree c.
+};
+
+struct StageReport {
+  std::uint32_t stage = 0;           ///< 1-based stage index j.
+  std::uint64_t seed = 0;
+  std::uint64_t trials = 0;          ///< Seeds evaluated in this stage.
+  double window_multiplier = 1.0;    ///< Final slack multiplier used.
+  std::uint64_t machines = 0;        ///< Windows checked for goodness.
+  std::uint64_t items_before = 0;    ///< Sampled items (edges or nodes) in.
+  std::uint64_t items_after = 0;     ///< Sampled items kept.
+  std::uint32_t max_degree_after = 0;
+  /// Measured invariant (i) head-room: max_v d_j(v) /
+  /// (n^{-j delta} d_0(v) + n^{3 delta}).
+  double invariant_degree_ratio = 0.0;
+  /// Measured invariant (ii): the worst kept fraction of a lower-bounded
+  /// list (X(v) for edges, the 1/d mass for nodes) over its expectation.
+  double invariant_xv_ratio = 0.0;
+};
+
+/// The worst invariant measurements across one iteration's stages. The
+/// defaults are what an iteration without stages reports.
+struct StageInvariants {
+  double degree_ratio = 0.0;       ///< Max of invariant_degree_ratio.
+  double xv_ratio = 2.0;           ///< Min of invariant_xv_ratio.
+  double window_multiplier = 0.0;  ///< Max of window_multiplier.
+};
+
+StageInvariants worst_invariants(const std::vector<StageReport>& stages);
+
+/// Which bound a window enforces on its kept count: kUpper (Lemmas 10, 17),
+/// kLower (Lemma 11), kBoth (the global window, which rejects the
+/// degenerate all-keep / all-drop seeds); kMass bounds the kept weight from
+/// below (Lemma 18).
+enum class Side { kUpper, kLower, kBoth, kMass };
+
+/// One owner's window over the points [begin, end) of its WindowSet. The
+/// owner total is one Lemma-4 aggregation away, so checking per owner costs
+/// the same O(1) rounds as per machine.
+struct Window {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  Side side = Side::kUpper;
+  std::uint64_t lo = 0;   ///< Kept-count bounds (count sides).
+  std::uint64_t hi = 0;
+  double mass_lo = 0.0;   ///< Kept-mass lower bound (kMass).
+  std::uint64_t count() const { return end - begin; }
+};
+
+struct WindowSet {
+  std::vector<std::uint64_t> points;  ///< Hash inputs, window after window.
+  /// kMass windows weigh point x by point_weight[x].
+  std::vector<double> point_weight;
+  std::vector<Window> windows;
+
+  /// Close a window over the points pushed since `begin` and return its
+  /// size; a window with no points is dropped.
+  std::uint64_t close(std::uint64_t begin, Side side);
+
+  /// Add the global window: the ids set in `mask`, kBoth. At finite n the
+  /// per-owner windows can all be trivially wide (counts of a few dozen
+  /// admit no non-trivial satisfiable window), so without it the degenerate
+  /// all-keep / all-drop polynomials would count as good; it rejects them
+  /// and guarantees per-stage progress at one Lemma-4 aggregation.
+  void add_global(const std::vector<bool>& mask);
+};
+
+/// The window-bound rule at slack multiplier `mult`. Count windows get
+/// mean ± mult * (sqrt(count q (1-q)) + 1), clipped to [0, count] and to
+/// the window's side: the binomial scale, which bites at finite n where the
+/// paper's n^{0.1 delta} sqrt(e_x) would not (DESIGN.md). kMass windows get
+/// max(0, q M - mult * (sqrt(q (1-q) sum w^2) + max w)).
+void set_bounds(Window& w, const WindowSet& set, double q, double mult);
+
+/// A stage's sampling hash over ids [0, count): the c-wise family, the rate
+/// q and the cutoff q * p below which an id is kept.
+struct StageHash {
+  StageHash(std::uint64_t count, double q, unsigned hash_k);
+  hash::KWiseFamily family;
+  double q;
+  std::uint64_t cutoff;
+};
+
+/// The escalating seed search: bounds every window at kWindowSlack, seeks a
+/// seed making all of them good (search label `<prefix>/seed`) and doubles
+/// the multiplier after each miss (trace instant `<prefix>/escalate`).
+/// Returns the report's stage, seed, trials, window_multiplier, machines.
+StageReport find_stage_seed(mpc::Cluster& cluster, const StageHash& stage_hash,
+                            std::uint32_t stage, WindowSet& set,
+                            const std::string& prefix);
+
+/// Keep id x of `mask` iff the report's seed hashes it below the cutoff,
+/// and fill items_before / items_after. When no id would stay, leave `mask`
+/// untouched and return false: the caller stops early, and the selection
+/// step's space check remains the arbiter.
+bool apply_stage_hash(const StageHash& stage_hash, std::vector<bool>& mask,
+                      StageReport& report, const std::string& prefix);
+
+}  // namespace dmpc::sparsify

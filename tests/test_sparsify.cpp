@@ -3,6 +3,7 @@
 // (§3.2 / §4.2 invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.hpp"
@@ -13,6 +14,7 @@
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/node_sparsifier.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage.hpp"
 
 namespace dmpc::sparsify {
 namespace {
@@ -199,7 +201,7 @@ TEST(EdgeSparsifier, StageReportsAreCoherent) {
   for (std::size_t j = 0; j < sparse.stages.size(); ++j) {
     const auto& report = sparse.stages[j];
     EXPECT_EQ(report.stage, j + 1);
-    EXPECT_LE(report.edges_after, report.edges_before);
+    EXPECT_LE(report.items_after, report.items_before);
     EXPECT_GE(report.window_multiplier, 3.0);  // default slack factor
     EXPECT_GT(report.machines, 0u);
     EXPECT_GT(report.trials, 0u);
@@ -244,7 +246,7 @@ TEST(EdgeSparsifier, StagesStrictlyShrink) {
     const auto sparse = sparsify_edges(cluster, params, g, good,
                                        SparsifyConfig{});
     for (const auto& report : sparse.stages) {
-      EXPECT_LT(report.edges_after, report.edges_before)
+      EXPECT_LT(report.items_after, report.items_before)
           << "stage " << report.stage << " committed a no-op seed";
     }
   }
@@ -260,20 +262,21 @@ TEST(NodeSparsifier, StagesStrictlyShrink) {
   const auto good = select_mis_good_set(cluster, params, g, alive);
   const auto sparse =
       sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
-  // Q strictly shrinks stage over stage (the node-side analogue).
-  std::size_t prev = 0;
-  for (bool b : good.in_Q0) prev += b;
-  (void)prev;
+  // Q strictly shrinks stage over stage (the node-side analogue), and each
+  // stage samples exactly what the previous one kept.
+  std::uint64_t q_size = 0;
+  for (bool b : good.in_Q0) q_size += b;
+  ASSERT_FALSE(sparse.stages.empty());
   for (const auto& report : sparse.stages) {
     EXPECT_GT(report.machines, 0u);
+    EXPECT_EQ(report.items_before, q_size) << "stage " << report.stage;
+    EXPECT_LT(report.items_after, report.items_before)
+        << "stage " << report.stage << " committed a no-op seed";
+    q_size = report.items_after;
   }
-  std::size_t q_size = 0;
-  for (bool b : sparse.in_Qprime) q_size += b;
-  if (!sparse.stages.empty()) {
-    std::size_t q0_size = 0;
-    for (bool b : good.in_Q0) q0_size += b;
-    EXPECT_LT(q_size, q0_size);
-  }
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count(
+                sparse.in_Qprime.begin(), sparse.in_Qprime.end(), true)),
+            q_size);
 }
 
 TEST(NodeSparsifier, LowClassKeepsQ0) {
@@ -289,6 +292,188 @@ TEST(NodeSparsifier, LowClassKeepsQ0) {
                                      SparsifyConfig{});
   EXPECT_EQ(sparse.stages.size(), 0u);
   EXPECT_EQ(sparse.in_Qprime, good.in_Q0);
+}
+
+// Golden (seed, trials, machines, window multiplier) of every stage of both
+// sparsifiers: any change to the windows, the bound rule, the objective or
+// the seed walk moves them.
+struct GoldenStage {
+  std::uint32_t stage;
+  std::uint64_t seed;
+  std::uint64_t trials;
+  std::uint64_t machines;
+  double window_multiplier;
+};
+
+void expect_golden(const std::vector<StageReport>& stages,
+                   const std::vector<GoldenStage>& golden) {
+  ASSERT_EQ(stages.size(), golden.size());
+  for (std::size_t j = 0; j < golden.size(); ++j) {
+    EXPECT_EQ(stages[j].stage, golden[j].stage);
+    EXPECT_EQ(stages[j].seed, golden[j].seed) << "stage " << j + 1;
+    EXPECT_EQ(stages[j].trials, golden[j].trials) << "stage " << j + 1;
+    EXPECT_EQ(stages[j].machines, golden[j].machines) << "stage " << j + 1;
+    EXPECT_EQ(stages[j].window_multiplier, golden[j].window_multiplier)
+        << "stage " << j + 1;
+  }
+}
+
+TEST(Sparsifiers, GoldenStageSequence) {
+  const Graph g = graph::gnm(512, 16000, 10);
+  Params params;
+  params.n = g.num_nodes();
+  params.inv_delta = 8;
+  const std::vector<bool> alive(g.num_nodes(), true);
+  {
+    auto cluster = roomy_cluster();
+    const auto good = select_matching_good_set(cluster, params, g, alive);
+    const auto sparse =
+        sparsify_edges(cluster, params, g, good, SparsifyConfig{});
+    expect_golden(sparse.stages, {{1, 0x00b1e7cfb3de54cfULL, 2, 845, 3.0},
+                                  {2, 0x005119d0504d134fULL, 1, 845, 3.0}});
+  }
+  {
+    auto cluster = roomy_cluster();
+    const auto good = select_mis_good_set(cluster, params, g, alive);
+    const auto sparse =
+        sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
+    expect_golden(sparse.stages, {{1, 0x0000000cb6d51d1fULL, 1, 998, 3.0},
+                                  {2, 0x0000000e335b661eULL, 1, 748, 3.0}});
+  }
+}
+
+// One window of `count` points 0..count-1 on `side`, bounded at `mult`.
+Window bounded(const WindowSet& base, std::uint64_t count, Side side,
+               double q, double mult) {
+  WindowSet set = base;
+  for (std::uint64_t x = 0; x < count; ++x) set.points.push_back(x);
+  set.close(0, side);
+  Window w = set.windows.at(0);
+  set_bounds(w, set, q, mult);
+  return w;
+}
+
+// Hand-computed bounds: 100 points at q = 1/4 have mean 25 and binomial
+// sigma sqrt(18.75) = 4.3301, so the half-width is 3 * 5.3301 = 15.990 at
+// multiplier 3 and 31.981 at 6.
+TEST(StageWindows, CountBoundsPerSide) {
+  const WindowSet none;
+  const double q = 0.25;
+  struct Case {
+    Side side;
+    double mult;
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  const Case cases[] = {
+      {Side::kUpper, 3.0, 0, 41},   {Side::kUpper, 6.0, 0, 57},
+      {Side::kLower, 3.0, 9, 100},  {Side::kLower, 6.0, 0, 100},
+      {Side::kBoth, 3.0, 9, 41},    {Side::kBoth, 6.0, 0, 57},
+  };
+  for (const Case& c : cases) {
+    const Window w = bounded(none, 100, c.side, q, c.mult);
+    EXPECT_EQ(w.lo, c.lo) << "side " << static_cast<int>(c.side) << " x"
+                          << c.mult;
+    EXPECT_EQ(w.hi, c.hi) << "side " << static_cast<int>(c.side) << " x"
+                          << c.mult;
+  }
+  // The upper bound never exceeds the window: for 8 points, 3 * (1.22 + 1)
+  // above a mean of 2 is 8.67, clipped to 8.
+  EXPECT_EQ(bounded(none, 8, Side::kUpper, q, 3.0).hi, 8u);
+}
+
+// Hand-computed mass bound: 200 points of weight 1/4 and 200 of weight 1/2
+// give M = 150, sum w^2 = 62.5 and max w = 1/2, so at q = 1/4 the bound is
+// 37.5 - mult * (sqrt(0.1875 * 62.5) + 0.5) = 37.5 - mult * 3.9233.
+TEST(StageWindows, MassBound) {
+  WindowSet weighted;
+  for (std::uint64_t x = 0; x < 400; ++x) {
+    weighted.point_weight.push_back(x < 200 ? 0.25 : 0.5);
+  }
+  EXPECT_NEAR(bounded(weighted, 400, Side::kMass, 0.25, 3.0).mass_lo,
+              25.730202, 1e-6);
+  EXPECT_NEAR(bounded(weighted, 400, Side::kMass, 0.25, 6.0).mass_lo,
+              13.960404, 1e-6);
+  // A window whose slack exceeds its expected mass bounds nothing.
+  EXPECT_EQ(bounded(weighted, 4, Side::kMass, 0.25, 3.0).mass_lo, 0.0);
+}
+
+// The global window covers exactly the ids set in the mask, on both sides.
+TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
+  WindowSet set;
+  set.points = {9, 9};
+  set.add_global({true, false, true, true, false});
+  ASSERT_EQ(set.windows.size(), 1u);
+  EXPECT_EQ(set.windows[0].side, Side::kBoth);
+  EXPECT_EQ(set.windows[0].begin, 2u);
+  EXPECT_EQ(set.points, (std::vector<std::uint64_t>{9, 9, 0, 2, 3}));
+  set.add_global({false, false});  // an empty set adds no window
+  EXPECT_EQ(set.windows.size(), 1u);
+}
+
+// Escalation doubles the multiplier; that must only ever widen a window.
+TEST(StageWindows, DoublingTheMultiplierNeverNarrows) {
+  WindowSet weighted;
+  for (std::uint64_t x = 0; x < 300; ++x) {
+    weighted.point_weight.push_back(1.0 / static_cast<double>(1 + x % 7));
+  }
+  for (const Side side :
+       {Side::kUpper, Side::kLower, Side::kBoth, Side::kMass}) {
+    for (const double q : {0.05, 0.25, 0.5, 0.9}) {
+      for (std::uint64_t count = 1; count <= 300; count += 7) {
+        for (double mult = kWindowSlack; mult <= 96.0; mult *= 2.0) {
+          const Window narrow = bounded(weighted, count, side, q, mult);
+          const Window wide = bounded(weighted, count, side, q, 2.0 * mult);
+          EXPECT_LE(wide.lo, narrow.lo);
+          EXPECT_GE(wide.hi, narrow.hi);
+          EXPECT_LE(wide.mass_lo, narrow.mass_lo);
+        }
+      }
+    }
+  }
+}
+
+// One point repeated 1000 times keeps 0 or 1000 of its copies, while the
+// window at q = 1/4 is 250 ± mult * (sqrt(187.5) + 1) = 250 ± mult * 14.69:
+// no seed is good until the lower bound reaches 0, which first happens at
+// multiplier 24. The search must escalate 3 -> 6 -> 12 -> 24, spending the
+// full kTrialsPerWindow at each width that misses, and commit a seed that
+// drops the point.
+TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
+  auto cluster = roomy_cluster();
+  const StageHash stage_hash(64, 0.25, 4);
+  WindowSet set;
+  set.points.assign(1000, 7);
+  set.close(0, Side::kBoth);
+  StageReport report = find_stage_seed(cluster, stage_hash, 1, set, "test");
+  EXPECT_EQ(report.window_multiplier, 24.0);
+  EXPECT_GT(report.trials, 3 * kTrialsPerWindow);
+  EXPECT_LE(report.trials, 4 * kTrialsPerWindow);
+  EXPECT_EQ(report.machines, 1u);
+  EXPECT_EQ(set.windows[0].lo, 0u);
+  const auto fn = stage_hash.family.at(report.seed);
+  EXPECT_GE(fn.raw(7), stage_hash.cutoff);
+
+  // The committed hash drops point 7, so a sample of it alone would empty:
+  // the guard leaves the mask untouched.
+  std::vector<bool> only7(64, false);
+  only7[7] = true;
+  const std::vector<bool> before = only7;
+  EXPECT_FALSE(apply_stage_hash(stage_hash, only7, report, "test"));
+  EXPECT_EQ(only7, before);
+  EXPECT_EQ(report.items_before, 1u);
+  EXPECT_EQ(report.items_after, 0u);
+
+  // On the full domain it keeps exactly the ids hashed below the cutoff.
+  std::vector<bool> all(64, true);
+  ASSERT_TRUE(apply_stage_hash(stage_hash, all, report, "test"));
+  std::uint64_t kept = 0;
+  for (std::uint64_t x = 0; x < 64; ++x) {
+    EXPECT_EQ(all[x], fn.raw(x) < stage_hash.cutoff) << "id " << x;
+    kept += all[x];
+  }
+  EXPECT_EQ(report.items_before, 64u);
+  EXPECT_EQ(report.items_after, kept);
 }
 
 // An unrecoverable fault inside a stage's seed search is not an exhausted
