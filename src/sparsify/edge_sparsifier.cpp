@@ -50,25 +50,25 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     stage_span.arg("stage", static_cast<std::uint64_t>(stage));
 
     // --- Distribute: type-A machine groups (every node's incident E_{j-1}
-    // list, upper windows) and type-B groups (X(v) ∩ E_{j-1} for v in B,
-    // lower windows). ---
-    WindowSet windows;
+    // list, upper windows) and type-B groups (X(v) for v in B, lower
+    // windows; X(v) is built inside E_0 and re-filtered after every stage,
+    // so it holds E_{j-1} edges only). ---
+    WindowSet windows(result.in_Estar);
     std::vector<std::uint64_t> counts(g.num_nodes(), 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint64_t begin = windows.points.size();
+      const std::uint64_t begin = windows.slots.size();
       for (EdgeId e : g.incident_edges(v)) {
-        if (result.in_Estar[e]) windows.points.push_back(e);
+        if (result.in_Estar[e]) windows.push(e);
       }
       counts[v] = windows.close(begin, Side::kUpper);
     }
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (!good.in_B[v]) continue;
-      const std::uint64_t begin = windows.points.size();
-      const auto& xv = result.xv_star[v];
-      windows.points.insert(windows.points.end(), xv.begin(), xv.end());
+      const std::uint64_t begin = windows.slots.size();
+      for (EdgeId e : result.xv_star[v]) windows.push(e);
       windows.close(begin, Side::kLower);
     }
-    windows.add_global(result.in_Estar);
+    windows.add_global();
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/2,
                               "sparsify/distribute");
 

@@ -38,15 +38,8 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     }
     return d;
   };
-  auto max_q_degree = [&]() {
-    std::uint32_t best = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (alive[v] && result.in_Qprime[v]) best = std::max(best, q_degree(v));
-    }
-    return best;
-  };
 
-  // Baselines for the invariant measurements.
+  // Baselines for the invariant measurements; Q' starts as Q_0.
   std::vector<std::uint32_t> deg_q0(g.num_nodes(), 0);
   std::vector<double> hmass_q0(g.num_nodes(), 0.0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -57,9 +50,11 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
         hmass_q0[v] += inv_deg[u];
       }
     }
+    if (good.in_Q0[v]) {
+      result.max_q_degree = std::max(result.max_q_degree, deg_q0[v]);
+    }
   }
 
-  result.max_q_degree = max_q_degree();
   std::uint32_t stage = 0;
   std::uint32_t extra_used = 0;
   while (true) {
@@ -79,13 +74,16 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
 
     // --- Distribute Q-neighbor lists into per-owner windows: type-Q
     // (upper count) and type-B (lower 1/d mass). Q' holds alive nodes only. ---
-    WindowSet windows;
-    windows.point_weight = inv_deg;
+    WindowSet windows(result.in_Qprime);
+    windows.weight.reserve(windows.ids.size());
+    for (const std::uint64_t u : windows.ids) {
+      windows.weight.push_back(inv_deg[u]);
+    }
     std::vector<std::uint64_t> counts(g.num_nodes(), 0);
     auto append_q_neighbors = [&](NodeId owner, Side side) {
-      const std::uint64_t begin = windows.points.size();
+      const std::uint64_t begin = windows.slots.size();
       for (NodeId u : g.neighbors(owner)) {
-        if (alive[u] && result.in_Qprime[u]) windows.points.push_back(u);
+        if (alive[u] && result.in_Qprime[u]) windows.push(u);
       }
       return windows.close(begin, side);
     };
@@ -95,7 +93,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (alive[v] && good.in_B[v]) append_q_neighbors(v, Side::kMass);
     }
-    windows.add_global(result.in_Qprime);
+    windows.add_global();
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/1,
                               "mis_sparsify/distribute");
 
@@ -110,16 +108,20 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     // --- Measure the paper-form invariants (Lemmas 17 & 18). ---
     const double shrink = std::pow(q, static_cast<double>(stage));
     const double cls_lower = params.class_lower(good.cls);
+    // Q'-nodes with deg_q0 = 0 have Q-degree 0, so skipping them leaves
+    // the maximum unchanged.
     double worst_deg_ratio = 0.0;
     double worst_h_ratio = 2.0;
+    report.max_degree_after = 0;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (!alive[v]) continue;
       if (result.in_Qprime[v] && deg_q0[v] > 0) {
+        const std::uint32_t d = q_degree(v);
+        report.max_degree_after = std::max(report.max_degree_after, d);
         const double bound =
             shrink * static_cast<double>(deg_q0[v]) + params.pow_nd(3.0);
         worst_deg_ratio =
-            std::max(worst_deg_ratio,
-                     static_cast<double>(q_degree(v)) / bound);
+            std::max(worst_deg_ratio, static_cast<double>(d) / bound);
       }
       if (good.in_B[v] && hmass_q0[v] > 0) {
         double mass = 0.0;
@@ -134,7 +136,6 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     }
     report.invariant_degree_ratio = worst_deg_ratio;
     report.invariant_xv_ratio = worst_h_ratio;
-    report.max_degree_after = max_q_degree();
     result.max_q_degree = report.max_degree_after;
     if (stage_span.active()) {
       stage_span.arg("candidate_seeds", report.trials);

@@ -13,14 +13,15 @@ namespace dmpc::sparsify {
 namespace {
 
 // The number of good windows under a seed. Each candidate costs one
-// PowerTable sweep over the points and a hash-free window scan; masses
-// accumulate in ascending point order. Escalation rewrites the bounds in
-// place, read through the pointer, without rebuilding the table.
+// PowerTable sweep over the distinct ids and a hash-free window scan that
+// reads each entry's value through its slot; masses accumulate in window
+// order. Escalation rewrites the bounds in place, read through the pointer,
+// without rebuilding the table.
 class StageObjective final : public derand::RangeObjective {
  public:
   StageObjective(const StageHash& stage_hash, const WindowSet& set)
       : cutoff_(stage_hash.cutoff), set_(&set) {
-    bind_points(stage_hash.family, set.points.data(), set.points.size());
+    bind_points(stage_hash.family, set.ids.data(), set.ids.size());
   }
 
   double accumulate_terms(std::uint64_t range_begin, std::uint64_t range_end,
@@ -32,13 +33,14 @@ class StageObjective final : public derand::RangeObjective {
       if (w.side == Side::kMass) {
         double mass = 0.0;
         for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          if (values[i] < cutoff_) mass += set_->point_weight[set_->points[i]];
+          const std::uint32_t s = set_->slots[i];
+          if (values[s] < cutoff_) mass += set_->weight[s];
         }
         if (mass >= w.mass_lo) ++good;
       } else {
         std::uint64_t kept = 0;
         for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          if (values[i] < cutoff_) ++kept;
+          if (values[set_->slots[i]] < cutoff_) ++kept;
         }
         if (kept >= w.lo && kept <= w.hi) ++good;
       }
@@ -67,15 +69,25 @@ StageInvariants worst_invariants(const std::vector<StageReport>& stages) {
   return worst;
 }
 
-std::uint64_t WindowSet::close(std::uint64_t begin, Side side) {
-  if (points.size() > begin) windows.push_back({begin, points.size(), side});
-  return points.size() - begin;
+WindowSet::WindowSet(const std::vector<bool>& mask)
+    : slot_of_(mask.size(), kNoSlot) {
+  for (std::uint64_t x = 0; x < mask.size(); ++x) {
+    if (!mask[x]) continue;
+    DMPC_CHECK(ids.size() < kNoSlot);
+    slot_of_[x] = static_cast<std::uint32_t>(ids.size());
+    ids.push_back(x);
+  }
 }
 
-void WindowSet::add_global(const std::vector<bool>& mask) {
-  const std::uint64_t begin = points.size();
-  for (std::uint64_t x = 0; x < mask.size(); ++x) {
-    if (mask[x]) points.push_back(x);
+std::uint64_t WindowSet::close(std::uint64_t begin, Side side) {
+  if (slots.size() > begin) windows.push_back({begin, slots.size(), side});
+  return slots.size() - begin;
+}
+
+void WindowSet::add_global() {
+  const std::uint64_t begin = slots.size();
+  for (std::uint64_t s = 0; s < ids.size(); ++s) {
+    slots.push_back(static_cast<std::uint32_t>(s));
   }
   close(begin, Side::kBoth);
 }
@@ -84,7 +96,7 @@ void set_bounds(Window& w, const WindowSet& set, double q, double mult) {
   if (w.side == Side::kMass) {
     double mass = 0.0, sq = 0.0, wmax = 0.0;
     for (std::uint64_t i = w.begin; i < w.end; ++i) {
-      const double weight = set.point_weight[set.points[i]];
+      const double weight = set.weight[set.slots[i]];
       mass += weight;
       sq += weight * weight;
       wmax = std::max(wmax, weight);

@@ -14,6 +14,7 @@
 
 #include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
+#include "support/check.hpp"
 
 namespace dmpc::sparsify {
 
@@ -61,7 +62,7 @@ StageInvariants worst_invariants(const std::vector<StageReport>& stages);
 /// below (Lemma 18).
 enum class Side { kUpper, kLower, kBoth, kMass };
 
-/// One owner's window over the points [begin, end) of its WindowSet. The
+/// One owner's window over the slots [begin, end) of its WindowSet. The
 /// owner total is one Lemma-4 aggregation away, so checking per owner costs
 /// the same O(1) rounds as per machine.
 struct Window {
@@ -74,22 +75,41 @@ struct Window {
   std::uint64_t count() const { return end - begin; }
 };
 
+/// A stage's windows over the ids of its mask. Each id is a hash input
+/// once, in `ids`; windows hold 32-bit slots into that table, so a seed
+/// hashes |ids| points however many windows share an id (the §4.2 sums are
+/// per-node sums over neighbours, where every id sits in many windows).
 struct WindowSet {
-  std::vector<std::uint64_t> points;  ///< Hash inputs, window after window.
-  /// kMass windows weigh point x by point_weight[x].
-  std::vector<double> point_weight;
+  /// An empty set over the ids set in `mask`.
+  explicit WindowSet(const std::vector<bool>& mask);
+
+  std::vector<std::uint64_t> ids;    ///< The mask's set ids, ascending.
+  std::vector<std::uint32_t> slots;  ///< Ranks into ids, window after window.
+  /// kMass windows weigh the id in slot s by weight[s].
+  std::vector<double> weight;
   std::vector<Window> windows;
 
-  /// Close a window over the points pushed since `begin` and return its
-  /// size; a window with no points is dropped.
+  /// Append `id` to the open window. Every window entry is in the mask;
+  /// an id outside it fails a check.
+  void push(std::uint64_t id) {
+    DMPC_CHECK(id < slot_of_.size() && slot_of_[id] != kNoSlot);
+    slots.push_back(slot_of_[id]);
+  }
+
+  /// Close a window over the slots pushed since `begin` and return its
+  /// size; a window with no slots is dropped.
   std::uint64_t close(std::uint64_t begin, Side side);
 
-  /// Add the global window: the ids set in `mask`, kBoth. At finite n the
-  /// per-owner windows can all be trivially wide (counts of a few dozen
-  /// admit no non-trivial satisfiable window), so without it the degenerate
+  /// Add the global window: every id, kBoth. At finite n the per-owner
+  /// windows can all be trivially wide (counts of a few dozen admit no
+  /// non-trivial satisfiable window), so without it the degenerate
   /// all-keep / all-drop polynomials would count as good; it rejects them
   /// and guarantees per-stage progress at one Lemma-4 aggregation.
-  void add_global(const std::vector<bool>& mask);
+  void add_global();
+
+ private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot_of_;  ///< Id -> slot; kNoSlot off the mask.
 };
 
 /// The window-bound rule at slack multiplier `mult`. Count windows get

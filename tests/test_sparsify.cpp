@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/faults.hpp"
@@ -340,13 +341,53 @@ TEST(Sparsifiers, GoldenStageSequence) {
     expect_golden(sparse.stages, {{1, 0x0000000cb6d51d1fULL, 1, 998, 3.0},
                                   {2, 0x0000000e335b661eULL, 1, 748, 3.0}});
   }
+  {
+    // An escalating node instance: on p = 2053 (prime, so ids are exactly
+    // the field) node v is joined to the 48-term progression v + i r_v mod
+    // p with its own step r_v. Under a pairwise (linear) hash a window of
+    // such a progression keeps all or nothing of it whenever slope * r_v is
+    // small mod p; with over 2000 distinct steps no seed in the budget makes
+    // every window good at the default slack, so stages 1 and 2 escalate.
+    constexpr NodeId p = 2053;
+    graph::GraphBuilder builder(p);
+    for (NodeId v = 0; v < p; ++v) {
+      const std::uint64_t step = 1 + (1009ULL * v + 17) % (p - 2);
+      for (std::uint64_t i = 1; i <= 48; ++i) {
+        builder.try_add_edge(v, static_cast<NodeId>((v + step * i) % p));
+      }
+    }
+    const Graph dense = std::move(builder).build();
+    Params dense_params;
+    dense_params.n = p;
+    dense_params.inv_delta = 12;
+    const std::vector<bool> all(p, true);
+    auto cluster = roomy_cluster();
+    const auto good = select_mis_good_set(cluster, dense_params, dense, all);
+    // Each Q_0 id sits in the type-B mass windows of many B neighbours.
+    std::vector<std::uint32_t> mass_windows(p, 0);
+    for (NodeId v = 0; v < p; ++v) {
+      if (!good.in_B[v]) continue;
+      for (NodeId u : dense.neighbors(v)) mass_windows[u] += good.in_Q0[u];
+    }
+    ASSERT_GT(*std::max_element(mass_windows.begin(), mass_windows.end()), 1u);
+    const auto sparse = sparsify_nodes(cluster, dense_params, dense, all, good,
+                                       SparsifyConfig{/*hash_k=*/2});
+    expect_golden(sparse.stages, {{1, 0x000000000000ad8bULL, 65, 3981, 6.0},
+                                  {2, 0x0000000000404a60ULL, 65, 3075, 6.0},
+                                  {3, 0x00000000001d007cULL, 3, 2592, 3.0},
+                                  {4, 0x000000000002bbe5ULL, 1, 2335, 3.0}});
+  }
 }
 
-// One window of `count` points 0..count-1 on `side`, bounded at `mult`.
-Window bounded(const WindowSet& base, std::uint64_t count, Side side,
-               double q, double mult) {
-  WindowSet set = base;
-  for (std::uint64_t x = 0; x < count; ++x) set.points.push_back(x);
+// One window of the `count` ids 0..count-1 on `side`, bounded at `mult`; id
+// x weighs weight[x] (an empty `weight` leaves the ids unweighted).
+Window bounded(const std::vector<double>& weight, std::uint64_t count,
+               Side side, double q, double mult) {
+  WindowSet set(std::vector<bool>(count, true));
+  for (std::uint64_t x = 0; x < count; ++x) set.push(x);
+  if (!weight.empty()) {
+    set.weight.assign(weight.begin(), weight.begin() + count);
+  }
   set.close(0, side);
   Window w = set.windows.at(0);
   set_bounds(w, set, q, mult);
@@ -357,7 +398,7 @@ Window bounded(const WindowSet& base, std::uint64_t count, Side side,
 // sigma sqrt(18.75) = 4.3301, so the half-width is 3 * 5.3301 = 15.990 at
 // multiplier 3 and 31.981 at 6.
 TEST(StageWindows, CountBoundsPerSide) {
-  const WindowSet none;
+  const std::vector<double> none;
   const double q = 0.25;
   struct Case {
     Side side;
@@ -386,9 +427,9 @@ TEST(StageWindows, CountBoundsPerSide) {
 // give M = 150, sum w^2 = 62.5 and max w = 1/2, so at q = 1/4 the bound is
 // 37.5 - mult * (sqrt(0.1875 * 62.5) + 0.5) = 37.5 - mult * 3.9233.
 TEST(StageWindows, MassBound) {
-  WindowSet weighted;
+  std::vector<double> weighted;
   for (std::uint64_t x = 0; x < 400; ++x) {
-    weighted.point_weight.push_back(x < 200 ? 0.25 : 0.5);
+    weighted.push_back(x < 200 ? 0.25 : 0.5);
   }
   EXPECT_NEAR(bounded(weighted, 400, Side::kMass, 0.25, 3.0).mass_lo,
               25.730202, 1e-6);
@@ -398,24 +439,57 @@ TEST(StageWindows, MassBound) {
   EXPECT_EQ(bounded(weighted, 4, Side::kMass, 0.25, 3.0).mass_lo, 0.0);
 }
 
+// The mask's ids are bound once each, ascending, and every pushed id is
+// stored as its slot in that table.
+TEST(StageWindows, SlotTableBindsEachIdOnce) {
+  std::vector<bool> mask(200, false);
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t x = 3; x < mask.size(); x += 7) {
+    mask[x] = true;
+    expected.push_back(x);
+  }
+  WindowSet set(mask);
+  EXPECT_EQ(set.ids, expected);
+  std::vector<std::uint64_t> pushed;
+  for (std::uint64_t x = mask.size(); x-- > 0;) {
+    if (!mask[x]) continue;
+    for (std::uint64_t copies = 0; copies < 1 + x % 3; ++copies) {
+      set.push(x);
+      pushed.push_back(x);
+    }
+  }
+  ASSERT_EQ(set.slots.size(), pushed.size());
+  for (std::size_t i = 0; i < pushed.size(); ++i) {
+    EXPECT_EQ(set.ids.at(set.slots[i]), pushed[i]) << "entry " << i;
+  }
+  // An id off the mask is rejected, inside its range or past its end.
+  EXPECT_THROW(set.push(4), CheckFailure);
+  EXPECT_THROW(set.push(mask.size()), CheckFailure);
+  EXPECT_EQ(set.slots.size(), pushed.size());
+}
+
 // The global window covers exactly the ids set in the mask, on both sides.
 TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
-  WindowSet set;
-  set.points = {9, 9};
-  set.add_global({true, false, true, true, false});
+  WindowSet set({true, false, true, true, false, false, false, false, false,
+                 true});
+  set.push(9);
+  set.push(9);
+  set.add_global();
   ASSERT_EQ(set.windows.size(), 1u);
   EXPECT_EQ(set.windows[0].side, Side::kBoth);
   EXPECT_EQ(set.windows[0].begin, 2u);
-  EXPECT_EQ(set.points, (std::vector<std::uint64_t>{9, 9, 0, 2, 3}));
-  set.add_global({false, false});  // an empty set adds no window
-  EXPECT_EQ(set.windows.size(), 1u);
+  EXPECT_EQ(set.ids, (std::vector<std::uint64_t>{0, 2, 3, 9}));
+  EXPECT_EQ(set.slots, (std::vector<std::uint32_t>{3, 3, 0, 1, 2, 3}));
+  WindowSet empty({false, false});
+  empty.add_global();  // an empty set adds no window
+  EXPECT_TRUE(empty.windows.empty());
 }
 
 // Escalation doubles the multiplier; that must only ever widen a window.
 TEST(StageWindows, DoublingTheMultiplierNeverNarrows) {
-  WindowSet weighted;
+  std::vector<double> weighted;
   for (std::uint64_t x = 0; x < 300; ++x) {
-    weighted.point_weight.push_back(1.0 / static_cast<double>(1 + x % 7));
+    weighted.push_back(1.0 / static_cast<double>(1 + x % 7));
   }
   for (const Side side :
        {Side::kUpper, Side::kLower, Side::kBoth, Side::kMass}) {
@@ -433,17 +507,19 @@ TEST(StageWindows, DoublingTheMultiplierNeverNarrows) {
   }
 }
 
-// One point repeated 1000 times keeps 0 or 1000 of its copies, while the
+// One id pushed 1000 times keeps 0 or 1000 of its copies, while the
 // window at q = 1/4 is 250 ± mult * (sqrt(187.5) + 1) = 250 ± mult * 14.69:
 // no seed is good until the lower bound reaches 0, which first happens at
 // multiplier 24. The search must escalate 3 -> 6 -> 12 -> 24, spending the
 // full kTrialsPerWindow at each width that misses, and commit a seed that
-// drops the point.
+// drops id 7.
 TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
   auto cluster = roomy_cluster();
   const StageHash stage_hash(64, 0.25, 4);
-  WindowSet set;
-  set.points.assign(1000, 7);
+  std::vector<bool> mask(64, false);
+  mask[7] = true;
+  WindowSet set(mask);
+  for (int copy = 0; copy < 1000; ++copy) set.push(7);
   set.close(0, Side::kBoth);
   StageReport report = find_stage_seed(cluster, stage_hash, 1, set, "test");
   EXPECT_EQ(report.window_multiplier, 24.0);
@@ -454,7 +530,7 @@ TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
   const auto fn = stage_hash.family.at(report.seed);
   EXPECT_GE(fn.raw(7), stage_hash.cutoff);
 
-  // The committed hash drops point 7, so a sample of it alone would empty:
+  // The committed hash drops id 7, so a sample of it alone would empty:
   // the guard leaves the mask untouched.
   std::vector<bool> only7(64, false);
   only7[7] = true;
@@ -474,6 +550,32 @@ TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
   }
   EXPECT_EQ(report.items_before, 64u);
   EXPECT_EQ(report.items_after, kept);
+}
+
+// A kMass window weighs each entry by its id's weight, not by the entry's
+// position: its 500 entries are the unit-weight ids 500..999, so M = 500 and
+// at q = 1/4 the bound at x3 is 125 - 3 * (sqrt(93.75) + 1) = 92.95, which
+// the first seeds meet (the kept count is 125 ± 9.7). Reading the weights
+// of positions 0..499, which are 0, would zero the bound or the mass.
+TEST(StageSeedSearch, MassWindowsWeighEachIdThroughItsSlot) {
+  auto cluster = roomy_cluster();
+  const StageHash stage_hash(1000, 0.25, 4);
+  WindowSet set(std::vector<bool>(1000, true));
+  for (std::uint64_t x = 0; x < 1000; ++x) {
+    set.weight.push_back(x < 500 ? 0.0 : 1.0);
+  }
+  for (std::uint64_t x = 500; x < 1000; ++x) set.push(x);
+  set.close(0, Side::kMass);
+  const StageReport report =
+      find_stage_seed(cluster, stage_hash, 1, set, "test");
+  EXPECT_EQ(report.window_multiplier, kWindowSlack);
+  EXPECT_NEAR(set.windows[0].mass_lo, 92.952625, 1e-6);
+  const auto fn = stage_hash.family.at(report.seed);
+  double mass = 0.0;
+  for (std::uint64_t x = 500; x < 1000; ++x) {
+    if (fn.raw(x) < stage_hash.cutoff) mass += 1.0;
+  }
+  EXPECT_GE(mass, set.windows[0].mass_lo);
 }
 
 // An unrecoverable fault inside a stage's seed search is not an exhausted
