@@ -108,24 +108,17 @@ Json to_json(const obs::EventsSummary& events) {
       .set("filtered_events", events.filtered_events);
 }
 
-std::uint32_t report_schema_version(const SolveReport& report) {
-  if (report.events.enabled) return kEventsReportSchemaVersion;
-  if (report.profile.enabled) return kProfiledReportSchemaVersion;
-  return kReportSchemaVersion;
-}
-
 Json to_json(const SolveReport& report) {
   // Only the golden model section of the registry delta enters the report:
   // the recovery section would break the "identical modulo the recovery
   // block" fault contract, and the host section (wall/RSS, executor
   // scheduling) is non-deterministic by nature. The optional `profile`
-  // block (and the schema_version 5 that announces it) appears only for
-  // profiled solves, keeping unprofiled output byte-identical to v4; the
-  // optional `events_summary` block (schema_version 8) likewise appears
-  // only for solves with an event bus attached.
+  // block appears only for profiled solves and the optional
+  // `events_summary` block only for solves with an event bus attached; the
+  // schema version is the same either way.
   Json json =
       Json::object()
-          .set("schema_version", report_schema_version(report))
+          .set("schema_version", kReportSchemaVersion)
           .set("algorithm", report.algorithm_used)
           .set("iterations", report.iterations)
           .set("metrics", to_json(report.metrics))
@@ -144,65 +137,6 @@ Json to_json(const SolveReport& report) {
 
 std::string Solver::report_json(const SolveReport& solve_report) const {
   return to_json(solve_report).dump();
-}
-
-Json to_json(const matching::IterationReport& report) {
-  return Json::object()
-      .set("iteration", report.iteration)
-      .set("class", report.cls)
-      .set("edges_before", report.edges_before)
-      .set("edges_after", report.edges_after)
-      .set("matched_pairs", report.matched_pairs)
-      .set("progress_fraction", report.progress_fraction)
-      .set("selection_trials", report.selection_trials)
-      .set("sparsify_stages", report.sparsify_stages)
-      .set("estar_max_degree", report.estar_max_degree)
-      .set("invariant_degree_ratio", report.invariant_degree_ratio)
-      .set("invariant_xv_ratio", report.invariant_xv_ratio)
-      .set("window_multiplier", report.window_multiplier);
-}
-
-Json to_json(const mis::MisIterationReport& report) {
-  return Json::object()
-      .set("iteration", report.iteration)
-      .set("class", report.cls)
-      .set("edges_before", report.edges_before)
-      .set("edges_after", report.edges_after)
-      .set("independent_added", report.independent_added)
-      .set("isolated_added", report.isolated_added)
-      .set("progress_fraction", report.progress_fraction)
-      .set("selection_trials", report.selection_trials)
-      .set("sparsify_stages", report.sparsify_stages)
-      .set("qprime_max_degree", report.qprime_max_degree)
-      .set("invariant_degree_ratio", report.invariant_degree_ratio)
-      .set("invariant_xv_ratio", report.invariant_xv_ratio)
-      .set("window_multiplier", report.window_multiplier);
-}
-
-Json to_json(const matching::DetMatchingResult& result) {
-  Json iterations = Json::array();
-  for (const auto& report : result.reports) iterations.push(to_json(report));
-  return Json::object()
-      .set("schema_version", kReportSchemaVersion)
-      .set("matching_size", result.matching.size())
-      .set("iterations", result.iterations)
-      .set("metrics", to_json(result.metrics))
-      .set("recovery", to_json(result.recovery))
-      .set("trace", std::move(iterations));
-}
-
-Json to_json(const mis::DetMisResult& result) {
-  Json iterations = Json::array();
-  for (const auto& report : result.reports) iterations.push(to_json(report));
-  std::uint64_t size = 0;
-  for (bool b : result.in_set) size += b;
-  return Json::object()
-      .set("schema_version", kReportSchemaVersion)
-      .set("mis_size", size)
-      .set("iterations", result.iterations)
-      .set("metrics", to_json(result.metrics))
-      .set("recovery", to_json(result.recovery))
-      .set("trace", std::move(iterations));
 }
 
 }  // namespace dmpc

@@ -83,19 +83,17 @@ struct SolveOptions {
   /// (obs/events.hpp): solve/phase/round lifecycle in the model section —
   /// byte-identical across thread counts, fault plans, and storage backends
   /// — and checkpoint/retry/storage rungs in the recovery section. The
-  /// report then carries an `events_summary` block and stamps
-  /// kEventsReportSchemaVersion; without a bus, reports are byte-identical
-  /// to pre-events output. The Solver finishes (flushes) the bus before
-  /// returning — including on CertificationError/FaultError unwind paths.
+  /// report then carries an `events_summary` block; without a bus it has
+  /// no such key and is otherwise byte-identical. The Solver finishes
+  /// (flushes) the bus before returning — including on
+  /// CertificationError/FaultError unwind paths.
   obs::EventBus* events = nullptr;
   /// Round profiler: record the per-round load-skew timeline (per-machine
   /// load observations folded into max/mean/Gini/top-k records — see
-  /// obs/profiler.hpp) and embed it as the report's `profile` block
-  /// (kProfiledReportSchemaVersion). The profile is model-deterministic:
-  /// byte-identical
-  /// across thread counts and admissible fault plans. Off by default; when
-  /// off, reports and traces are byte-identical to a build without the
-  /// profiler.
+  /// obs/profiler.hpp) and embed it as the report's optional `profile`
+  /// block. The profile is model-deterministic: byte-identical across
+  /// thread counts and admissible fault plans. Off by default; when off,
+  /// reports and traces are byte-identical to a build without the profiler.
   bool profile = false;
   /// Checked mode: kOff returns the answer uncertified (zero cost); kAnswer
   /// certifies the answer itself (MIS/matching claims + space accounting);
@@ -134,29 +132,21 @@ struct SolveReport {
   obs::EventsSummary events;
 };
 
-/// Version of the serialized report schema. Bumped to 2 when the
+/// Version of the serialized report schema, the same for every report and
+/// for the CLI's --metrics-out document. Bumped to 2 when the
 /// "schema_version" and "recovery" keys were added, to 3 when the
 /// "certificate" and "sparsify_audit" blocks were added, and to 4 when the
 /// "registry" block (model-section metrics-registry delta) was added;
-/// downstream parsers should branch on this rather than sniffing keys.
-/// Version 5 added the optional `profile` block (round-profiler skew
-/// timeline). Version 6 adds the recovery block's "storage" sub-object
-/// (host storage-layer recovery ledger: io-fault injections, retries,
-/// checksum failures, quarantines, degradation) and the storage_integrity
-/// certificate claim; like the rest of the recovery block it is all-zero on
-/// a clean run, so reports stay byte-identical across io-fault plans modulo
-/// the typed "recovery" key.
-inline constexpr std::uint32_t kReportSchemaVersion = 6;
-
-/// Schema version of reports carrying the `profile` block (a report carries
-/// this exactly when it was solved with SolveOptions::profile on).
-inline constexpr std::uint32_t kProfiledReportSchemaVersion = 7;
-
-/// Schema version of reports carrying the `events_summary` block (a report
-/// carries this exactly when it was solved with an EventBus attached).
-/// An events-enabled report also carries the `profile` block when profiling
-/// was on; the stamp is the highest enabled tier (events > profile > base).
-inline constexpr std::uint32_t kEventsReportSchemaVersion = 8;
+/// downstream parsers should branch on this rather than sniffing keys,
+/// except for the two optional blocks below. Version 5 added the optional `profile` block (round-profiler skew
+/// timeline). Version 6 added the recovery block's "storage" sub-object
+/// (host storage-layer recovery ledger) and the storage_integrity
+/// certificate claim. Versions 7 and 8 stamped profiled and event-observed
+/// reports. Version 9 retires those flag-dependent stamps: every report
+/// carries 9, and `profile` (SolveOptions::profile) and `events_summary`
+/// (SolveOptions::events) are optional blocks present exactly when their
+/// feature was on.
+inline constexpr std::uint32_t kReportSchemaVersion = 9;
 
 struct MisSolution {
   std::vector<bool> in_set;

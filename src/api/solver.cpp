@@ -51,6 +51,79 @@ void fill_audit(verify::SparsifyAudit* audit, const IterationReports& reports,
   }
 }
 
+// The per-problem half of Theorem 1's dispatch. Matching is MIS on L(G)
+// (§2.1), so a solve differs between the two problems only in what these
+// traits name: the event label, the two pipelines, the answer field, the
+// audit's max-degree field, the answer claims and the replay diff's unit.
+template <typename Solution>
+struct Problem;
+
+template <>
+struct Problem<MisSolution> {
+  static constexpr const char* kEvent = "mis";
+  static constexpr const char* kDiffAt = "on node";
+  static auto lowdeg(const graph::Graph& g, const lowdeg::LowDegConfig& c) {
+    return lowdeg::lowdeg_mis(g, c);
+  }
+  static const auto& lowdeg_run(const lowdeg::LowDegMisResult& r) { return r; }
+  static auto sparse(const graph::Graph& g, const mis::DetMisConfig& c) {
+    return mis::det_mis(g, c);
+  }
+  static auto& answer(auto& record) { return record.in_set; }
+  static auto max_degree(const mis::MisIterationReport& r) {
+    return r.qprime_max_degree;
+  }
+  static std::vector<verify::ClaimResult> claims(
+      const verify::Certifier& certifier, const graph::Graph& g,
+      const MisSolution& s) {
+    return {certifier.check_mis_independence(g, s.in_set),
+            certifier.check_mis_maximality(g, s.in_set)};
+  }
+};
+
+template <>
+struct Problem<MatchingSolution> {
+  static constexpr const char* kEvent = "matching";
+  static constexpr const char* kDiffAt = "at matching slot";
+  static auto lowdeg(const graph::Graph& g, const lowdeg::LowDegConfig& c) {
+    return lowdeg::lowdeg_matching(g, c);
+  }
+  static const auto& lowdeg_run(const lowdeg::LowDegMatchingResult& r) {
+    return r.line_mis;
+  }
+  static auto sparse(const graph::Graph& g,
+                     const matching::DetMatchingConfig& c) {
+    return matching::det_maximal_matching(g, c);
+  }
+  static auto& answer(auto& record) { return record.matching; }
+  static auto max_degree(const matching::IterationReport& r) {
+    return r.estar_max_degree;
+  }
+  static std::vector<verify::ClaimResult> claims(
+      const verify::Certifier& certifier, const graph::Graph& g,
+      const MatchingSolution& s) {
+    return {certifier.check_matching_validity(g, s.matching),
+            certifier.check_matching_maximality(g, s.matching)};
+  }
+};
+
+// Scope guard clearing Solver::active_storage_ even when the solve throws
+// (CertificationError, FaultError), so a later plain-graph solve on the same
+// Solver cannot pick up a dangling backend pointer.
+class ActiveStorageScope {
+ public:
+  ActiveStorageScope(const mpc::Storage** slot, const mpc::Storage* value)
+      : slot_(slot) {
+    *slot_ = value;
+  }
+  ~ActiveStorageScope() { *slot_ = nullptr; }
+  ActiveStorageScope(const ActiveStorageScope&) = delete;
+  ActiveStorageScope& operator=(const ActiveStorageScope&) = delete;
+
+ private:
+  const mpc::Storage** slot_;
+};
+
 }  // namespace
 
 const char* status_code_name(StatusCode code) {
@@ -349,13 +422,16 @@ bool Solver::low_degree_regime(const graph::Graph& g) const {
          line_degree * line_degree <= s_budget;
 }
 
-MisSolution Solver::mis(const graph::Graph& g) const {
+template <typename Solution>
+Solution Solver::solve(const graph::Graph& g) const {
+  using P = Problem<Solution>;
   require_valid();
-  emit_solve_started("mis", g);
+  emit_solve_started(P::kEvent, g);
   try {
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
-    MisSolution solution;
+    Solution solution;
+    SolveReport& report = solution.report;
     obs::RoundProfiler profiler;
     obs::RoundProfiler* prof = options_.profile ? &profiler : nullptr;
     const bool lowdeg =
@@ -364,105 +440,36 @@ MisSolution Solver::mis(const graph::Graph& g) const {
     if (lowdeg) {
       const auto config = pipeline_config<lowdeg::LowDegConfig>(
           options_, cluster_setup(prof));
-      auto result = lowdeg::lowdeg_mis(g, config);
-      solution.in_set = std::move(result.in_set);
-      solution.report.algorithm_used = "lowdeg";
-      solution.report.iterations = result.stages;
-      solution.report.metrics = result.metrics;
-      solution.report.recovery = result.recovery;
-    } else {
-      const auto config =
-          pipeline_config<mis::DetMisConfig>(options_, cluster_setup(prof));
-      auto result = mis::det_mis(g, config);
-      solution.in_set = std::move(result.in_set);
-      solution.report.algorithm_used = "sparsification";
-      solution.report.iterations = result.iterations;
-      solution.report.metrics = result.metrics;
-      solution.report.recovery = result.recovery;
-      fill_audit(&solution.report.sparsify, result.reports,
-                 matching::params_for(config, g.num_nodes()).degree_cap(),
-                 [](const mis::MisIterationReport& r) {
-                   return r.qprime_max_degree;
-                 });
-    }
-    if (prof != nullptr) solution.report.profile = prof->snapshot();
-    capture_registry_delta(before, &solution.report);
-    finalize_mis_certificate(g, &solution);
-    emit_solve_finished(&solution.report);
-    return solution;
-  } catch (...) {
-    flush_observers_on_unwind();
-    throw;
-  }
-}
-
-MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
-  require_valid();
-  emit_solve_started("matching", g);
-  try {
-    const obs::MetricsSnapshot before =
-        obs::MetricsRegistry::global().snapshot();
-    MatchingSolution solution;
-    obs::RoundProfiler profiler;
-    obs::RoundProfiler* prof = options_.profile ? &profiler : nullptr;
-    const bool lowdeg =
-        options_.algorithm == Algorithm::kLowDegree ||
-        (options_.algorithm == Algorithm::kAuto && low_degree_regime(g));
-    if (lowdeg) {
-      const auto config = pipeline_config<lowdeg::LowDegConfig>(
-          options_, cluster_setup(prof));
-      auto result = lowdeg::lowdeg_matching(g, config);
-      solution.matching = std::move(result.matching);
-      solution.report.algorithm_used = "lowdeg";
-      solution.report.iterations = result.line_mis.stages;
-      solution.report.metrics = result.line_mis.metrics;
-      solution.report.recovery = result.line_mis.recovery;
+      auto result = P::lowdeg(g, config);
+      P::answer(solution) = std::move(P::answer(result));
+      const auto& run = P::lowdeg_run(result);
+      report.algorithm_used = "lowdeg";
+      report.iterations = run.stages;
+      report.metrics = run.metrics;
+      report.recovery = run.recovery;
     } else {
       const auto config = pipeline_config<matching::DetMatchingConfig>(
           options_, cluster_setup(prof));
-      auto result = matching::det_maximal_matching(g, config);
-      solution.matching = std::move(result.matching);
-      solution.report.algorithm_used = "sparsification";
-      solution.report.iterations = result.iterations;
-      solution.report.metrics = result.metrics;
-      solution.report.recovery = result.recovery;
-      fill_audit(&solution.report.sparsify, result.reports,
+      auto result = P::sparse(g, config);
+      P::answer(solution) = std::move(P::answer(result));
+      report.algorithm_used = "sparsification";
+      report.iterations = result.iterations;
+      report.metrics = result.metrics;
+      report.recovery = result.recovery;
+      fill_audit(&report.sparsify, result.reports,
                  matching::params_for(config, g.num_nodes()).degree_cap(),
-                 [](const matching::IterationReport& r) {
-                   return r.estar_max_degree;
-                 });
+                 P::max_degree);
     }
-    if (prof != nullptr) solution.report.profile = prof->snapshot();
-    capture_registry_delta(before, &solution.report);
-    finalize_matching_certificate(g, &solution);
-    emit_solve_finished(&solution.report);
+    if (prof != nullptr) report.profile = prof->snapshot();
+    capture_registry_delta(before, &report);
+    finalize_certificate(g, &solution);
+    emit_solve_finished(&report);
     return solution;
   } catch (...) {
     flush_observers_on_unwind();
     throw;
   }
 }
-
-namespace {
-
-// Scope guard clearing Solver::active_storage_ even when the solve throws
-// (CertificationError, FaultError), so a later plain-graph solve on the same
-// Solver cannot pick up a dangling backend pointer.
-class ActiveStorageScope {
- public:
-  ActiveStorageScope(const mpc::Storage** slot, const mpc::Storage* value)
-      : slot_(slot) {
-    *slot_ = value;
-  }
-  ~ActiveStorageScope() { *slot_ = nullptr; }
-  ActiveStorageScope(const ActiveStorageScope&) = delete;
-  ActiveStorageScope& operator=(const ActiveStorageScope&) = delete;
-
- private:
-  const mpc::Storage** slot_;
-};
-
-}  // namespace
 
 void Solver::storage_gate(const mpc::Storage& storage) const {
   storage_integrity_ = verify::Certifier::skipped(
@@ -496,7 +503,8 @@ verify::ClaimResult Solver::storage_claim() const {
   return storage_integrity_;
 }
 
-MisSolution Solver::mis(const mpc::Storage& storage) const {
+template <typename Solution>
+Solution Solver::solve(const mpc::Storage& storage) const {
   require_valid();
   ActiveStorageScope scope(&active_storage_, &storage);
   try {
@@ -509,20 +517,7 @@ MisSolution Solver::mis(const mpc::Storage& storage) const {
     throw;
   }
   emit_storage_events(storage);
-  return mis(storage.graph());
-}
-
-MatchingSolution Solver::maximal_matching(const mpc::Storage& storage) const {
-  require_valid();
-  ActiveStorageScope scope(&active_storage_, &storage);
-  try {
-    storage_gate(storage);
-  } catch (...) {
-    flush_observers_on_unwind();
-    throw;
-  }
-  emit_storage_events(storage);
-  return maximal_matching(storage.graph());
+  return solve<Solution>(storage.graph());
 }
 
 std::unique_ptr<mpc::Storage> Solver::open_storage(
@@ -616,16 +611,15 @@ void Solver::record_certificate(verify::Certificate certificate,
   }
 }
 
-void Solver::finalize_mis_certificate(const graph::Graph& g,
-                                      MisSolution* solution) const {
+template <typename Solution>
+void Solver::finalize_certificate(const graph::Graph& g,
+                                  Solution* solution) const {
+  using P = Problem<Solution>;
   if (options_.certify == verify::CertifyMode::kOff) {
     last_certificate_ = verify::Certificate{};
     return;
   }
   const verify::Certifier certifier(make_executor());
-  std::vector<verify::ClaimResult> claims;
-  claims.push_back(certifier.check_mis_independence(g, solution->in_set));
-  claims.push_back(certifier.check_mis_maximality(g, solution->in_set));
   auto replay = [&](std::uint64_t* compared, std::uint64_t* diff_index,
                     std::string* detail) {
     SolveOptions replay_options = options_;
@@ -633,62 +627,49 @@ void Solver::finalize_mis_certificate(const graph::Graph& g,
     replay_options.trace = nullptr;
     replay_options.events = nullptr;  // replay must not pollute the stream
     replay_options.certify = verify::CertifyMode::kOff;
-    const MisSolution clean = Solver(replay_options).mis(g);
-    *compared = solution->in_set.size();
-    for (std::uint64_t i = 0; i < solution->in_set.size(); ++i) {
-      if (solution->in_set[i] != clean.in_set[i]) {
+    const Solution clean = Solver(replay_options).solve<Solution>(g);
+    const auto& ours = P::answer(*solution);
+    const auto& theirs = P::answer(clean);
+    *compared = ours.size();
+    // Only a matching can differ in length: an MIS answer has one entry
+    // per node.
+    if (ours.size() != theirs.size()) {
+      *diff_index = std::min(ours.size(), theirs.size());
+      *detail = "run matched " + std::to_string(ours.size()) +
+                " edges, fault-free replay matched " +
+                std::to_string(theirs.size());
+      return false;
+    }
+    for (std::uint64_t i = 0; i < ours.size(); ++i) {
+      if (ours[i] != theirs[i]) {
         *diff_index = i;
-        *detail = "fault-free replay disagrees on node " +
-                  std::to_string(i);
+        *detail = std::string("fault-free replay disagrees ") + P::kDiffAt +
+                  " " + std::to_string(i);
         return false;
       }
     }
     return true;
   };
   record_certificate(
-      certify_common(g, solution->report, std::move(claims), replay),
+      certify_common(g, solution->report, P::claims(certifier, g, *solution),
+                     replay),
       &solution->report);
 }
 
-void Solver::finalize_matching_certificate(const graph::Graph& g,
-                                           MatchingSolution* solution) const {
-  if (options_.certify == verify::CertifyMode::kOff) {
-    last_certificate_ = verify::Certificate{};
-    return;
-  }
-  const verify::Certifier certifier(make_executor());
-  std::vector<verify::ClaimResult> claims;
-  claims.push_back(certifier.check_matching_validity(g, solution->matching));
-  claims.push_back(certifier.check_matching_maximality(g, solution->matching));
-  auto replay = [&](std::uint64_t* compared, std::uint64_t* diff_index,
-                    std::string* detail) {
-    SolveOptions replay_options = options_;
-    replay_options.faults = mpc::FaultPlan{};
-    replay_options.trace = nullptr;
-    replay_options.events = nullptr;  // replay must not pollute the stream
-    replay_options.certify = verify::CertifyMode::kOff;
-    const MatchingSolution clean = Solver(replay_options).maximal_matching(g);
-    *compared = solution->matching.size();
-    if (solution->matching.size() != clean.matching.size()) {
-      *diff_index = std::min(solution->matching.size(), clean.matching.size());
-      *detail = "run matched " + std::to_string(solution->matching.size()) +
-                " edges, fault-free replay matched " +
-                std::to_string(clean.matching.size());
-      return false;
-    }
-    for (std::uint64_t i = 0; i < solution->matching.size(); ++i) {
-      if (solution->matching[i] != clean.matching[i]) {
-        *diff_index = i;
-        *detail = "fault-free replay disagrees at matching slot " +
-                  std::to_string(i);
-        return false;
-      }
-    }
-    return true;
-  };
-  record_certificate(
-      certify_common(g, solution->report, std::move(claims), replay),
-      &solution->report);
+MisSolution Solver::mis(const graph::Graph& g) const {
+  return solve<MisSolution>(g);
+}
+
+MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
+  return solve<MatchingSolution>(g);
+}
+
+MisSolution Solver::mis(const mpc::Storage& storage) const {
+  return solve<MisSolution>(storage);
+}
+
+MatchingSolution Solver::maximal_matching(const mpc::Storage& storage) const {
+  return solve<MatchingSolution>(storage);
 }
 
 }  // namespace dmpc

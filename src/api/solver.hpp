@@ -148,6 +148,17 @@ class Solver {
  private:
   void require_valid() const;
 
+  /// The one Theorem-1 solve behind mis(g) and maximal_matching(g)
+  /// (Solution is MisSolution or MatchingSolution): dispatch, pipeline,
+  /// report, registry delta and certificate.
+  template <typename Solution>
+  Solution solve(const graph::Graph& g) const;
+
+  /// The one storage-seam solve behind the Storage overloads: attach the
+  /// backend, run the integrity gate, then solve(storage.graph()).
+  template <typename Solution>
+  Solution solve(const mpc::Storage& storage) const;
+
   /// The host wiring of every cluster this solver builds: threads,
   /// overrides, fault plan, trace session and event bus from the options,
   /// plus `profiler` (the solve's own, or null).
@@ -191,10 +202,10 @@ class Solver {
   void record_certificate(verify::Certificate certificate,
                           SolveReport* report) const;
 
-  void finalize_mis_certificate(const graph::Graph& g,
-                                MisSolution* solution) const;
-  void finalize_matching_certificate(const graph::Graph& g,
-                                     MatchingSolution* solution) const;
+  /// Certify `solution` per options().certify: the problem's answer claims,
+  /// then certify_common with a fault-free replay of the same solve.
+  template <typename Solution>
+  void finalize_certificate(const graph::Graph& g, Solution* solution) const;
 
   /// Export the pipeline's metrics into the global registry, sample the
   /// host gauges, and store the per-solve delta against `before` into the

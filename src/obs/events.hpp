@@ -240,8 +240,8 @@ class CollectorEventSink final : public EventSink {
 /// counts, fault plans, and storage backends for a fixed (graph, options).
 std::string model_projection(const std::vector<ProgressEvent>& events);
 
-/// Summary block embedded in SolveReport (report schema v8). enabled stays
-/// false — and the report stays byte-identical to schema v7 output — unless
+/// Summary block embedded in SolveReport as the optional `events_summary`
+/// block. enabled stays false — and the report carries no such key — unless
 /// a bus was attached to the solve.
 struct EventsSummary {
   bool enabled = false;

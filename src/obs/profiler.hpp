@@ -14,7 +14,7 @@
 //    driven solely by the orchestrating thread, so the resulting snapshot is
 //    byte-identical across thread counts and admissible fault plans — it
 //    exports into the registry kModel section and the report JSON `profile`
-//    block (schema_version 5) behind SolveOptions::profile.
+//    block (optional, present only under SolveOptions::profile).
 //
 //  * HostScope (host side, non-golden): RAII scope measuring wall time,
 //    thread-CPU time (CLOCK_THREAD_CPUTIME_ID), and allocation counts/bytes

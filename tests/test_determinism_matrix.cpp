@@ -350,7 +350,7 @@ CaseSolution solve_case(const Solver& solver, const PipelineCase& c,
 //
 // The round profiler (obs/profiler.hpp) extends the matrix: with
 // SolveOptions::profile on, the report's `profile` block — and the whole
-// profiled-schema report around it — must stay byte-identical across
+// profiled report around it — must stay byte-identical across
 // thread counts and admissible fault plans, because every observation and
 // commit happens on the orchestrating thread and only on committing
 // attempts.
@@ -389,7 +389,7 @@ TEST(DeterminismMatrix, ProfilerAxis) {
     const auto reference = run_profiled(c, /*threads=*/1, mpc::FaultPlan{});
     EXPECT_NE(reference.report_json.find("\"profile\""), std::string::npos)
         << c.name;
-    EXPECT_NE(reference.report_json.find("\"schema_version\":7"),
+    EXPECT_NE(reference.report_json.find("\"schema_version\":9"),
               std::string::npos)
         << c.name;
     EXPECT_NE(reference.profile_json.find("\"records_committed\""),

@@ -228,7 +228,7 @@ TEST(EventProgressLine, LifecycleEventsAlwaysPrint) {
 
 // ---- Solver integration ----
 
-TEST(EventsSolve, StreamsLifecycleAndStampsSchemaV8) {
+TEST(EventsSolve, StreamsLifecycleAndCarriesSummaryBlock) {
   const auto g = graph::gnm(300, 2400, 7);
   obs::CollectorEventSink collector;
   EventBus bus;
@@ -266,17 +266,17 @@ TEST(EventsSolve, StreamsLifecycleAndStampsSchemaV8) {
   EXPECT_EQ(solution.report.events.stream_version, obs::kEventStreamVersion);
   EXPECT_EQ(solution.report.events.model_events, bus.model_events());
   const std::string json = to_json(solution.report).dump();
-  EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_NE(json.find("\"events_summary\""), std::string::npos);
 }
 
-TEST(EventsSolve, UnobservedReportIsByteIdenticalToPreEventsSchema) {
+TEST(EventsSolve, UnobservedReportHasNoSummaryBlock) {
   const auto g = graph::gnm(200, 800, 9);
   const auto solution = Solver(SolveOptions{}).mis(g);
   const std::string json = to_json(solution.report).dump();
-  // No bus attached: no events_summary key, pre-events schema stamp.
+  // No bus attached: no events_summary key, the same schema stamp.
   EXPECT_EQ(json.find("\"events_summary\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_FALSE(solution.report.events.enabled);
 }
 

@@ -490,7 +490,6 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
   const Solver solver(options);
   const auto solution = solver.mis(g);
 
-  EXPECT_EQ(report_schema_version(solution.report), kReportSchemaVersion);
   const Json typed = to_json(solution.report);
   EXPECT_EQ(typed.at("schema_version").as_int64(), kReportSchemaVersion);
   EXPECT_EQ(typed.at("algorithm").as_string(),
@@ -499,7 +498,7 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
             static_cast<std::int64_t>(solution.report.recovery.retries));
 
   const std::string json = solver.report_json(solution.report);
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"recovery\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"retries_by_label\""), std::string::npos) << json;
   // Schema >= 4: the golden model section of the registry delta rides

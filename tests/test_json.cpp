@@ -4,9 +4,8 @@
 #include <string>
 
 #include "api/report_json.hpp"
+#include "api/solver.hpp"
 #include "graph/generators.hpp"
-#include "matching/det_matching.hpp"
-#include "mis/det_mis.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/parse_error.hpp"
@@ -131,26 +130,12 @@ TEST(JsonParse, DepthCapRejectsPathologicalNesting) {
   EXPECT_TRUE(ok.is_array());
 }
 
-TEST(ReportJson, MatchingRunSerializes) {
+TEST(ReportJson, SolveReportSerializesDeterministically) {
   const auto g = graph::gnm(128, 512, 1);
-  const auto result = matching::det_maximal_matching(g, {});
-  const auto j = to_json(result);
-  const auto text = j.dump(2);
-  EXPECT_NE(text.find("\"matching_size\""), std::string::npos);
+  const auto text = to_json(Solver().maximal_matching(g).report).dump();
   EXPECT_NE(text.find("\"rounds_by_label\""), std::string::npos);
-  EXPECT_NE(text.find("\"trace\""), std::string::npos);
-  EXPECT_NE(text.find("\"progress_fraction\""), std::string::npos);
-}
-
-TEST(ReportJson, MisRunSerializes) {
-  const auto g = graph::gnm(128, 512, 2);
-  const auto result = mis::det_mis(g, {});
-  const auto text = to_json(result).dump();
-  EXPECT_NE(text.find("\"mis_size\""), std::string::npos);
-  EXPECT_NE(text.find("\"qprime_max_degree\""), std::string::npos);
-  // Deterministic runs serialize identically.
-  const auto again = to_json(mis::det_mis(g, {})).dump();
-  EXPECT_EQ(text, again);
+  // Deterministic solves serialize identically.
+  EXPECT_EQ(text, to_json(Solver().maximal_matching(g).report).dump());
 }
 
 }  // namespace

@@ -229,7 +229,7 @@ TEST(ProfileSnapshot, JsonBlockIsIntegerOnlyAndComplete) {
 
 // ---- Solver integration ----
 
-TEST(ProfiledSolve, ReportCarriesProfileBlockAndProfiledSchema) {
+TEST(ProfiledSolve, ReportCarriesProfileBlock) {
   const auto g = graph::gnm(300, 2400, 9);
   SolveOptions options;
   options.profile = true;
@@ -249,16 +249,16 @@ TEST(ProfiledSolve, ReportCarriesProfileBlockAndProfiledSchema) {
     }
   }
   const std::string json = to_json(solution.report).dump();
-  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_NE(json.find("\"profile\""), std::string::npos);
 }
 
-TEST(ProfiledSolve, OffByDefaultKeepsBaseSchemaAndNoProfileKey) {
+TEST(ProfiledSolve, OffByDefaultHasNoProfileKey) {
   const auto g = graph::gnm(300, 2400, 9);
   const auto solution = Solver(SolveOptions{}).mis(g);
   EXPECT_FALSE(solution.report.profile.enabled);
   const std::string json = to_json(solution.report).dump();
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_EQ(json.find("\"profile\""), std::string::npos);
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -646,6 +647,7 @@ TEST(StorageIntegrity, ParanoidGateCatchesPostOpenCorruption) {
   // cache makes the write visible through the existing mapping.
   corrupt_byte(dir.path() / "shards" / shard_file_name(0), -1);
   EXPECT_THROW(Solver().mis(*storage), StorageError);
+  EXPECT_THROW(Solver().maximal_matching(*storage), StorageError);
 }
 
 TEST(StorageIntegrity, CertifyGateFailsStorageIntegrityClaim) {
@@ -658,15 +660,20 @@ TEST(StorageIntegrity, CertifyGateFailsStorageIntegrityClaim) {
   SolveOptions options;
   options.certify = verify::CertifyMode::kAnswer;
   const Solver solver(options);
-  try {
-    solver.mis(*storage);
-    FAIL() << "corrupt backend certified";
-  } catch (const verify::CertificationError& e) {
-    ASSERT_EQ(e.certificate().claims.size(), 1u);
-    EXPECT_EQ(e.certificate().claims[0].claim,
-              verify::Claim::kStorageIntegrity);
-    EXPECT_EQ(e.certificate().claims[0].verdict, verify::Verdict::kFail);
-    EXPECT_TRUE(e.certificate().claims[0].has_witness);
+  const std::function<void()> solves[] = {
+      [&] { solver.mis(*storage); },
+      [&] { solver.maximal_matching(*storage); }};
+  for (const auto& solve : solves) {
+    try {
+      solve();
+      FAIL() << "corrupt backend certified";
+    } catch (const verify::CertificationError& e) {
+      ASSERT_EQ(e.certificate().claims.size(), 1u);
+      EXPECT_EQ(e.certificate().claims[0].claim,
+                verify::Claim::kStorageIntegrity);
+      EXPECT_EQ(e.certificate().claims[0].verdict, verify::Verdict::kFail);
+      EXPECT_TRUE(e.certificate().claims[0].has_witness);
+    }
   }
 }
 
@@ -678,12 +685,14 @@ TEST(StorageIntegrity, CertifiedCleanStorageSolveCarriesPassClaim) {
   SolveOptions options;
   options.certify = verify::CertifyMode::kAnswer;
   const Solver solver(options);
-  const auto solution = solver.mis(*storage);
-  EXPECT_TRUE(solution.report.certificate.ok());
-  const auto& claim = solution.report.certificate.claims.back();
-  EXPECT_EQ(claim.claim, verify::Claim::kStorageIntegrity);
-  EXPECT_EQ(claim.verdict, verify::Verdict::kPass);
-  EXPECT_EQ(claim.checked, storage->manifest().shards.size());
+  for (const SolveReport& report : {solver.mis(*storage).report,
+                                    solver.maximal_matching(*storage).report}) {
+    EXPECT_TRUE(report.certificate.ok());
+    const auto& claim = report.certificate.claims.back();
+    EXPECT_EQ(claim.claim, verify::Claim::kStorageIntegrity);
+    EXPECT_EQ(claim.verdict, verify::Verdict::kPass);
+    EXPECT_EQ(claim.checked, storage->manifest().shards.size());
+  }
 }
 
 TEST(StorageIntegrity, CrashedBuilderLeavesNoOpenableDirectory) {

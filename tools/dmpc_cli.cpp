@@ -30,9 +30,9 @@
 // --certify runs checked mode (docs/ROBUSTNESS.md): the answer is verified
 // before it is reported, a one-line certificate verdict is printed, and a
 // failed certificate exits 3. --profile records the per-round load-skew
-// timeline (docs/OBSERVABILITY.md): report JSON and --metrics-out gain a
-// `profile` block (kProfiledReportSchemaVersion), and traces gain hostprof
-// counters.
+// timeline (docs/OBSERVABILITY.md): report JSON and --metrics-out gain the
+// optional `profile` block (the schema version stays kReportSchemaVersion),
+// and traces gain hostprof counters.
 // --storage=mmap --shard-dir=<dir> solves out of a shard directory built by
 // tools/shard_build instead of parsing --in (docs/STORAGE.md); answers and
 // report JSON are byte-identical to the in-memory backend.
@@ -44,8 +44,8 @@
 // are byte-identical to the fault-free run for any plan within budget.
 // --events streams typed JSONL progress events (docs/OBSERVABILITY.md,
 // "Live telemetry"); --events-filter narrows categories, --progress mirrors
-// lifecycle events as a throttled stderr line, and the report is stamped
-// with the events schema version. --metrics-format=openmetrics switches
+// lifecycle events as a throttled stderr line, and the report gains the
+// optional `events_summary` block. --metrics-format=openmetrics switches
 // --metrics-out to the OpenMetrics v1.0 text exposition; --host-sample-ms
 // runs a periodic host-gauge sampler whose ring rides along in the JSON
 // metrics document as `host_samples` (host section — never golden).
@@ -54,6 +54,7 @@
 // and exit 2; internal check failures exit 1.
 //
 // Graphs are plain edge lists: "n m" header then "u v" per line.
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -136,57 +137,67 @@ Graph generate(const dmpc::ArgParser& args) {
                          0, 0, dmpc::parse::clip(family));
 }
 
+/// Loads the plan file a --fault-plan / --io-fault-plan flag names: an
+/// unreadable file is ParseError(kIoError), a malformed plan the typed
+/// option error `invalid`.
+template <typename Plan>
+Plan load_plan(const std::string& path, const char* what,
+               dmpc::StatusCode invalid) {
+  errno = 0;
+  std::ifstream in(path);
+  if (!in.good()) {
+    throw dmpc::ParseError(
+        dmpc::ParseErrorCode::kIoError,
+        std::string("cannot open ") + what + " '" + path +
+            "': " + (errno != 0 ? std::strerror(errno) : "unknown error"));
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return Plan::parse(text.str());
+  } catch (const dmpc::ParseError& e) {
+    throw dmpc::OptionsError(
+        dmpc::Status::error(invalid, path + ": " + e.what()));
+  }
+}
+
 dmpc::CliSolveOptions solve_options(const dmpc::ArgParser& args) {
   // Flag parsing is shared with the fuzz harness (api/cli_options.hpp);
-  // only file IO — loading the fault plan — happens here.
+  // only file IO — loading the fault plans — happens here.
   dmpc::CliSolveOptions cli = dmpc::parse_solve_options(args);
   if (!cli.fault_plan_path.empty()) {
-    errno = 0;
-    std::ifstream in(cli.fault_plan_path);
-    if (!in.good()) {
-      throw dmpc::ParseError(
-          dmpc::ParseErrorCode::kIoError,
-          "cannot open fault plan '" + cli.fault_plan_path +
-              "': " + (errno != 0 ? std::strerror(errno) : "unknown error"));
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      cli.options.faults = dmpc::mpc::FaultPlan::parse(text.str());
-    } catch (const dmpc::ParseError& e) {
-      throw dmpc::OptionsError(
-          dmpc::Status::error(dmpc::StatusCode::kInvalidFaultPlan,
-                              cli.fault_plan_path + ": " + e.what()));
-    }
+    cli.options.faults = load_plan<dmpc::mpc::FaultPlan>(
+        cli.fault_plan_path, "fault plan", dmpc::StatusCode::kInvalidFaultPlan);
   }
   if (!cli.io_fault_plan_path.empty()) {
-    errno = 0;
-    std::ifstream in(cli.io_fault_plan_path);
-    if (!in.good()) {
-      throw dmpc::ParseError(
-          dmpc::ParseErrorCode::kIoError,
-          "cannot open io fault plan '" + cli.io_fault_plan_path +
-              "': " + (errno != 0 ? std::strerror(errno) : "unknown error"));
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      cli.options.io_faults = dmpc::mpc::IoFaultPlan::parse(text.str());
-    } catch (const dmpc::ParseError& e) {
-      throw dmpc::OptionsError(
-          dmpc::Status::error(dmpc::StatusCode::kInvalidIoFaultPlan,
-                              cli.io_fault_plan_path + ": " + e.what()));
-    }
+    cli.options.io_faults = load_plan<dmpc::mpc::IoFaultPlan>(
+        cli.io_fault_plan_path, "io fault plan",
+        dmpc::StatusCode::kInvalidIoFaultPlan);
   }
   return cli;
+}
+
+/// Opens an output file, or raises a typed option error (exit 2) carrying
+/// the OS detail — an unwritable --out/--trace/--events/--metrics-out path
+/// is a user mistake, not an internal invariant violation.
+std::ofstream open_out(const std::string& path) {
+  errno = 0;
+  std::ofstream out(path);
+  if (!out.good()) {
+    throw dmpc::OptionsError(dmpc::Status::error(
+        dmpc::StatusCode::kIoError,
+        "cannot open '" + path + "' for writing: " +
+            (errno != 0 ? std::strerror(errno) : "unknown error")));
+  }
+  return out;
 }
 
 // --metrics-out: full registry snapshot delta for the solve, all three
 // sections grouped (docs/OBSERVABILITY.md). The model subtree is golden;
 // host/recovery are diagnostic. Under --profile the skew timeline rides
-// along as a `profile` block; with --events an `events_summary` block rides
-// along too, and the document is stamped with the highest enabled schema
-// tier. --metrics-format=openmetrics writes the OpenMetrics v1.0 text
+// along as a `profile` block and with --events an `events_summary` block
+// rides along too; the document carries the one report schema version.
+// --metrics-format=openmetrics writes the OpenMetrics v1.0 text
 // exposition instead (host_samples stays JSON-only: OpenMetrics exposes the
 // registry's *current* state, not a timeline).
 void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
@@ -194,20 +205,13 @@ void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
                    const dmpc::obs::HostSampler* sampler) {
   const std::string& path = cli.metrics_out_path;
   if (path.empty()) return;
-  errno = 0;
-  auto f = std::ofstream(path);
-  if (!f.good()) {
-    throw dmpc::OptionsError(dmpc::Status::error(
-        dmpc::StatusCode::kIoError,
-        "cannot open '" + path + "' for writing: " +
-            (errno != 0 ? std::strerror(errno) : "unknown error")));
-  }
+  auto f = open_out(path);
   if (cli.metrics_format == dmpc::MetricsFormat::kOpenMetrics) {
     f << solver.metrics_openmetrics();
     return;
   }
   auto out = dmpc::Json::object()
-                 .set("schema_version", dmpc::report_schema_version(report))
+                 .set("schema_version", dmpc::kReportSchemaVersion)
                  .set("registry", dmpc::obs::to_json(solver.metrics_snapshot()));
   if (report.profile.enabled) out.set("profile", to_json(report.profile));
   if (report.events.enabled) {
@@ -252,21 +256,6 @@ void print_report(const dmpc::SolveReport& report) {
   }
 }
 
-/// Opens an output file, or raises a typed option error (exit 2) carrying
-/// the OS detail — an unwritable --out/--trace/--metrics-out path is a user
-/// mistake, not an internal invariant violation.
-std::ofstream open_out(const std::string& path) {
-  errno = 0;
-  std::ofstream out(path);
-  if (!out.good()) {
-    throw dmpc::OptionsError(dmpc::Status::error(
-        dmpc::StatusCode::kIoError,
-        "cannot open '" + path + "' for writing: " +
-            (errno != 0 ? std::strerror(errno) : "unknown error")));
-  }
-  return out;
-}
-
 /// Owns the trace output chain (--trace / --trace-format). Members are
 /// heap-allocated so the sink's stream pointer stays stable across moves.
 struct TraceSetup {
@@ -286,14 +275,7 @@ TraceSetup make_trace(const dmpc::ArgParser& args) {
   const std::string path = args.get("trace", "");
   if (path.empty()) return t;
   const std::string format = args.get("trace-format", "jsonl");
-  errno = 0;
-  t.out = std::make_unique<std::ofstream>(path);
-  if (!t.out->good()) {
-    throw dmpc::OptionsError(dmpc::Status::error(
-        dmpc::StatusCode::kIoError,
-        "cannot open '" + path + "' for writing: " +
-            (errno != 0 ? std::strerror(errno) : "unknown error")));
-  }
+  t.out = std::make_unique<std::ofstream>(open_out(path));
   if (format == "chrome") {
     t.sink = std::make_unique<dmpc::obs::ChromeTraceSink>(t.out.get());
   } else if (format == "jsonl") {
@@ -333,14 +315,7 @@ EventSetup make_events(const dmpc::CliSolveOptions& cli) {
   e.bus = std::make_unique<dmpc::obs::EventBus>();
   e.bus->set_filter(cli.events_filter);
   if (!cli.events_path.empty()) {
-    errno = 0;
-    e.out = std::make_unique<std::ofstream>(cli.events_path);
-    if (!e.out->good()) {
-      throw dmpc::OptionsError(dmpc::Status::error(
-          dmpc::StatusCode::kIoError,
-          "cannot open '" + cli.events_path + "' for writing: " +
-              (errno != 0 ? std::strerror(errno) : "unknown error")));
-    }
+    e.out = std::make_unique<std::ofstream>(open_out(cli.events_path));
     e.sink = std::make_unique<dmpc::obs::JsonlEventSink>(e.out.get());
     e.bus->subscribe(e.sink.get());
   }
@@ -398,46 +373,21 @@ int cmd_stats(const dmpc::ArgParser& args) {
   return 0;
 }
 
-int cmd_mis(const dmpc::ArgParser& args) {
-  auto trace = make_trace(args);
-  auto cli = solve_options(args);
-  auto events = make_events(cli);
-  cli.options.trace = trace.session_or_null();
-  cli.options.events = events.bus_or_null();
-  const dmpc::Solver solver(cli.options);
-  if (auto status = solver.validate(); !status.ok()) {
-    throw dmpc::OptionsError(std::move(status));
-  }
-  const auto storage = solver.open_storage(args.get("in", "graph.txt"));
-  const auto& g = storage->graph();
-  auto sampler = make_sampler(cli);
-  const auto solution = solver.mis(*storage);
-  if (sampler) sampler->stop();
-  trace.finish();
-  events.finish();
-  write_metrics(cli, solver, solution.report, sampler.get());
-  std::size_t size = 0;
-  for (bool b : solution.in_set) size += b;
-  if (args.has("json")) {
-    auto j = dmpc::to_json(solution.report);
-    j.set("mis_size", static_cast<std::uint64_t>(size));
-    std::printf("%s\n", j.dump(2).c_str());
-  } else {
-    std::printf("mis_size=%zu\n", size);
-    print_report(solution.report);
-    print_certificate(solution.report);
-  }
-  const std::string out = args.get("out", "");
-  if (!out.empty()) {
-    auto f = open_out(out);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (solution.in_set[v]) f << v << '\n';
-    }
-  }
-  return 0;
+std::size_t answer_size(const dmpc::MisSolution& solution) {
+  return static_cast<std::size_t>(
+      std::count(solution.in_set.begin(), solution.in_set.end(), true));
 }
 
-int cmd_matching(const dmpc::ArgParser& args) {
+std::size_t answer_size(const dmpc::MatchingSolution& solution) {
+  return solution.matching.size();
+}
+
+/// mis / matching: `solve` runs the problem on the opened backend,
+/// `size_key` names the answer size in stdout and the JSON report, and
+/// `write_out` writes the answer's --out lines.
+template <typename Solve, typename WriteOut>
+int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
+              const char* size_key, WriteOut&& write_out) {
   auto trace = make_trace(args);
   auto cli = solve_options(args);
   auto events = make_events(cli);
@@ -450,27 +400,25 @@ int cmd_matching(const dmpc::ArgParser& args) {
   const auto storage = solver.open_storage(args.get("in", "graph.txt"));
   const auto& g = storage->graph();
   auto sampler = make_sampler(cli);
-  const auto solution = solver.maximal_matching(*storage);
+  const auto solution = solve(solver, *storage);
   if (sampler) sampler->stop();
   trace.finish();
   events.finish();
   write_metrics(cli, solver, solution.report, sampler.get());
+  const std::size_t size = answer_size(solution);
   if (args.has("json")) {
     auto j = dmpc::to_json(solution.report);
-    j.set("matching_size",
-          static_cast<std::uint64_t>(solution.matching.size()));
+    j.set(size_key, static_cast<std::uint64_t>(size));
     std::printf("%s\n", j.dump(2).c_str());
   } else {
-    std::printf("matching_size=%zu\n", solution.matching.size());
+    std::printf("%s=%zu\n", size_key, size);
     print_report(solution.report);
     print_certificate(solution.report);
   }
   const std::string out = args.get("out", "");
   if (!out.empty()) {
     auto f = open_out(out);
-    for (const auto e : solution.matching) {
-      f << g.edge(e).u << ' ' << g.edge(e).v << '\n';
-    }
+    write_out(f, g, solution);
   }
   return 0;
 }
@@ -542,8 +490,34 @@ int main(int argc, char** argv) {
   try {
     if (command == "gen") return cmd_gen(args);
     if (command == "stats") return cmd_stats(args);
-    if (command == "mis") return cmd_mis(args);
-    if (command == "matching") return cmd_matching(args);
+    if (command == "mis") {
+      return cmd_solve(
+          args,
+          [](const dmpc::Solver& solver, const dmpc::mpc::Storage& storage) {
+            return solver.mis(storage);
+          },
+          "mis_size",
+          [](std::ostream& f, const Graph& g,
+             const dmpc::MisSolution& solution) {
+            for (NodeId v = 0; v < g.num_nodes(); ++v) {
+              if (solution.in_set[v]) f << v << '\n';
+            }
+          });
+    }
+    if (command == "matching") {
+      return cmd_solve(
+          args,
+          [](const dmpc::Solver& solver, const dmpc::mpc::Storage& storage) {
+            return solver.maximal_matching(storage);
+          },
+          "matching_size",
+          [](std::ostream& f, const Graph& g,
+             const dmpc::MatchingSolution& solution) {
+            for (const auto e : solution.matching) {
+              f << g.edge(e).u << ' ' << g.edge(e).v << '\n';
+            }
+          });
+    }
     if (command == "cover") return cmd_cover(args);
     if (command == "color") return cmd_color(args);
   } catch (const dmpc::OptionsError& e) {

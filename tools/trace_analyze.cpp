@@ -9,7 +9,7 @@
 // top-k hot spans per phase (the name prefix up to the first '/'), and can
 // write folded flamegraph stacks (--folded) for FlameGraph-style renderers.
 //
-// With --report it reads a report JSON (schema_version 5, `profile` block)
+// With --report it reads a report JSON (its optional `profile` block)
 // or a bench artifact (BENCH_*.json whose points embed `profile`) and prints
 // a skew report; when the document carries a `host_samples` block
 // (--host-sample-ms runs) the sampler's taken/dropped counts are surfaced
