@@ -416,10 +416,10 @@ Json e6_points(const RunConfig& cfg) {
         dmpc::graph::random_regular(static_cast<NodeId>(n), 4, 700 + n);
     PointScope scope;
     const auto low = dmpc::lowdeg::lowdeg_mis(g, {});
-    const auto& by_label = low.metrics.rounds_by_label();
+    const auto& by_label = low.metrics.by_label();
     const auto gather = by_label.find("lowdeg/gather");
     const std::uint64_t gather_rounds =
-        gather == by_label.end() ? 0 : gather->second;
+        gather == by_label.end() ? 0 : gather->second.rounds;
     points.push(scope.finish(Json("delta=4/n=" + std::to_string(n)),
                              Json::object()
                                  .set("lowdeg_rounds", low.metrics.rounds())

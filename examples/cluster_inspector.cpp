@@ -41,9 +41,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     result.metrics.total_communication()));
     std::printf("rounds by phase:\n");
-    for (const auto& [label, rounds] : result.metrics.rounds_by_label()) {
+    for (const auto& [label, cost] : result.metrics.by_label()) {
+      if (cost.rounds == 0) continue;
       std::printf("  %-28s %8llu\n", label.c_str(),
-                  static_cast<unsigned long long>(rounds));
+                  static_cast<unsigned long long>(cost.rounds));
     }
   }
   return 0;

@@ -76,9 +76,10 @@ int main(int argc, char** argv) {
                                       ? "yes"
                                       : "NO (bug!)");
     std::printf("  rounds by phase:\n");
-    for (const auto& [label, rounds] : cluster.metrics().rounds_by_label()) {
+    for (const auto& [label, cost] : cluster.metrics().by_label()) {
+      if (cost.rounds == 0) continue;
       std::printf("    %-28s %6llu\n", label.c_str(),
-                  (unsigned long long)rounds);
+                  (unsigned long long)cost.rounds);
     }
   }
   return 0;

@@ -5,25 +5,21 @@
 namespace dmpc {
 
 Json to_json(const mpc::Metrics& metrics) {
-  Json labels = Json::object();
-  for (const auto& [label, rounds] : metrics.rounds_by_label()) {
-    labels.set(label, rounds);
-  }
-  Json comm = Json::object();
-  for (const auto& [label, words] : metrics.communication_by_label()) {
-    comm.set(label, words);
-  }
-  Json peak = Json::object();
-  for (const auto& [label, words] : metrics.peak_load_by_label()) {
-    peak.set(label, words);
-  }
+  // One object per ledger column, nonzero cells only.
+  const auto column = [&](std::uint64_t mpc::LabelCost::*cell) {
+    Json out = Json::object();
+    for (const auto& [label, cost] : metrics.by_label()) {
+      if (cost.*cell != 0) out.set(label, cost.*cell);
+    }
+    return out;
+  };
   return Json::object()
       .set("rounds", metrics.rounds())
       .set("peak_machine_load", metrics.peak_machine_load())
       .set("total_communication", metrics.total_communication())
-      .set("rounds_by_label", std::move(labels))
-      .set("communication_by_label", std::move(comm))
-      .set("peak_load_by_label", std::move(peak));
+      .set("rounds_by_label", column(&mpc::LabelCost::rounds))
+      .set("communication_by_label", column(&mpc::LabelCost::communication))
+      .set("peak_load_by_label", column(&mpc::LabelCost::peak_load));
 }
 
 Json to_json(const mpc::IoRecoveryStats& stats) {

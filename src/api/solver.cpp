@@ -540,7 +540,7 @@ std::string Solver::metrics_openmetrics() const {
 }
 
 verify::Certificate Solver::certify_common(
-    const graph::Graph& g, const SolveReport& report,
+    const SolveReport& report,
     std::vector<verify::ClaimResult> answer_claims,
     const std::function<bool(std::uint64_t*, std::uint64_t*,
                              std::string*)>& replay) const {
@@ -550,7 +550,7 @@ verify::Certificate Solver::certify_common(
 
   const verify::Certifier certifier(make_executor());
   certificate.claims.push_back(certifier.check_space_accounting(
-      report.metrics, cluster_config(g.num_nodes(), g.num_edges()).machine_space));
+      report.metrics, report.metrics.machine_space()));
 
   if (options_.certify == verify::CertifyMode::kFull) {
     certificate.claims.push_back(
@@ -651,7 +651,7 @@ void Solver::finalize_certificate(const graph::Graph& g,
     return true;
   };
   record_certificate(
-      certify_common(g, solution->report, P::claims(certifier, g, *solution),
+      certify_common(solution->report, P::claims(certifier, g, *solution),
                      replay),
       &solution->report);
 }

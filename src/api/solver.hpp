@@ -189,10 +189,11 @@ class Solver {
   /// result when a backend is attached, else a fresh skipped claim.
   verify::ClaimResult storage_claim() const;
 
-  /// Run the shared claim set (space accounting + full-mode pipeline claims
-  /// + replay identity) and append to `answer_claims`.
+  /// Run the shared claim set (space accounting against the S the solve ran
+  /// with + full-mode pipeline claims + replay identity) and append to
+  /// `answer_claims`.
   verify::Certificate certify_common(
-      const graph::Graph& g, const SolveReport& report,
+      const SolveReport& report,
       std::vector<verify::ClaimResult> answer_claims,
       const std::function<bool(std::uint64_t*, std::uint64_t*, std::string*)>&
           replay) const;

@@ -84,9 +84,8 @@ DerandColoringResult derand_coloring(const Graph& g,
     // One O(1)-round aggregation evaluates the whole batch (§2.4 recipe).
     const std::uint64_t depth =
         cluster.tree_depth(std::max<std::uint64_t>(n, 2));
-    cluster.charge_recoverable(2 * depth + 2, "coloring/commit");
-    cluster.metrics().add_communication(
-        config.candidates_per_round * cluster.machines(), "coloring/commit");
+    cluster.charge("coloring/commit", 2 * depth + 2,
+                   config.candidates_per_round * cluster.machines());
     std::vector<std::pair<NodeId, std::uint32_t>> best;
     std::uint64_t trial = 0;
     while (best.empty()) {

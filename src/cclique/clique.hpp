@@ -25,13 +25,11 @@ class CongestedClique {
 
   std::uint64_t nodes() const { return n_; }
 
-  mpc::Metrics& metrics() { return metrics_; }
   const mpc::Metrics& metrics() const { return metrics_; }
 
   /// Charge r synchronous all-to-all rounds.
   void charge_rounds(std::uint64_t r, const std::string& label) {
-    metrics_.charge_rounds(r, label);
-    metrics_.add_communication(r * n_ * n_, label);
+    metrics_.charge(label, r, r * n_ * n_);
   }
 
   /// Lenzen routing: any send/receive-balanced instance of `messages`
@@ -39,8 +37,7 @@ class CongestedClique {
   void charge_lenzen_routing(std::uint64_t messages, const std::string& label) {
     DMPC_CHECK_MSG(messages <= n_ * n_,
                    label << ": routing instance exceeds clique bandwidth");
-    metrics_.charge_rounds(2, label);
-    metrics_.add_communication(messages, label);
+    metrics_.charge(label, 2, messages);
   }
 
   /// Per-node memory check: in CONGESTED CLIQUE a node may hold O(n) words

@@ -35,14 +35,12 @@ class CongestNetwork {
   const graph::Graph& graph() const { return *g_; }
   std::uint32_t message_bits() const { return message_bits_; }
 
-  mpc::Metrics& metrics() { return metrics_; }
   const mpc::Metrics& metrics() const { return metrics_; }
 
   /// Charge r synchronous rounds (communication: every edge may carry one
   /// message each way per round).
   void charge_rounds(std::uint64_t r, const std::string& label) {
-    metrics_.charge_rounds(r, label);
-    metrics_.add_communication(r * 2 * g_->num_edges(), label);
+    metrics_.charge(label, r, r * 2 * g_->num_edges());
   }
 
   /// Charge a converge-cast + broadcast over a BFS tree of depth `depth`,

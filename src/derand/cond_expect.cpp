@@ -42,11 +42,10 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
         std::max<std::uint64_t>(1, (radix + cluster.space() - 1) / cluster.space());
     const std::uint64_t depth =
         cluster.tree_depth(std::max<std::uint64_t>(objective.term_count(), 2));
-    cluster.charge_recoverable(waves * 2 * depth + 1, options.label);
-    cluster.metrics().add_communication(radix * cluster.machines(),
-                                        options.label);
     cluster.check_load(std::min(radix, cluster.space()),
                        options.label + ": candidate table", options.label);
+    cluster.charge(options.label, waves * 2 * depth + 1,
+                   radix * cluster.machines());
 
     // Host-parallel sweep through the batched conditional oracle: the
     // digit range is cut into fixed-width chunks (executor-invariant), each

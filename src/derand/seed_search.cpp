@@ -56,8 +56,7 @@ void charge_batch(mpc::Cluster& cluster, std::uint64_t terms, std::uint64_t k,
                   const std::string& label) {
   const std::uint64_t depth =
       cluster.tree_depth(std::max<std::uint64_t>(terms, 2));
-  cluster.charge_recoverable(2 * depth, label);
-  cluster.metrics().add_communication(k * cluster.machines(), label);
+  cluster.charge(label, 2 * depth, k * cluster.machines());
 }
 }  // namespace
 

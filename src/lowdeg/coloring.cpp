@@ -146,6 +146,15 @@ std::uint32_t reduction_step(const Graph& g, std::vector<std::uint32_t>& color,
   return new_colors;
 }
 
+/// Each reduction step is O(1) MPC rounds: nodes need only neighbor colors.
+void charge_linial(mpc::Cluster& cluster, const Graph& g,
+                   const ColoringResult& result) {
+  cluster.charge("coloring/linial",
+                 std::max<std::uint32_t>(result.reduction_steps, 1),
+                 static_cast<std::uint64_t>(result.reduction_steps + 1) * 2 *
+                     g.num_edges());
+}
+
 }  // namespace
 
 ColoringResult linial_coloring_raw(const Graph& g) {
@@ -176,14 +185,7 @@ ColoringResult distance2_coloring_raw(const Graph& g) {
 
 ColoringResult linial_coloring(mpc::Cluster& cluster, const Graph& g) {
   ColoringResult result = linial_coloring_raw(g);
-  // Each reduction step is O(1) MPC rounds: nodes need only neighbor colors.
-  cluster.charge_recoverable(std::max<std::uint32_t>(
-                                      result.reduction_steps, 1),
-                                  "coloring/linial");
-  cluster.metrics().add_communication(
-      static_cast<std::uint64_t>(result.reduction_steps + 1) * 2 *
-          g.num_edges(),
-      "coloring/linial");
+  charge_linial(cluster, g, result);
   return result;
 }
 
@@ -193,15 +195,9 @@ ColoringResult distance2_coloring(mpc::Cluster& cluster, const Graph& g) {
   cluster.check_load(static_cast<std::uint64_t>(g.max_degree()) *
                          std::max<std::uint32_t>(g.max_degree(), 1),
                      "coloring/2hop", "coloring/2hop");
-  cluster.charge_recoverable(2, "coloring/2hop");
+  cluster.charge("coloring/2hop", 2, 0);
   ColoringResult result = distance2_coloring_raw(g);
-  cluster.charge_recoverable(std::max<std::uint32_t>(
-                                      result.reduction_steps, 1),
-                                  "coloring/linial");
-  cluster.metrics().add_communication(
-      static_cast<std::uint64_t>(result.reduction_steps + 1) * 2 *
-          g.num_edges(),
-      "coloring/linial");
+  charge_linial(cluster, g, result);
   return result;
 }
 

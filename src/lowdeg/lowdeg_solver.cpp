@@ -143,7 +143,7 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
   mpc::Cluster cluster(cluster_config_for(config, lg.num_nodes(),
                                           lg.num_edges(), lg.max_degree()),
                        config.setup);
-  cluster.charge_recoverable(1, "lowdeg/line_graph");
+  cluster.charge("lowdeg/line_graph", 1, 0);
   result.line_mis = lowdeg_mis(cluster, lg);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.line_mis.in_set[e]) result.matching.push_back(e);

@@ -49,9 +49,7 @@ std::uint64_t gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
   cluster.check_load(words, "gather_neighborhoods", "lowdeg/gather");
   const std::uint64_t rounds =
       ceil_log2(std::max<std::uint64_t>(radius, 2)) + 1;
-  cluster.charge_recoverable(rounds, "lowdeg/gather");
-  cluster.metrics().add_communication(words * cluster.machines(),
-                                      "lowdeg/gather");
+  cluster.charge("lowdeg/gather", rounds, words * cluster.machines());
   return max_ball;
 }
 

@@ -77,10 +77,8 @@ StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
   // one broadcast announces it — O(1) charged rounds per stage.
   const std::uint64_t depth =
       cluster.tree_depth(std::max<std::uint64_t>(g.num_nodes(), 2));
-  cluster.charge_recoverable(2 * depth + 1, "lowdeg/stage");
-  cluster.metrics().add_communication(limit * cluster.machines(),
-                                      "lowdeg/stage");
   cluster.check_load(limit, "lowdeg/stage: sequence table", "lowdeg/stage");
+  cluster.charge("lowdeg/stage", 2 * depth + 1, limit * cluster.machines());
 
   auto outcome = best_of_candidates(
       g, alive, limit, cluster.executor(), [&](std::uint64_t t) {
@@ -90,7 +88,7 @@ StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
                  "phase compression stage made no progress");
   // One more round: winners notify their r-hop balls (§5.2.2, "maintaining
   // the r-th hop neighborhood").
-  cluster.charge_recoverable(1, "lowdeg/ball_update");
+  cluster.charge("lowdeg/ball_update", 1, 0);
   DMPC_CHECK(outcome.edges_after < outcome.edges_before);
   return outcome;
 }

@@ -35,6 +35,7 @@ ClusterConfig apply_overrides(ClusterConfig base,
 
 Cluster::Cluster(ClusterConfig base, const ClusterSetup& setup)
     : config_(apply_overrides(base, setup.overrides)),
+      metrics_(config_.machine_space),
       trace_(setup.trace),
       profiler_(setup.profiler),
       events_(setup.events),
@@ -144,6 +145,7 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
                                 const std::string& label) {
   const std::uint64_t m = locals_.size();
   // Route with capacity accounting.
+  std::uint64_t words = 0;
   std::vector<std::uint64_t> recv_volume(m, 0);
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t sent = 0;
@@ -154,7 +156,7 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
     }
     check_load(sent, label + ": send volume of machine " + std::to_string(i),
                label, i);
-    metrics_.add_communication(sent, label);
+    words += sent;
   }
   for (std::uint64_t i = 0; i < m; ++i) {
     check_load(recv_volume[i],
@@ -173,12 +175,17 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
                label + ": local storage of machine " + std::to_string(i),
                label, i);
   }
-  metrics_.charge_rounds(1, label);
+  commit(label, 1, words);
+}
+
+void Cluster::commit(const std::string& label, std::uint64_t rounds,
+                     std::uint64_t words) {
+  metrics_.charge(label, rounds, words);
   if (profiler_ != nullptr) {
-    profiler_->commit(label, metrics_.rounds(), 1,
+    profiler_->commit(label, metrics_.rounds(), rounds,
                       metrics_.total_communication());
   }
-  emit_round_completed(label, 1);
+  emit_round_completed(label, rounds);
 }
 
 void Cluster::note_checkpoint(const std::string& label, std::uint64_t words) {
@@ -253,20 +260,24 @@ void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
   }
 }
 
-void Cluster::run_with_recovery(const std::string& label,
-                                std::uint64_t round_cost,
-                                std::uint64_t state_words,
-                                const std::function<void()>& body) {
+void Cluster::charge(const std::string& label, std::uint64_t rounds,
+                     std::uint64_t words, std::uint64_t state_words,
+                     const std::function<void()>& body) {
+  recover(label, rounds, state_words, body);
+  commit(label, rounds, words);
+}
+
+void Cluster::recover(const std::string& label, std::uint64_t rounds,
+                      std::uint64_t state_words,
+                      const std::function<void()>& body) {
   if (fault_plan_.empty()) {
-    body();
+    if (body) body();
     return;
   }
   const std::uint64_t round = metrics_.rounds();
-  const std::uint64_t cost = std::max<std::uint64_t>(round_cost, 1);
-  // Extend the window back over any rounds charged since the last
-  // recoverable superstep (central simulation charges have no recovery
-  // boundary of their own), so windows tile the round axis and every
-  // in-range event fires exactly once.
+  const std::uint64_t cost = std::max<std::uint64_t>(rounds, 1);
+  // Start the window where the previous one ended, so windows tile the
+  // round axis and every in-range event fires exactly once.
   const std::uint64_t begin = std::min(fault_covered_round_, round);
   const std::uint64_t end = round + cost;
   fault_covered_round_ = end;
@@ -302,7 +313,7 @@ void Cluster::run_with_recovery(const std::string& label,
     // The body is deterministic and overwrites its outputs, so re-running it
     // after a failed attempt models the lost work while producing the exact
     // fault-free result.
-    body();
+    if (body) body();
     if (!failed) {
       if (attempt > 0) {
         emit_recovery_event(obs::EventType::kRecovered, label, round,
@@ -313,17 +324,6 @@ void Cluster::run_with_recovery(const std::string& label,
     register_retry(label, round, cost, attempt);
     attempt += 1;
   }
-}
-
-void Cluster::charge_recoverable(std::uint64_t rounds, const std::string& label,
-                                 std::uint64_t state_words) {
-  run_with_recovery(label, rounds, state_words, [] {});
-  metrics_.charge_rounds(rounds, label);
-  if (profiler_ != nullptr) {
-    profiler_->commit(label, metrics_.rounds(), rounds,
-                      metrics_.total_communication());
-  }
-  emit_round_completed(label, rounds);
 }
 
 void Cluster::step(const std::function<void(MachineContext&)>& compute,

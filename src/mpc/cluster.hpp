@@ -157,7 +157,7 @@ class Cluster {
   std::uint64_t machines() const { return config_.num_machines; }
   bool enforce_space() const { return config_.enforce_space; }
 
-  Metrics& metrics() { return metrics_; }
+  /// The model ledger; only charge(), step() and check_load() write it.
   const Metrics& metrics() const { return metrics_; }
 
   obs::TraceSession* trace() const { return trace_; }
@@ -185,33 +185,25 @@ class Cluster {
   /// No-op while the fault plan is empty.
   void mark_phase(const std::string& label, std::uint64_t state_words = 0);
 
-  /// Run a centrally-executed primitive (Lemma-4 level) under the fault +
-  /// recovery engine. `round_cost` is the rounds the primitive will charge.
-  /// Its fault window ends at logical_round() + round_cost and starts at the
-  /// end of the previous recoverable superstep's window, so windows tile the
-  /// whole round axis: an event keyed on a round charged outside any
-  /// recoverable superstep (a centrally-simulated selection or gather, say)
-  /// fires at the first recoverable superstep at or after it.
-  /// `state_words` sizes the checkpoint taken before the attempt. `body`
+  /// Charge one centrally-simulated superstep (a Lemma-4 primitive or a
+  /// pipeline step): the only way model cost enters the ledger besides
+  /// step(). Runs `body` under the fault + recovery engine, adds `rounds`
+  /// rounds and `words` words of communication to `label`'s ledger row, then
+  /// closes the profiler window and emits round_completed, so both see this
+  /// step's words and every load checked since the previous charge.
+  ///
+  /// The fault window ends at logical_round() + max(rounds, 1) and starts at
+  /// the end of the previous charge's window, so windows tile the whole
+  /// round axis. `state_words` sizes the checkpoint taken before the attempt
+  /// under CheckpointMode::kRound. `body` (empty: a pure accounting step)
   /// must be deterministic and idempotent under re-execution (all repo
   /// primitives are: they overwrite their outputs). Faults scheduled in the
   /// window abort the attempt, charge retry backoff to RecoveryStats, and
-  /// re-run `body`; exhaustion throws FaultError.
-  void run_with_recovery(const std::string& label, std::uint64_t round_cost,
-                         std::uint64_t state_words,
-                         const std::function<void()>& body);
-
-  /// Charge `rounds` centrally-simulated rounds as a *recoverable*
-  /// superstep: the charge opens a fault window, takes a checkpoint of
-  /// `state_words` words under CheckpointMode::kRound, and goes through the
-  /// retry engine when a crash/drop lands in the window. The replay has no
-  /// body to re-run — a centrally-simulated superstep is deterministic by
-  /// construction, so re-executing it is pure accounting (backoff rounds in
-  /// RecoveryStats). Pipelines must use this instead of
-  /// metrics().charge_rounds() for any charge that represents machine work,
-  /// otherwise faults keyed on those rounds can never fire.
-  void charge_recoverable(std::uint64_t rounds, const std::string& label,
-                          std::uint64_t state_words = 0);
+  /// re-run `body`; exhaustion throws FaultError. Faulted attempts never
+  /// touch the ledger, so it is identical with and without faults.
+  void charge(const std::string& label, std::uint64_t rounds,
+              std::uint64_t words, std::uint64_t state_words = 0,
+              const std::function<void()>& body = {});
 
   /// Depth of a fan-in-S aggregation tree over `items` leaves; >= 1.
   /// This is the round cost of prefix sums / broadcast / reduction over a
@@ -257,6 +249,16 @@ class Cluster {
   void route_and_deliver(std::vector<std::vector<Message>>& outboxes,
                          const std::string& label);
 
+  /// Run `body` under the fault + recovery engine (see charge()).
+  void recover(const std::string& label, std::uint64_t rounds,
+               std::uint64_t state_words, const std::function<void()>& body);
+
+  /// Add `rounds` and `words` to `label`'s ledger row, then close the
+  /// profiler window and emit round_completed: the commit both charge() and
+  /// route_and_deliver() end with.
+  void commit(const std::string& label, std::uint64_t rounds,
+              std::uint64_t words);
+
   /// Account one retry of `label` covering `cost` rounds at logical round
   /// `round` after 0-based `attempt` failed. Throws FaultError when
   /// checkpointing is off or the retry budget is exhausted.
@@ -292,9 +294,8 @@ class Cluster {
   RecoveryOptions recovery_;
   RecoveryStats recovery_stats_;
   std::uint64_t phase_round_ = 0;  ///< Logical round of the last phase mark.
-  /// End of the last fault window. Successive windows tile [0, rounds), so
-  /// events keyed on rounds charged outside any recoverable superstep still
-  /// fire (at the first recoverable superstep after them).
+  /// End of the last fault window; the next one starts here, so successive
+  /// windows tile [0, rounds).
   std::uint64_t fault_covered_round_ = 0;
 };
 

@@ -28,8 +28,7 @@ std::vector<GroupMachine> build_machine_groups(
   // Distributing items to their group machines is one sort by
   // (owner, position) over the item records.
   const std::uint64_t rounds = sort_round_cost(cluster, total_items);
-  cluster.charge_recoverable(rounds, label);
-  cluster.metrics().add_communication(total_items * arity, label);
+  cluster.charge(label, rounds, total_items * arity);
   obs::trace_primitive(cluster.trace(), label, rounds, total_items * arity);
   return machines;
 }
@@ -50,8 +49,7 @@ void charge_two_hop_gather(Cluster& cluster,
   // Sort edges to collect 1-hop lists, then one request + one response
   // exchange for the second hop (§2.2).
   const std::uint64_t rounds = sort_round_cost(cluster, std::max<std::uint64_t>(total, 2)) + 2;
-  cluster.charge_recoverable(rounds, label);
-  cluster.metrics().add_communication(total, label);
+  cluster.charge(label, rounds, total);
   obs::trace_primitive(cluster.trace(), label, rounds, total);
 }
 

@@ -1,50 +1,27 @@
 #include "mpc/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics_registry.hpp"
 
 namespace dmpc::mpc {
 
-void Metrics::charge_rounds(std::uint64_t r, const std::string& label) {
-  rounds_ += r;
-  by_label_[label] += r;
+void Metrics::charge(const std::string& label, std::uint64_t rounds,
+                     std::uint64_t words) {
+  rounds_ += rounds;
+  communication_ += words;
+  if (label.empty()) return;
+  LabelCost& row = by_label_[label];
+  row.rounds += rounds;
+  row.communication += words;
 }
 
 void Metrics::observe_load(std::uint64_t words, const std::string& label) {
   peak_load_ = std::max(peak_load_, words);
-  if (!label.empty()) {
-    auto& peak = peak_load_by_label_[label];
-    peak = std::max(peak, words);
-  }
-}
-
-void Metrics::add_communication(std::uint64_t words, const std::string& label) {
-  communication_ += words;
-  if (!label.empty()) communication_by_label_[label] += words;
-}
-
-void Metrics::reset() {
-  rounds_ = 0;
-  peak_load_ = 0;
-  communication_ = 0;
-  by_label_.clear();
-  communication_by_label_.clear();
-  peak_load_by_label_.clear();
-}
-
-void Metrics::merge(const Metrics& other) {
-  rounds_ += other.rounds_;
-  peak_load_ = std::max(peak_load_, other.peak_load_);
-  communication_ += other.communication_;
-  for (const auto& [label, r] : other.by_label_) by_label_[label] += r;
-  for (const auto& [label, w] : other.communication_by_label_) {
-    communication_by_label_[label] += w;
-  }
-  for (const auto& [label, w] : other.peak_load_by_label_) {
-    auto& peak = peak_load_by_label_[label];
-    peak = std::max(peak, w);
-  }
+  if (label.empty()) return;
+  LabelCost& row = by_label_[label];
+  row.peak_load = std::max(row.peak_load, words);
 }
 
 void Metrics::export_to(obs::MetricsRegistry& registry) const {
@@ -52,15 +29,15 @@ void Metrics::export_to(obs::MetricsRegistry& registry) const {
   registry.counter("mpc/rounds", section).add(rounds_);
   registry.counter("mpc/communication", section).add(communication_);
   registry.counter("mpc/peak_load", section).add(peak_load_);
-  for (const auto& [label, r] : by_label_) {
-    if (label.empty()) continue;
-    registry.counter("mpc/rounds", label, section).add(r);
-  }
-  for (const auto& [label, w] : communication_by_label_) {
-    registry.counter("mpc/communication", label, section).add(w);
-  }
-  for (const auto& [label, w] : peak_load_by_label_) {
-    registry.counter("mpc/peak_load", label, section).add(w);
+  // One pass per column keeps the registry's registration order.
+  const std::pair<const char*, std::uint64_t LabelCost::*> columns[] = {
+      {"mpc/rounds", &LabelCost::rounds},
+      {"mpc/communication", &LabelCost::communication},
+      {"mpc/peak_load", &LabelCost::peak_load}};
+  for (const auto& [name, cell] : columns) {
+    for (const auto& [label, cost] : by_label_) {
+      if (cost.*cell != 0) registry.counter(name, label, section).add(cost.*cell);
+    }
   }
 }
 

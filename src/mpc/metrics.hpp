@@ -6,9 +6,10 @@
 // benchmarks report them — this is the measured side of EXPERIMENTS.md.
 //
 // All three quantities are attributed per label (the primitive/phase names
-// the call sites pass), so a run can be audited stage by stage: the
-// sparsify -> gather -> derand -> commit decomposition in a report sums back
-// to the global totals. An empty label charges the totals only.
+// the call sites pass) in one ledger row per label, so a run can be audited
+// stage by stage: the sparsify -> gather -> derand -> commit decomposition in
+// a report sums back to the global totals. An empty label charges the totals
+// only.
 #pragma once
 
 #include <cstdint>
@@ -21,36 +22,39 @@ class MetricsRegistry;
 
 namespace dmpc::mpc {
 
+/// One ledger row: everything charged under one label.
+struct LabelCost {
+  std::uint64_t rounds = 0;
+  std::uint64_t communication = 0;
+  std::uint64_t peak_load = 0;
+
+  bool operator==(const LabelCost&) const = default;
+};
+
 class Metrics {
  public:
-  /// Charge `r` synchronous rounds attributed to `label`.
-  void charge_rounds(std::uint64_t r, const std::string& label);
+  Metrics() = default;
+  /// A ledger for a cluster of `machine_space` words per machine.
+  explicit Metrics(std::uint64_t machine_space)
+      : machine_space_(machine_space) {}
+
+  /// Charge `rounds` synchronous rounds and `words` words of cross-machine
+  /// traffic attributed to `label`.
+  void charge(const std::string& label, std::uint64_t rounds,
+              std::uint64_t words);
 
   /// Record that some machine held `words` words at some instant; a
   /// non-empty `label` also tracks the per-label peak.
   void observe_load(std::uint64_t words, const std::string& label = "");
 
-  /// Record `words` words of cross-machine traffic attributed to `label`.
-  void add_communication(std::uint64_t words, const std::string& label = "");
-
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t peak_machine_load() const { return peak_load_; }
   std::uint64_t total_communication() const { return communication_; }
-  const std::map<std::string, std::uint64_t>& rounds_by_label() const {
-    return by_label_;
-  }
-  const std::map<std::string, std::uint64_t>& communication_by_label() const {
-    return communication_by_label_;
-  }
-  const std::map<std::string, std::uint64_t>& peak_load_by_label() const {
-    return peak_load_by_label_;
-  }
-
-  void reset();
-
-  /// Merge another metrics object into this one (for sub-phases): sums
-  /// rounds and communication (globally and per label), maxes peak loads.
-  void merge(const Metrics& other);
+  /// S of the cluster that charged this ledger (0 when no cluster did).
+  /// Not part of any serialized surface; the space claim judges against it.
+  std::uint64_t machine_space() const { return machine_space_; }
+  /// The per-label ledger. Renderers list nonzero cells only.
+  const std::map<std::string, LabelCost>& by_label() const { return by_label_; }
 
   /// Export this run's totals into the model section of `registry` as
   /// counters "mpc/rounds", "mpc/communication", "mpc/peak_load" plus the
@@ -61,12 +65,11 @@ class Metrics {
   void export_to(obs::MetricsRegistry& registry) const;
 
  private:
+  std::uint64_t machine_space_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t peak_load_ = 0;
   std::uint64_t communication_ = 0;
-  std::map<std::string, std::uint64_t> by_label_;
-  std::map<std::string, std::uint64_t> communication_by_label_;
-  std::map<std::string, std::uint64_t> peak_load_by_label_;
+  std::map<std::string, LabelCost> by_label_;
 };
 
 }  // namespace dmpc::mpc

@@ -32,49 +32,46 @@ std::vector<std::uint64_t> prefix_sum_exclusive(
   // over the (few) chunk sums, then per-chunk writes in parallel. Word sums
   // are exact, so this agrees with the plain serial scan for any chunking.
   // The body overwrites `out` in full, so a recovery replay is idempotent.
-  cluster.run_with_recovery(
-      label, scan_round_cost(cluster, values.size()), values.size(), [&] {
-        constexpr std::uint64_t kGrain = 4096;
-        const std::uint64_t n = values.size();
-        const exec::Executor& ex = cluster.executor();
-        if (!ex.parallel() || n <= kGrain) {
-          std::uint64_t acc = 0;
-          for (std::uint64_t i = 0; i < n; ++i) {
-            out[i] = acc;
-            acc += values[i];
-          }
-          return;
-        }
-        const std::uint64_t chunks = (n + kGrain - 1) / kGrain;
-        std::vector<std::uint64_t> chunk_offset(chunks, 0);
-        ex.for_each(0, chunks, [&](std::uint64_t c) {
-          const std::uint64_t lo = c * kGrain;
-          const std::uint64_t hi = std::min(n, lo + kGrain);
-          std::uint64_t sum = 0;
-          for (std::uint64_t i = lo; i < hi; ++i) sum += values[i];
-          chunk_offset[c] = sum;
-        });
-        std::uint64_t acc = 0;
-        for (std::uint64_t c = 0; c < chunks; ++c) {
-          const std::uint64_t sum = chunk_offset[c];
-          chunk_offset[c] = acc;
-          acc += sum;
-        }
-        ex.for_each(0, chunks, [&](std::uint64_t c) {
-          const std::uint64_t lo = c * kGrain;
-          const std::uint64_t hi = std::min(n, lo + kGrain);
-          std::uint64_t local = chunk_offset[c];
-          for (std::uint64_t i = lo; i < hi; ++i) {
-            out[i] = local;
-            local += values[i];
-          }
-        });
-      });
   const std::uint64_t rounds = scan_round_cost(cluster, values.size());
   const std::uint64_t words =
       cluster.tree_depth(values.size()) * cluster.machines();
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(words, label);
+  cluster.charge(label, rounds, words, values.size(), [&] {
+    constexpr std::uint64_t kGrain = 4096;
+    const std::uint64_t n = values.size();
+    const exec::Executor& ex = cluster.executor();
+    if (!ex.parallel() || n <= kGrain) {
+      std::uint64_t acc = 0;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        out[i] = acc;
+        acc += values[i];
+      }
+      return;
+    }
+    const std::uint64_t chunks = (n + kGrain - 1) / kGrain;
+    std::vector<std::uint64_t> chunk_offset(chunks, 0);
+    ex.for_each(0, chunks, [&](std::uint64_t c) {
+      const std::uint64_t lo = c * kGrain;
+      const std::uint64_t hi = std::min(n, lo + kGrain);
+      std::uint64_t sum = 0;
+      for (std::uint64_t i = lo; i < hi; ++i) sum += values[i];
+      chunk_offset[c] = sum;
+    });
+    std::uint64_t acc = 0;
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      const std::uint64_t sum = chunk_offset[c];
+      chunk_offset[c] = acc;
+      acc += sum;
+    }
+    ex.for_each(0, chunks, [&](std::uint64_t c) {
+      const std::uint64_t lo = c * kGrain;
+      const std::uint64_t hi = std::min(n, lo + kGrain);
+      std::uint64_t local = chunk_offset[c];
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        out[i] = local;
+        local += values[i];
+      }
+    });
+  });
   obs::trace_primitive(cluster.trace(), label, rounds, words);
   return out;
 }
@@ -87,16 +84,14 @@ std::uint64_t reduce_sum(Cluster& cluster,
       cluster.tree_depth(std::max<std::uint64_t>(values.size(), 2));
   // Exact word arithmetic: any reduction order gives the same sum.
   std::uint64_t result = 0;
-  cluster.run_with_recovery(label, rounds, values.size(), [&] {
+  const std::uint64_t words = rounds * cluster.machines();
+  cluster.charge(label, rounds, words, values.size(), [&] {
     result = cluster.executor().map_reduce(
-        0, values.size(), std::uint64_t{0},
-        [&](std::uint64_t i) { return values[i]; },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    0, values.size(), std::uint64_t{0},
+    [&](std::uint64_t i) { return values[i]; },
+    [](std::uint64_t a, std::uint64_t b) { return a + b; });
   });
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(rounds * cluster.machines(), label);
-  obs::trace_primitive(cluster.trace(), label, rounds,
-                       rounds * cluster.machines());
+  obs::trace_primitive(cluster.trace(), label, rounds, words);
   return result;
 }
 
@@ -107,16 +102,14 @@ std::uint64_t reduce_max(Cluster& cluster,
   const std::uint64_t rounds =
       cluster.tree_depth(std::max<std::uint64_t>(values.size(), 2));
   std::uint64_t result = 0;
-  cluster.run_with_recovery(label, rounds, values.size(), [&] {
+  const std::uint64_t words = rounds * cluster.machines();
+  cluster.charge(label, rounds, words, values.size(), [&] {
     result = cluster.executor().map_reduce(
-        0, values.size(), std::uint64_t{0},
-        [&](std::uint64_t i) { return values[i]; },
-        [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
+    0, values.size(), std::uint64_t{0},
+    [&](std::uint64_t i) { return values[i]; },
+    [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
   });
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(rounds * cluster.machines(), label);
-  obs::trace_primitive(cluster.trace(), label, rounds,
-                       rounds * cluster.machines());
+  obs::trace_primitive(cluster.trace(), label, rounds, words);
   return result;
 }
 
@@ -129,15 +122,13 @@ double reduce_sum_double(Cluster& cluster, std::span<const double> values,
   // sum bitwise identical for every thread count (the serial executor runs
   // the same chunked algorithm).
   double result = 0.0;
-  cluster.run_with_recovery(label, rounds, values.size(), [&] {
+  const std::uint64_t words = rounds * cluster.machines();
+  cluster.charge(label, rounds, words, values.size(), [&] {
     result = cluster.executor().map_reduce(
-        0, values.size(), 0.0, [&](std::uint64_t i) { return values[i]; },
-        [](double a, double b) { return a + b; });
+    0, values.size(), 0.0, [&](std::uint64_t i) { return values[i]; },
+    [](double a, double b) { return a + b; });
   });
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(rounds * cluster.machines(), label);
-  obs::trace_primitive(cluster.trace(), label, rounds,
-                       rounds * cluster.machines());
+  obs::trace_primitive(cluster.trace(), label, rounds, words);
   return result;
 }
 
@@ -147,9 +138,7 @@ void broadcast(Cluster& cluster, std::uint64_t words,
   const std::uint64_t rounds = cluster.tree_depth(cluster.machines());
   // No central compute: the body is empty, but the fan-out tree still loses
   // work to scheduled faults, so the recovery engine accounts its retries.
-  cluster.run_with_recovery(label, rounds, words, [] {});
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(words * cluster.machines(), label);
+  cluster.charge(label, rounds, words * cluster.machines(), words);
   obs::trace_primitive(cluster.trace(), label, rounds,
                        words * cluster.machines());
 }
@@ -161,19 +150,17 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> group_sum(
   dsort(cluster, pairs,
         [](const auto& a, const auto& b) { return a.first < b.first; }, label);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  cluster.run_with_recovery(
-      label, scan_round_cost(cluster, pairs.size()), 2 * pairs.size(), [&] {
-        out.clear();
-        for (const auto& [key, value] : pairs) {
-          if (!out.empty() && out.back().first == key) {
-            out.back().second += value;
-          } else {
-            out.emplace_back(key, value);
-          }
-        }
-      });
   const std::uint64_t rounds = scan_round_cost(cluster, pairs.size());
-  cluster.metrics().charge_rounds(rounds, label);
+  cluster.charge(label, rounds, 0, 2 * pairs.size(), [&] {
+    out.clear();
+    for (const auto& [key, value] : pairs) {
+      if (!out.empty() && out.back().first == key) {
+        out.back().second += value;
+      } else {
+        out.emplace_back(key, value);
+      }
+    }
+  });
   obs::trace_primitive(cluster.trace(), label, rounds, 0);
   return out;
 }

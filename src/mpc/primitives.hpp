@@ -47,12 +47,9 @@ void dsort(Cluster& cluster, std::vector<T>& v, Less less,
   check_blocked_layout(cluster, v.size(), arity, label);
   // Re-sorting after a replayed attempt is idempotent, so the recovery
   // engine may run the body any number of times.
-  cluster.run_with_recovery(
-      label, sort_round_cost(cluster, v.size()), v.size() * arity,
-      [&] { exec::parallel_sort(cluster.executor(), v, less); });
   const std::uint64_t rounds = sort_round_cost(cluster, v.size());
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(v.size() * arity * rounds, label);
+  cluster.charge(label, rounds, v.size() * arity * rounds, v.size() * arity,
+                 [&] { exec::parallel_sort(cluster.executor(), v, less); });
   obs::trace_primitive(cluster.trace(), label, rounds,
                        v.size() * arity * rounds);
 }

@@ -68,7 +68,8 @@ struct ProfileRecord {
   std::vector<ProfileTopEntry> top;  ///< Top-k by words desc, machine asc.
 };
 
-/// Run-wide totals per charge label (mirrors Metrics::by_label granularity).
+/// Run-wide totals per charge label: rounds and comm_words equal the label's
+/// Metrics::by_label() row.
 struct ProfileLabelSummary {
   std::uint64_t records = 0;
   std::uint64_t rounds = 0;
@@ -108,10 +109,11 @@ struct ProfileSnapshot {
 std::uint64_t gini_ppm(std::vector<std::uint64_t> samples);
 
 /// Collects the skew timeline. Attach to a Cluster via ClusterSetup; the
-/// cluster calls observe_load() from check_load() and commit() after every
-/// round charge (charge_recoverable and route_and_deliver), so windows tile
-/// the round axis exactly like fault windows. Not thread-safe by design:
-/// both hooks run on the orchestrating thread only.
+/// cluster calls observe_load() from check_load() and commit() right after
+/// each charge lands in its ledger (Cluster::charge and step), so a window
+/// holds exactly the words and loads of the charge that closes it, and
+/// windows tile the round axis exactly like fault windows. Not thread-safe
+/// by design: both hooks run on the orchestrating thread only.
 class RoundProfiler {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 128;

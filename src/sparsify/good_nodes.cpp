@@ -21,9 +21,8 @@ void charge_selection(mpc::Cluster& cluster, EdgeId alive_edges,
                       const std::string& label) {
   const std::uint64_t records = std::max<EdgeId>(2 * alive_edges, 2);
   const std::uint64_t rounds = 3 * mpc::sort_round_cost(cluster, records);
-  cluster.charge_recoverable(rounds, label);
-  cluster.metrics().add_communication(2 * records, label);
   mpc::check_blocked_layout(cluster, records, 2, label);
+  cluster.charge(label, rounds, 2 * records);
 }
 }  // namespace
 

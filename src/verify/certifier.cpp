@@ -318,7 +318,9 @@ ClaimResult Certifier::check_space_accounting(
     return fail(Claim::kSpaceAccounting, checked, std::move(w));
   }
   std::uint64_t label_index = 0;
-  for (const auto& [label, peak] : metrics.peak_load_by_label()) {
+  for (const auto& [label, cost] : metrics.by_label()) {
+    const std::uint64_t peak = cost.peak_load;
+    if (peak == 0) continue;
     ++checked;
     if (peak > machine_space) {
       Witness w;
@@ -340,8 +342,9 @@ ClaimResult Certifier::check_metrics_consistency(
     const mpc::Metrics& metrics) const {
   std::uint64_t checked = 0;
   std::uint64_t label_rounds = 0;
-  for (const auto& [label, rounds] : metrics.rounds_by_label()) {
-    label_rounds += rounds;
+  for (const auto& [label, cost] : metrics.by_label()) {
+    if (cost.rounds == 0) continue;
+    label_rounds += cost.rounds;
     ++checked;
   }
   if (label_rounds > metrics.rounds()) {
@@ -355,8 +358,9 @@ ClaimResult Certifier::check_metrics_consistency(
     return fail(Claim::kMetricsConsistency, checked, std::move(w));
   }
   std::uint64_t label_comm = 0;
-  for (const auto& [label, words] : metrics.communication_by_label()) {
-    label_comm += words;
+  for (const auto& [label, cost] : metrics.by_label()) {
+    if (cost.communication == 0) continue;
+    label_comm += cost.communication;
     ++checked;
   }
   if (label_comm > metrics.total_communication()) {
@@ -370,13 +374,14 @@ ClaimResult Certifier::check_metrics_consistency(
     return fail(Claim::kMetricsConsistency, checked, std::move(w));
   }
   std::uint64_t label_index = 0;
-  for (const auto& [label, peak] : metrics.peak_load_by_label()) {
+  for (const auto& [label, cost] : metrics.by_label()) {
+    if (cost.peak_load == 0) continue;
     ++checked;
-    if (peak > metrics.peak_machine_load()) {
+    if (cost.peak_load > metrics.peak_machine_load()) {
       Witness w;
       w.kind = "label";
       w.index = label_index;
-      w.measured = static_cast<double>(peak);
+      w.measured = static_cast<double>(cost.peak_load);
       w.bound = static_cast<double>(metrics.peak_machine_load());
       w.detail = "peak load of phase '" + label +
                  "' exceeds the global peak load";

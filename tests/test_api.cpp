@@ -255,6 +255,24 @@ TEST(SolverCertify, FullModeCertifiesAllClaimsOnBothRegimes) {
   EXPECT_EQ(sparse.report.certificate.claims.size(), 8u);
 }
 
+TEST(SolverCertify, SpaceClaimJudgesTheClusterThatRan) {
+  // Auto dispatch sends regular(4096, 8) to the low-degree pipeline, whose
+  // own cluster has S = 2048 and peaks at 520 words in the gather. The space
+  // claim must judge that S, not the sparsification S = 512.
+  const Graph g = graph::random_regular(4096, 8, 1);
+  SolveOptions options;
+  options.certify = verify::CertifyMode::kFull;
+  const Solver solver(options);
+  const auto mis = solver.mis(g);
+  EXPECT_EQ(mis.report.algorithm_used, "lowdeg");
+  EXPECT_GT(mis.report.metrics.peak_machine_load(),
+            solver.cluster(g.num_nodes(), g.num_edges()).space());
+  EXPECT_LE(mis.report.metrics.peak_machine_load(),
+            mis.report.metrics.machine_space());
+  EXPECT_TRUE(mis.report.certificate.ok());
+  EXPECT_TRUE(solver.maximal_matching(g).report.certificate.ok());
+}
+
 TEST(SolverCertify, FullModeDoesNotPerturbTheSolve) {
   const Graph g = graph::gnm(256, 4096, 14);
   SolveOptions plain;

@@ -324,15 +324,15 @@ TEST(FaultRecovery, PrimitivesReplayToIdenticalResults) {
 }
 
 TEST(FaultRecovery, WindowsTileAcrossCentralCharges) {
-  // Rounds charged by a centrally-simulated stage (charge_recoverable with
+  // Rounds charged by a centrally-simulated stage (Cluster::charge with
   // no body) still form fault windows: an event keyed inside such a stage
   // fires at that stage, not never.
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/3, /*machine=*/0});
 
   Cluster cluster = small_cluster(plan);
-  cluster.charge_recoverable(2, "test/stage_a");  // rounds [0, 2)
-  cluster.charge_recoverable(5, "test/stage_b");  // rounds [2, 7) — fires
+  cluster.charge("test/stage_a", 2, 0);  // rounds [0, 2)
+  cluster.charge("test/stage_b", 5, 0);  // rounds [2, 7) — fires
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
   EXPECT_EQ(cluster.recovery_stats().retries_by_label.count("test/stage_b"),
             1u);
@@ -421,7 +421,7 @@ TEST(FaultSolverApi, SolverOwnedClusterCarriesObservers) {
   EXPECT_EQ(session.metrics(), &cluster.metrics());
   {
     obs::Span span(cluster.trace(), "test/span");
-    cluster.charge_recoverable(1, "test/charge");
+    cluster.charge("test/charge", 1, 0);
   }
   session.finish();
 

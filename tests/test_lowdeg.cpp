@@ -89,7 +89,7 @@ TEST(Neighborhoods, ChargesLogRounds) {
   const Graph g = graph::cycle(32);
   std::vector<bool> alive(32, true);
   gather_neighborhoods(cluster, g, alive, 4);
-  EXPECT_EQ(cluster.metrics().rounds_by_label().at("lowdeg/gather"),
+  EXPECT_EQ(cluster.metrics().by_label().at("lowdeg/gather").rounds,
             3u);  // ceil(log2 4) + 1
 }
 

@@ -141,25 +141,6 @@ TEST(Primitives, RoundChargesScaleWithTreeDepth) {
   EXPECT_GT(small.metrics().rounds(), big.metrics().rounds());
 }
 
-TEST(Metrics, MergeAndReset) {
-  Metrics a, b;
-  a.charge_rounds(3, "x");
-  a.observe_load(10);
-  b.charge_rounds(2, "x");
-  b.charge_rounds(1, "y");
-  b.observe_load(20);
-  b.add_communication(7);
-  a.merge(b);
-  EXPECT_EQ(a.rounds(), 6u);
-  EXPECT_EQ(a.peak_machine_load(), 20u);
-  EXPECT_EQ(a.total_communication(), 7u);
-  EXPECT_EQ(a.rounds_by_label().at("x"), 5u);
-  EXPECT_EQ(a.rounds_by_label().at("y"), 1u);
-  a.reset();
-  EXPECT_EQ(a.rounds(), 0u);
-  EXPECT_TRUE(a.rounds_by_label().empty());
-}
-
 TEST(Distribution, MachineGroupsAllButOneFull) {
   Cluster c(small_config(64, 16));
   const auto groups =

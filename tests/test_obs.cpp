@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <map>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -136,55 +134,20 @@ std::int64_t find_int_arg(const obs::TraceEvent& event, const std::string& key) 
 
 TEST(Metrics, PerLabelAttribution) {
   mpc::Metrics m;
-  m.charge_rounds(3, "a");
-  m.add_communication(10, "a");
-  m.add_communication(5, "b");
-  m.add_communication(7);  // unlabeled: totals only
+  m.charge("a", 3, 10);
+  m.charge("b", 0, 5);
+  m.charge("", 2, 7);  // unlabeled: totals only
   m.observe_load(100, "a");
   m.observe_load(40, "a");
   m.observe_load(60, "b");
   m.observe_load(200);  // unlabeled: global peak only
 
+  EXPECT_EQ(m.rounds(), 5u);
   EXPECT_EQ(m.total_communication(), 22u);
-  EXPECT_EQ(m.communication_by_label().at("a"), 10u);
-  EXPECT_EQ(m.communication_by_label().at("b"), 5u);
-  EXPECT_EQ(m.communication_by_label().count(""), 0u);
   EXPECT_EQ(m.peak_machine_load(), 200u);
-  EXPECT_EQ(m.peak_load_by_label().at("a"), 100u);
-  EXPECT_EQ(m.peak_load_by_label().at("b"), 60u);
-}
-
-TEST(Metrics, MergeSumsCommunicationAndMaxesPeaks) {
-  mpc::Metrics a;
-  a.add_communication(10, "x");
-  a.observe_load(100, "x");
-  mpc::Metrics b;
-  b.add_communication(4, "x");
-  b.add_communication(6, "y");
-  b.observe_load(70, "x");
-  b.observe_load(300, "y");
-
-  a.merge(b);
-  EXPECT_EQ(a.total_communication(), 20u);
-  EXPECT_EQ(a.communication_by_label().at("x"), 14u);
-  EXPECT_EQ(a.communication_by_label().at("y"), 6u);
-  EXPECT_EQ(a.peak_load_by_label().at("x"), 100u);
-  EXPECT_EQ(a.peak_load_by_label().at("y"), 300u);
-  EXPECT_EQ(a.peak_machine_load(), 300u);
-}
-
-TEST(Metrics, ResetClearsLabelMaps) {
-  mpc::Metrics m;
-  m.charge_rounds(1, "a");
-  m.add_communication(2, "a");
-  m.observe_load(3, "a");
-  m.reset();
-  EXPECT_EQ(m.rounds(), 0u);
-  EXPECT_EQ(m.total_communication(), 0u);
-  EXPECT_EQ(m.peak_machine_load(), 0u);
-  EXPECT_TRUE(m.rounds_by_label().empty());
-  EXPECT_TRUE(m.communication_by_label().empty());
-  EXPECT_TRUE(m.peak_load_by_label().empty());
+  EXPECT_EQ(m.by_label().count(""), 0u);
+  EXPECT_EQ(m.by_label().at("a"), (mpc::LabelCost{3, 10, 100}));
+  EXPECT_EQ(m.by_label().at("b"), (mpc::LabelCost{0, 5, 60}));
 }
 
 // --- Span mechanics. ---
@@ -255,12 +218,10 @@ TEST(Trace, SpanReportsMetricDeltas) {
   obs::CollectorSink sink;
   obs::TraceSession session(&sink);
   session.attach_metrics(&metrics);
-  metrics.charge_rounds(5, "before");
-  metrics.add_communication(11, "before");
+  metrics.charge("before", 5, 11);
   {
     obs::Span span(&session, "work");
-    metrics.charge_rounds(3, "work");
-    metrics.add_communication(9, "work");
+    metrics.charge("work", 3, 9);
   }
   session.finish();
   ASSERT_EQ(sink.events().size(), 2u);
@@ -352,9 +313,7 @@ TEST(Trace, DisabledTracingLeavesMetricsIdentical) {
             traced.metrics.total_communication());
   EXPECT_EQ(plain.metrics.peak_machine_load(),
             traced.metrics.peak_machine_load());
-  EXPECT_EQ(plain.metrics.rounds_by_label(), traced.metrics.rounds_by_label());
-  EXPECT_EQ(plain.metrics.communication_by_label(),
-            traced.metrics.communication_by_label());
+  EXPECT_EQ(plain.metrics.by_label(), traced.metrics.by_label());
   EXPECT_EQ(plain.in_set, traced.in_set);
 }
 
@@ -472,8 +431,7 @@ TEST(Sinks, SummarizeSpansAggregatesByName) {
   session.attach_metrics(&metrics);
   for (int i = 0; i < 3; ++i) {
     obs::Span span(&session, "repeat");
-    metrics.charge_rounds(2, "repeat");
-    metrics.add_communication(5, "repeat");
+    metrics.charge("repeat", 2, 5);
   }
   session.finish();
   const auto stats = obs::summarize_spans(sink.events());
@@ -604,18 +562,15 @@ TEST(Registry, SectionsSerializeSeparatelyAndDropZeros) {
 // engine). ---
 
 void expect_labels_cover_totals(const mpc::Metrics& m, const char* what) {
-  const auto sum = [](const std::map<std::string, std::uint64_t>& by_label) {
-    return std::accumulate(
-        by_label.begin(), by_label.end(), std::uint64_t{0},
-        [](std::uint64_t acc, const auto& kv) { return acc + kv.second; });
-  };
-  EXPECT_FALSE(m.communication_by_label().empty()) << what;
-  EXPECT_EQ(sum(m.communication_by_label()), m.total_communication()) << what;
-  EXPECT_EQ(sum(m.rounds_by_label()), m.rounds()) << what;
-  std::uint64_t peak = 0;
-  for (const auto& [label, v] : m.peak_load_by_label()) {
-    peak = std::max(peak, v);
+  EXPECT_FALSE(m.by_label().empty()) << what;
+  std::uint64_t rounds = 0, communication = 0, peak = 0;
+  for (const auto& [label, cost] : m.by_label()) {
+    rounds += cost.rounds;
+    communication += cost.communication;
+    peak = std::max(peak, cost.peak_load);
   }
+  EXPECT_EQ(communication, m.total_communication()) << what;
+  EXPECT_EQ(rounds, m.rounds()) << what;
   EXPECT_EQ(peak, m.peak_machine_load()) << what;
 }
 
@@ -637,13 +592,9 @@ TEST(Metrics, LabelsCoverTotalsAcrossThreadsAndFaults) {
       expect_labels_cover_totals(solution.report.metrics, what.c_str());
       // The label breakdown itself is part of the golden report surface.
       Json labels = Json::object();
-      for (const auto& [label, v] :
-           solution.report.metrics.communication_by_label()) {
-        labels.set(label, v);
-      }
-      for (const auto& [label, v] :
-           solution.report.metrics.rounds_by_label()) {
-        labels.set("rounds/" + label, v);
+      for (const auto& [label, cost] : solution.report.metrics.by_label()) {
+        labels.set(label, cost.communication);
+        labels.set("rounds/" + label, cost.rounds);
       }
       if (reference.empty()) {
         reference = labels.dump();

@@ -11,6 +11,7 @@
 #include "api/report_json.hpp"
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "support/json.hpp"
@@ -262,20 +263,88 @@ TEST(ProfiledSolve, OffByDefaultHasNoProfileKey) {
   EXPECT_EQ(json.find("\"profile\""), std::string::npos);
 }
 
+/// The profile and the round_completed stream read the same charge the
+/// ledger records: each charge closes its own window after its words land.
+void expect_observers_match_ledger(const SolveReport& report,
+                                   const obs::MetricsSnapshot& registry,
+                                   const obs::CollectorEventSink& events,
+                                   const std::string& what) {
+  const mpc::Metrics& ledger = report.metrics;
+  const auto& profile = report.profile.by_label;
+  for (const auto& [label, cost] : ledger.by_label()) {
+    if (cost.rounds == 0 && cost.communication == 0) continue;
+    ASSERT_TRUE(profile.count(label)) << what << " " << label;
+    EXPECT_EQ(profile.at(label).rounds, cost.rounds) << what << " " << label;
+    EXPECT_EQ(profile.at(label).comm_words, cost.communication)
+        << what << " " << label;
+  }
+  for (const auto& [label, summary] : profile) {
+    ASSERT_TRUE(ledger.by_label().count(label)) << what << " " << label;
+  }
+  const auto* comm = registry.find("profile/comm_words");
+  ASSERT_NE(comm, nullptr) << what;
+  EXPECT_EQ(comm->value, registry.find("mpc/communication")->value) << what;
+  std::uint64_t rounds = 0;
+  const obs::ProgressEvent* last = nullptr;
+  for (const auto& e : events.events()) {
+    if (e.type != obs::EventType::kRoundCompleted) continue;
+    rounds += e.rounds;
+    last = &e;
+  }
+  EXPECT_EQ(rounds, ledger.rounds()) << what;
+  ASSERT_NE(last, nullptr) << what;
+  EXPECT_EQ(last->comm_words, ledger.total_communication()) << what;
+}
+
 TEST(ProfiledSolve, ProfileDoesNotPerturbSolutionOrMetrics) {
-  const auto g = graph::gnm(300, 2400, 9);
-  SolveOptions plain;
-  SolveOptions profiled;
-  profiled.profile = true;
-  const auto a = Solver(plain).mis(g);
-  const auto b = Solver(profiled).mis(g);
-  EXPECT_EQ(a.in_set, b.in_set);
-  EXPECT_EQ(a.report.metrics.rounds(), b.report.metrics.rounds());
-  EXPECT_EQ(a.report.metrics.total_communication(),
-            b.report.metrics.total_communication());
-  // Profile totals agree with the metrics the solve already reports.
-  EXPECT_EQ(b.report.profile.load_max,
-            b.report.metrics.peak_machine_load());
+  const auto gnm = graph::gnm(300, 2400, 9);
+  const auto regular = graph::random_regular(256, 4, 9);
+  struct Case {
+    const char* what;
+    const graph::Graph* g;
+    Algorithm algorithm;
+    bool matching;
+  };
+  for (const Case& c : {Case{"sparse mis", &gnm, Algorithm::kSparsification,
+                             false},
+                        Case{"sparse matching", &gnm,
+                             Algorithm::kSparsification, true},
+                        Case{"lowdeg mis", &regular, Algorithm::kLowDegree,
+                             false}}) {
+    SolveOptions plain;
+    plain.algorithm = c.algorithm;
+    SolveOptions profiled = plain;
+    profiled.profile = true;
+    obs::CollectorEventSink collector;
+    obs::EventBus bus;
+    ASSERT_TRUE(bus.subscribe(&collector));
+    profiled.events = &bus;
+    const Solver plain_solver(plain);
+    const Solver profiled_solver(profiled);
+    SolveReport a, b;
+    if (c.matching) {
+      const auto x = plain_solver.maximal_matching(*c.g);
+      const auto y = profiled_solver.maximal_matching(*c.g);
+      EXPECT_EQ(x.matching, y.matching) << c.what;
+      a = x.report;
+      b = y.report;
+    } else {
+      const auto x = plain_solver.mis(*c.g);
+      const auto y = profiled_solver.mis(*c.g);
+      EXPECT_EQ(x.in_set, y.in_set) << c.what;
+      a = x.report;
+      b = y.report;
+    }
+    EXPECT_EQ(a.metrics.rounds(), b.metrics.rounds()) << c.what;
+    EXPECT_EQ(a.metrics.total_communication(),
+              b.metrics.total_communication())
+        << c.what;
+    EXPECT_EQ(a.metrics.by_label(), b.metrics.by_label()) << c.what;
+    // Profile totals agree with the metrics the solve already reports.
+    EXPECT_EQ(b.profile.load_max, b.metrics.peak_machine_load()) << c.what;
+    expect_observers_match_ledger(b, profiled_solver.metrics_snapshot(),
+                                  collector, c.what);
+  }
 }
 
 // ---- Host-side scopes ----

@@ -260,7 +260,7 @@ TEST(VerifyAudit, DegreeCapAndInvariants) {
 TEST(VerifySpace, AccountingAndConsistency) {
   const Certifier certifier = make_certifier();
   mpc::Metrics metrics;
-  metrics.charge_rounds(2, "phase/a");
+  metrics.charge("phase/a", 2, 0);
   metrics.observe_load(100, "phase/a");
   metrics.observe_load(250, "phase/a");
   EXPECT_EQ(certifier.check_space_accounting(metrics, 250).verdict,
