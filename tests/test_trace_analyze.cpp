@@ -2,7 +2,8 @@
 // reconstruction from both serialized formats, critical-path extraction
 // under rounds and wall weighting, folded flamegraph stacks, the profile
 // skew gate, and a byte-exact round trip against the checked-in E17 trace
-// fixture (tests/data/e17_trace.jsonl).
+// fixture (tests/data/e17_trace.jsonl), plus the matching trace and both
+// problems' event-stream model projections pinned the same way.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -12,6 +13,7 @@
 
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
+#include "obs/events.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
@@ -35,25 +37,56 @@ std::string read_fixture(const std::string& name) {
   return buffer.str();
 }
 
-/// The fixture's solve, reproduced live: E17's graph (gnm n=512, m=16n,
-/// seed 23) through the MIS pipeline with a golden JSONL trace.
-std::string live_e17_trace() {
-  const auto g = graph::gnm(512, 8192, 23);
+/// The fixtures' graph: E17's gnm n=512, m=16n, seed 23.
+graph::Graph fixture_graph() { return graph::gnm(512, 8192, 23); }
+
+/// A fixture solve reproduced live with a golden JSONL trace (profile on,
+/// no wall timestamps). `solve` runs one problem on the given solver.
+template <typename Solve>
+std::string live_trace(Solve&& solve) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(&out, /*include_wall_time=*/false);
   obs::TraceSession session(&sink);
   SolveOptions options;
   options.profile = true;
   options.trace = &session;
-  Solver(options).mis(g);
+  solve(Solver(options));
   session.finish();
   return out.str();
 }
 
+/// A fixture solve reproduced live under an event bus: the model projection
+/// of its progress-event stream.
+template <typename Solve>
+std::string live_model_projection(Solve&& solve) {
+  obs::CollectorEventSink collector;
+  obs::EventBus bus;
+  EXPECT_TRUE(bus.subscribe(&collector));
+  SolveOptions options;
+  options.events = &bus;
+  solve(Solver(options));
+  return obs::model_projection(collector.events());
+}
+
+const auto kMis = [](const Solver& s) { s.mis(fixture_graph()); };
+const auto kMatching = [](const Solver& s) {
+  s.maximal_matching(fixture_graph());
+};
+
 TEST(TraceAnalyze, FixtureIsByteIdenticalToLiveTrace) {
   // The checked-in fixture doubles as a cross-session golden: regenerate it
   // (see tests/data/README.md) whenever the pipeline's trace shape changes.
-  EXPECT_EQ(live_e17_trace(), read_fixture("e17_trace.jsonl"));
+  EXPECT_EQ(live_trace(kMis), read_fixture("e17_trace.jsonl"));
+}
+
+TEST(TraceAnalyze, MatchingFixtureIsByteIdenticalToLiveTrace) {
+  EXPECT_EQ(live_trace(kMatching), read_fixture("matching_trace.jsonl"));
+}
+
+TEST(TraceAnalyze, ModelProjectionFixturesAreByteIdenticalToLiveRuns) {
+  EXPECT_EQ(live_model_projection(kMis), read_fixture("mis_events.jsonl"));
+  EXPECT_EQ(live_model_projection(kMatching),
+            read_fixture("matching_events.jsonl"));
 }
 
 TEST(TraceAnalyze, FixtureCriticalPathIsRoundWeighted) {
