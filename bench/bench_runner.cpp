@@ -342,7 +342,7 @@ Json e4_points(const RunConfig& cfg) {
         wii = std::min(wii, s.invariant_xv_ratio);
       }
       model.set("nodes_stages", static_cast<std::uint64_t>(sp.stages.size()))
-          .set("nodes_max_degree", static_cast<std::uint64_t>(sp.max_q_degree))
+          .set("nodes_max_degree", static_cast<std::uint64_t>(sp.max_degree))
           .set("nodes_worst_deg_ratio_ppm", dmpc::bench::ppm(wi))
           .set("nodes_worst_xv_ratio_ppm", dmpc::bench::ppm(wii));
     }

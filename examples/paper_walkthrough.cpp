@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                 (unsigned long long)r.edges_before,
                 (unsigned long long)r.edges_after,
                 100.0 * r.progress_fraction,
-                (unsigned long long)r.matched_pairs, r.estar_max_degree);
+                (unsigned long long)r.committed, r.sparse_max_degree);
   }
   return 0;
 }

@@ -33,28 +33,27 @@ Config pipeline_config(const SolveOptions& options, mpc::ClusterSetup setup) {
 
 // Fold a pipeline's per-iteration sparsifier measurements into the report's
 // audit block (checked by the Certifier in full mode).
-template <typename IterationReports, typename MaxDegreeOf>
-void fill_audit(verify::SparsifyAudit* audit, const IterationReports& reports,
-                std::uint64_t degree_cap, MaxDegreeOf&& max_degree_of) {
+void fill_audit(verify::SparsifyAudit* audit,
+                const std::vector<matching::IterationReport>& reports,
+                std::uint64_t degree_cap) {
   audit->degree_cap = degree_cap;
   for (const auto& r : reports) {
     ++audit->iterations;
     if (r.sparsify_stages == 0) continue;
     audit->stages += r.sparsify_stages;
-    audit->max_degree = std::max(audit->max_degree, max_degree_of(r));
+    audit->max_degree = std::max(audit->max_degree, r.sparse_max_degree);
     audit->worst_degree_ratio =
-        std::max(audit->worst_degree_ratio, r.invariant_degree_ratio);
-    audit->worst_xv_ratio =
-        std::min(audit->worst_xv_ratio, r.invariant_xv_ratio);
+        std::max(audit->worst_degree_ratio, r.worst.degree_ratio);
+    audit->worst_xv_ratio = std::min(audit->worst_xv_ratio, r.worst.xv_ratio);
     audit->max_window_multiplier =
-        std::max(audit->max_window_multiplier, r.window_multiplier);
+        std::max(audit->max_window_multiplier, r.worst.window_multiplier);
   }
 }
 
 // The per-problem half of Theorem 1's dispatch. Matching is MIS on L(G)
 // (§2.1), so a solve differs between the two problems only in what these
 // traits name: the event label, the two pipelines, the answer field, the
-// audit's max-degree field, the answer claims and the replay diff's unit.
+// answer claims and the replay diff's unit.
 template <typename Solution>
 struct Problem;
 
@@ -70,9 +69,6 @@ struct Problem<MisSolution> {
     return mis::det_mis(g, c);
   }
   static auto& answer(auto& record) { return record.in_set; }
-  static auto max_degree(const mis::MisIterationReport& r) {
-    return r.qprime_max_degree;
-  }
   static std::vector<verify::ClaimResult> claims(
       const verify::Certifier& certifier, const graph::Graph& g,
       const MisSolution& s) {
@@ -96,9 +92,6 @@ struct Problem<MatchingSolution> {
     return matching::det_maximal_matching(g, c);
   }
   static auto& answer(auto& record) { return record.matching; }
-  static auto max_degree(const matching::IterationReport& r) {
-    return r.estar_max_degree;
-  }
   static std::vector<verify::ClaimResult> claims(
       const verify::Certifier& certifier, const graph::Graph& g,
       const MatchingSolution& s) {
@@ -457,8 +450,7 @@ Solution Solver::solve(const graph::Graph& g) const {
       report.metrics = result.metrics;
       report.recovery = result.recovery;
       fill_audit(&report.sparsify, result.reports,
-                 matching::params_for(config, g.num_nodes()).degree_cap(),
-                 P::max_degree);
+                 matching::params_for(config, g.num_nodes()).degree_cap());
     }
     if (prof != nullptr) report.profile = prof->snapshot();
     capture_registry_delta(before, &report);

@@ -13,7 +13,6 @@
 
 namespace dmpc::cclique {
 
-using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
@@ -123,10 +122,7 @@ CcMatchingResult cc_matching(const Graph& g) {
   if (g.num_edges() == 0) return result;
   const Graph lg = graph::line_graph(g);
   result.mis = cc_mis(lg);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (result.mis.in_set[e]) result.matching.push_back(e);
-  }
-  DMPC_CHECK(graph::is_maximal_matching(g, result.matching));
+  result.matching = graph::line_mis_matching(g, result.mis.in_set);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/builder.hpp"
+#include "graph/validate.hpp"
 #include "support/check.hpp"
 
 namespace dmpc::graph {
@@ -20,6 +21,17 @@ Graph line_graph(const Graph& g) {
     }
   }
   return std::move(b).build();
+}
+
+std::vector<EdgeId> line_mis_matching(const Graph& g,
+                                      const std::vector<bool>& in_set) {
+  std::vector<EdgeId> matching;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (in_set[e]) matching.push_back(e);
+  }
+  DMPC_CHECK_MSG(is_maximal_matching(g, matching),
+                 "line-graph MIS did not map to a maximal matching");
+  return matching;
 }
 
 Graph square(const Graph& g) {

@@ -16,6 +16,11 @@ namespace dmpc::graph {
 /// for bounded-degree inputs (exactly the regime §5 uses it in).
 Graph line_graph(const Graph& g);
 
+/// The matching an MIS of line_graph(g) names (§2.1): the edges e with
+/// in_set[e], ascending. Checks that it is maximal in g.
+std::vector<EdgeId> line_mis_matching(const Graph& g,
+                                      const std::vector<bool>& in_set);
+
 /// Square graph: same nodes, edges between every pair at distance 1 or 2.
 Graph square(const Graph& g);
 

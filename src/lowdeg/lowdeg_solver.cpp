@@ -12,7 +12,6 @@
 
 namespace dmpc::lowdeg {
 
-using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
@@ -70,9 +69,9 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   const std::uint64_t phase_words = 2 * g.num_edges() + 2 * g.num_nodes();
 
   // --- Preprocessing (§5.2.2): coloring + family + ball gathering. ---
-  cluster.mark_phase("lowdeg/phase/coloring", phase_words);
   const auto coloring = [&] {
-    obs::Span phase_span(cluster.trace(), "lowdeg/phase/coloring");
+    const obs::Span phase_span =
+        cluster.mark_phase("lowdeg/phase/coloring", phase_words);
     return distance2_coloring(cluster, g);
   }();
   result.colors = coloring.num_colors;
@@ -83,16 +82,15 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   hash::FunctionSequence sequence(family, l, kPerPhaseCap);
 
   {
-    cluster.mark_phase("lowdeg/phase/gather", phase_words);
-    obs::Span phase_span(cluster.trace(), "lowdeg/phase/gather");
+    const obs::Span phase_span =
+        cluster.mark_phase("lowdeg/phase/gather", phase_words);
     gather_neighborhoods(cluster, g, alive, /*radius=*/2 * l);
   }
 
   // --- Stages. ---
   while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
     DMPC_CHECK_MSG(result.stages < kMaxStages, "stage cap exceeded");
-    cluster.mark_phase("lowdeg/stage", phase_words);
-    obs::Span stage_span(cluster.trace(), "lowdeg/stage");
+    obs::Span stage_span = cluster.mark_phase("lowdeg/stage", phase_words);
     stage_span.arg("stage", static_cast<std::uint64_t>(result.stages + 1));
     const auto outcome =
         run_stage(cluster, g, alive, coloring.color, sequence);
@@ -145,11 +143,7 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
                        config.setup);
   cluster.charge("lowdeg/line_graph", 1, 0);
   result.line_mis = lowdeg_mis(cluster, lg);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (result.line_mis.in_set[e]) result.matching.push_back(e);
-  }
-  DMPC_CHECK_MSG(graph::is_maximal_matching(g, result.matching),
-                 "lowdeg_matching produced a non-maximal matching");
+  result.matching = graph::line_mis_matching(g, result.line_mis.in_set);
   return result;
 }
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "derand/seed_search.hpp"
-#include "graph/validate.hpp"
-#include "hash/kwise.hpp"
+#include "matching/luby.hpp"
 #include "mpc/distribution.hpp"
-#include "obs/trace.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
@@ -47,11 +43,11 @@ class SelectionObjective final : public derand::RangeObjective {
   SelectionObjective(const Graph& g, const hash::KWiseFamily& family,
                      const std::vector<EdgeId>& estar_edges,
                      const std::vector<bool>& in_B,
-                     const std::vector<std::uint32_t>& alive_degree)
+                     std::vector<std::uint32_t> alive_degree)
       : n_(g.num_nodes()),
         estar_edges_(&estar_edges),
         in_B_(&in_B),
-        alive_degree_(&alive_degree) {
+        alive_degree_(std::move(alive_degree)) {
     DMPC_CHECK_MSG(estar_edges.size() < detail::kNoPosition,
                    "E* exceeds 32-bit positions");
     estar_ends_.reserve(estar_edges.size());
@@ -86,7 +82,7 @@ class SelectionObjective final : public derand::RangeObjective {
       const std::uint32_t i = best[v];
       if ((*in_B_)[v] && i != detail::kNoPosition &&
           argmin_at_both(best, estar_ends_[i], i)) {
-        q += static_cast<double>((*alive_degree_)[v]);
+        q += static_cast<double>(alive_degree_[v]);
       }
     }
     return q;
@@ -106,8 +102,97 @@ class SelectionObjective final : public derand::RangeObjective {
   std::uint32_t n_;
   const std::vector<EdgeId>* estar_edges_;
   const std::vector<bool>* in_B_;
-  const std::vector<std::uint32_t>* alive_degree_;
+  std::vector<std::uint32_t> alive_degree_;
   std::vector<Edge> estar_ends_;  ///< E*-position -> endpoints
+};
+
+/// §3's side of the Luby iteration (matching/luby.hpp).
+struct MatchingStep : LubyRun {
+  static constexpr const char* kPrefix = "matching";
+  static constexpr const char* kProgressKey = "matched_pairs";
+  static constexpr std::size_t kGrain = 1;
+  static constexpr std::uint64_t kNodeWords = 1;  // alive/matched flag
+  static constexpr bool kHashesEdges = true;
+
+  DetMatchingResult result = {};
+
+  // Isolated nodes stay unmatched.
+  std::uint64_t absorb_isolated() { return 0; }
+
+  // 1. Good nodes (Corollary 8).
+  sparsify::MatchingGoodSet good_nodes() {
+    return sparsify::select_matching_good_set(cluster, params, g, alive);
+  }
+
+  // 2. Sparsify E_0 -> E* (§3.2).
+  sparsify::EdgeSparsifyResult sparsify(const sparsify::MatchingGoodSet& good) {
+    return sparsify::sparsify_edges(cluster, params, g, good, config.sparsify);
+  }
+
+  // 3. Gather 2-hop neighborhoods of B-nodes in E* (space check, §3.3).
+  // Returns the E* edge list the selection hashes.
+  std::vector<EdgeId> gather(const sparsify::MatchingGoodSet& good,
+                             const sparsify::EdgeSparsifyResult& sparse) {
+    std::vector<EdgeId> estar_edges;
+    std::vector<std::uint32_t> estar_degree(g.num_nodes(), 0);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (!sparse.in_Estar[e]) continue;
+      estar_edges.push_back(e);
+      ++estar_degree[g.edge(e).u];
+      ++estar_degree[g.edge(e).v];
+    }
+    // B-node v gathers its E* edges and its E* neighbors' E* edges:
+    // deg*(v) + sum over E* edges (v, w) of deg*(w) records, 2 words each.
+    std::vector<std::uint64_t> two_hop(g.num_nodes(), 0);
+    cluster.executor().for_each(
+        0, g.num_nodes(),
+        [&](std::uint64_t node) {
+          const auto v = static_cast<NodeId>(node);
+          if (!good.in_B[v]) return;
+          const auto neighbors = g.neighbors(v);
+          const auto incident = g.incident_edges(v);
+          std::uint64_t words = estar_degree[v];
+          for (std::size_t j = 0; j < incident.size(); ++j) {
+            if (sparse.in_Estar[incident[j]]) {
+              words += estar_degree[neighbors[j]];
+            }
+          }
+          two_hop[v] = 2 * words;
+        },
+        /*grain=*/4096);
+    mpc::charge_two_hop_gather(cluster, two_hop, good.in_B,
+                               "matching/gather2hop");
+    return estar_edges;
+  }
+
+  // 4-5. The Lemma-13 selection over E*.
+  SelectionObjective objective(const hash::KWiseFamily& family,
+                               const sparsify::MatchingGoodSet& good,
+                               const std::vector<EdgeId>& estar_edges) {
+    return SelectionObjective(g, family, estar_edges, good.in_B,
+                              graph::alive_degrees(g, alive,
+                                                   cluster.executor()));
+  }
+
+  double threshold(const sparsify::MatchingGoodSet& good) const {
+    return kLemma13Threshold * static_cast<double>(good.b_degree_mass);
+  }
+
+  // Add E_h to the matching and delete the matched nodes.
+  std::uint64_t commit(const SelectionObjective& objective,
+                       std::uint64_t seed) {
+    const auto matched = objective.matching_for(seed);
+    for (EdgeId e : matched) {
+      result.matching.push_back(e);
+      alive[g.edge(e).u] = false;
+      alive[g.edge(e).v] = false;
+    }
+    return matched.size();
+  }
+
+  bool maximal() const {
+    return graph::is_maximal_matching(g, result.matching);
+  }
 };
 
 }  // namespace
@@ -181,153 +266,7 @@ DetMatchingResult det_maximal_matching(const Graph& g,
 
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
                                        const DetMatchingConfig& config) {
-  const sparsify::Params params = params_for(config, g.num_nodes());
-  DetMatchingResult result;
-  std::vector<bool> alive(g.num_nodes(), true);
-  obs::Span pipeline_span(cluster.trace(), "matching/pipeline");
-  // Distributed state a phase checkpoint persists: the edge list plus the
-  // per-node alive/matched flags.
-  const std::uint64_t phase_words = 2 * g.num_edges() + g.num_nodes();
-
-  while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
-    DMPC_CHECK_MSG(result.iterations < config.max_iterations,
-                   "matching iteration cap exceeded");
-    ++result.iterations;
-    IterationReport report;
-    report.iteration = result.iterations;
-    obs::Span iter_span(cluster.trace(), "matching/iteration");
-    iter_span.arg("iteration", report.iteration);
-
-    // 1. Good nodes (Corollary 8).
-    cluster.mark_phase("matching/phase/good_nodes", phase_words);
-    const auto good = [&] {
-      obs::Span phase_span(cluster.trace(), "matching/phase/good_nodes");
-      return sparsify::select_matching_good_set(cluster, params, g, alive);
-    }();
-    report.cls = good.cls;
-    report.edges_before = good.alive_edges;
-
-    // 2. Sparsify E_0 -> E* (§3.2).
-    cluster.mark_phase("matching/phase/sparsify", phase_words);
-    const auto sparse = [&] {
-      obs::Span phase_span(cluster.trace(), "matching/phase/sparsify");
-      return sparsify::sparsify_edges(cluster, params, g, good,
-                                      config.sparsify);
-    }();
-    report.sparsify_stages = sparse.stages.size();
-    report.estar_max_degree = sparse.max_degree;
-    const auto worst = sparsify::worst_invariants(sparse.stages);
-    report.invariant_degree_ratio = worst.degree_ratio;
-    report.invariant_xv_ratio = worst.xv_ratio;
-    report.window_multiplier = worst.window_multiplier;
-
-    // 3. Gather 2-hop neighborhoods of B-nodes in E* (space check, §3.3).
-    cluster.mark_phase("matching/phase/gather", phase_words);
-    std::optional<obs::Span> gather_span;
-    gather_span.emplace(cluster.trace(), "matching/phase/gather");
-    std::vector<EdgeId> estar_edges;
-    std::vector<std::uint32_t> estar_degree(g.num_nodes(), 0);
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (!sparse.in_Estar[e]) continue;
-      estar_edges.push_back(e);
-      ++estar_degree[g.edge(e).u];
-      ++estar_degree[g.edge(e).v];
-    }
-    {
-      // B-node v gathers its E* edges and its E* neighbors' E* edges:
-      // deg*(v) + sum over E* edges (v, w) of deg*(w) records, 2 words each.
-      std::vector<std::uint64_t> two_hop(g.num_nodes(), 0);
-      cluster.executor().for_each(
-          0, g.num_nodes(),
-          [&](std::uint64_t node) {
-            const auto v = static_cast<NodeId>(node);
-            if (!good.in_B[v]) return;
-            const auto neighbors = g.neighbors(v);
-            const auto incident = g.incident_edges(v);
-            std::uint64_t words = estar_degree[v];
-            for (std::size_t j = 0; j < incident.size(); ++j) {
-              if (sparse.in_Estar[incident[j]]) {
-                words += estar_degree[neighbors[j]];
-              }
-            }
-            two_hop[v] = 2 * words;
-          },
-          /*grain=*/4096);
-      mpc::charge_two_hop_gather(cluster, two_hop, good.in_B,
-                                 "matching/gather2hop");
-    }
-    gather_span.reset();
-
-    // 4-5. Derandomized Lemma-13 selection.
-    cluster.mark_phase("matching/phase/derand", phase_words);
-    std::optional<obs::Span> derand_span;
-    derand_span.emplace(cluster.trace(), "matching/phase/derand");
-    const auto alive_degree = graph::alive_degrees(g, alive, cluster.executor());
-    const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_edges());
-    hash::KWiseFamily family(domain, domain, /*k=*/2);
-    SelectionObjective objective(g, family, estar_edges, good.in_B,
-                                 alive_degree);
-    derand::SelectionOptions selection;
-    selection.label = "matching/selection";
-    selection.mode = config.selection_mode;
-    selection.threshold =
-        kLemma13Threshold * static_cast<double>(good.b_degree_mass);
-    selection.batch = config.selection_batch;
-    selection.salt = result.iterations;
-    const auto committed =
-        derand::select_seed(cluster, objective, family, selection);
-    report.selection_trials = committed.trials;
-    if (derand_span->active()) {
-      derand_span->arg("candidate_seeds", committed.trials);
-      derand_span->arg("committed_seed", committed.seed);
-    }
-    derand_span.reset();
-
-    cluster.mark_phase("matching/phase/commit", phase_words);
-    obs::Span commit_span(cluster.trace(), "matching/phase/commit");
-    const auto matched = objective.matching_for(committed.seed);
-    DMPC_CHECK_MSG(!matched.empty(), "empty committed matching");
-    report.matched_pairs = matched.size();
-    for (EdgeId e : matched) {
-      result.matching.push_back(e);
-      alive[g.edge(e).u] = false;
-      alive[g.edge(e).v] = false;
-    }
-
-    report.edges_after = graph::alive_edge_count(g, alive, cluster.executor());
-    report.progress_fraction =
-        static_cast<double>(report.edges_before - report.edges_after) /
-        static_cast<double>(report.edges_before);
-    // Lemma-13 progress series: one structured event per iteration (the
-    // machine-readable successor of the old free-form debug line).
-    if (auto* trace = cluster.trace(); obs::enabled(trace)) {
-      trace->instant(
-          "matching/progress",
-          {obs::arg("iteration", report.iteration),
-           obs::arg("edges_remaining",
-                    static_cast<std::uint64_t>(report.edges_after)),
-           obs::arg("good_node_fraction",
-                    static_cast<double>(good.b_degree_mass) /
-                        static_cast<double>(2 * good.alive_edges)),
-           obs::arg("matched_pairs",
-                    static_cast<std::uint64_t>(report.matched_pairs)),
-           obs::arg("progress_fraction", report.progress_fraction)});
-    }
-    if (iter_span.active()) {
-      iter_span.arg("edges_before",
-                    static_cast<std::uint64_t>(report.edges_before));
-      iter_span.arg("edges_after",
-                    static_cast<std::uint64_t>(report.edges_after));
-      iter_span.arg("class", static_cast<std::uint64_t>(report.cls));
-    }
-    result.reports.push_back(report);
-  }
-
-  DMPC_CHECK_MSG(graph::is_maximal_matching(g, result.matching),
-                 "det_maximal_matching produced a non-maximal matching");
-  result.metrics = cluster.metrics();
-  result.recovery = cluster.recovery_stats();
-  return result;
+  return run_luby(MatchingStep({cluster, g, config}));
 }
 
 }  // namespace dmpc::matching

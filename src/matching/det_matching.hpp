@@ -26,6 +26,7 @@
 #include "mpc/metrics.hpp"
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage.hpp"
 
 namespace dmpc::matching {
 
@@ -55,24 +56,20 @@ struct DetMatchingConfig {
   mpc::ClusterSetup setup;
 };
 
+/// One iteration of either pipeline (matching/luby.hpp runs both).
 struct IterationReport {
   std::uint64_t iteration = 0;
-  std::uint32_t cls = 0;                ///< Class i chosen by Corollary 8.
+  std::uint32_t cls = 0;                ///< Class i chosen by Corollary 8/16.
   graph::EdgeId edges_before = 0;
   graph::EdgeId edges_after = 0;
-  std::uint64_t matched_pairs = 0;      ///< |E_h| committed this iteration.
+  std::uint64_t committed = 0;          ///< |E_h| or |I_h| committed.
+  std::uint64_t isolated_added = 0;     ///< MIS only: isolated nodes added.
   double progress_fraction = 0.0;       ///< Removed / edges_before.
   std::uint64_t selection_trials = 0;
   std::uint64_t sparsify_stages = 0;
-  std::uint32_t estar_max_degree = 0;
-  /// Worst measured §3.2 invariant (i) ratio across this iteration's stages
-  /// (max of StageReport::invariant_degree_ratio; 0 when no stages ran).
-  double invariant_degree_ratio = 0.0;
-  /// Worst measured invariant (ii) ratio (min of
-  /// StageReport::invariant_xv_ratio; 2.0 sentinel when unmeasured).
-  double invariant_xv_ratio = 2.0;
-  /// Largest window escalation any stage needed (0 when no stages ran).
-  double window_multiplier = 0.0;
+  std::uint32_t sparse_max_degree = 0;  ///< Max degree inside E* / Q'.
+  /// Worst measured §3.2/§4.2 invariants across this iteration's stages.
+  sparsify::StageInvariants worst;
 };
 
 struct DetMatchingResult {

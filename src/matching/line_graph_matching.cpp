@@ -1,12 +1,9 @@
 #include "matching/line_graph_matching.hpp"
 
 #include "graph/transforms.hpp"
-#include "graph/validate.hpp"
-#include "support/check.hpp"
 
 namespace dmpc::matching {
 
-using graph::EdgeId;
 using graph::Graph;
 
 LineGraphMatchingResult det_matching_via_line_graph(
@@ -15,11 +12,7 @@ LineGraphMatchingResult det_matching_via_line_graph(
   if (g.num_edges() == 0) return result;
   const Graph lg = graph::line_graph(g);
   result.line_mis = mis::det_mis(lg, config);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (result.line_mis.in_set[e]) result.matching.push_back(e);
-  }
-  DMPC_CHECK_MSG(graph::is_maximal_matching(g, result.matching),
-                 "line-graph MIS did not map to a maximal matching");
+  result.matching = graph::line_mis_matching(g, result.line_mis.in_set);
   return result;
 }
 

@@ -33,28 +33,10 @@ inline constexpr double kLemma21Threshold = 0.01;
 /// Both sparsification pipelines take one configuration type.
 using DetMisConfig = matching::DetMatchingConfig;
 
-struct MisIterationReport {
-  std::uint64_t iteration = 0;
-  std::uint32_t cls = 0;
-  graph::EdgeId edges_before = 0;
-  graph::EdgeId edges_after = 0;
-  std::uint64_t independent_added = 0;  ///< |I_h| this iteration.
-  std::uint64_t isolated_added = 0;
-  double progress_fraction = 0.0;
-  std::uint64_t selection_trials = 0;
-  std::uint64_t sparsify_stages = 0;
-  std::uint32_t qprime_max_degree = 0;
-  /// Worst measured §4.2 invariant ratios across this iteration's stages
-  /// (see matching::IterationReport for the conventions).
-  double invariant_degree_ratio = 0.0;
-  double invariant_xv_ratio = 2.0;
-  double window_multiplier = 0.0;
-};
-
 struct DetMisResult {
   std::vector<bool> in_set;
   std::uint64_t iterations = 0;
-  std::vector<MisIterationReport> reports;
+  std::vector<matching::IterationReport> reports;
   mpc::Metrics metrics;
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
 };

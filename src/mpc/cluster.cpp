@@ -237,7 +237,8 @@ void Cluster::register_retry(const std::string& label, std::uint64_t round,
   }
 }
 
-void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
+obs::Span Cluster::mark_phase(const std::string& label,
+                              std::uint64_t state_words) {
   // Phase events are model-section: they must flow on every plan, so they
   // are emitted before the empty-plan early return below. The round/comm
   // fields are fault-free by the Metrics contract.
@@ -253,11 +254,12 @@ void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
   }
   open_phase_ = label;
   phase_open_ = true;
-  if (fault_plan_.empty()) return;
+  if (fault_plan_.empty()) return obs::Span(trace_, label);
   phase_round_ = metrics_.rounds();
   if (recovery_.checkpoint == CheckpointMode::kPhase) {
     note_checkpoint(label, state_words);
   }
+  return obs::Span(trace_, label);
 }
 
 void Cluster::charge(const std::string& label, std::uint64_t rounds,

@@ -37,6 +37,7 @@ namespace dmpc::obs {
 class EventBus;
 enum class EventType : std::uint8_t;
 class RoundProfiler;
+class Span;
 class TraceSession;
 }
 
@@ -179,11 +180,11 @@ class Cluster {
   /// faults).
   std::uint64_t logical_round() const { return metrics_.rounds(); }
 
-  /// Declare a pipeline phase boundary. Under CheckpointMode::kPhase this is
-  /// where snapshots are charged; a replay rolls back to the latest mark.
+  /// Declare a pipeline phase boundary; returns the phase's trace span. Under
+  /// CheckpointMode::kPhase this is where snapshots are charged (never while
+  /// the fault plan is empty); a replay rolls back to the latest mark.
   /// `state_words` is the distributed state a phase snapshot would persist.
-  /// No-op while the fault plan is empty.
-  void mark_phase(const std::string& label, std::uint64_t state_words = 0);
+  obs::Span mark_phase(const std::string& label, std::uint64_t state_words = 0);
 
   /// Charge one centrally-simulated superstep (a Lemma-4 primitive or a
   /// pipeline step): the only way model cost enters the ledger besides

@@ -78,7 +78,9 @@ Span::Span(TraceSession* session, const std::string& name) {
   id_ = session_->begin_span(name_);
 }
 
-Span::~Span() {
+Span::~Span() { end(); }
+
+void Span::end() {
   if (!active()) return;
   if (const mpc::Metrics* m = session_->metrics()) {
     end_args_.push_back(obs::arg("rounds", m->rounds() - rounds_before_));
@@ -87,6 +89,7 @@ Span::~Span() {
     end_args_.push_back(obs::arg("peak_load", m->peak_machine_load()));
   }
   session_->end_span(id_, name_, std::move(end_args_));
+  session_ = nullptr;
 }
 
 void Span::arg(std::string key, std::uint64_t v) {

@@ -153,6 +153,9 @@ class Span {
 
   bool active() const { return session_ != nullptr; }
 
+  /// Emit the end event now; the destructor then does nothing.
+  void end();
+
   /// Attach an argument to the end event (counters measured inside the
   /// span, e.g. candidate seeds evaluated). No-op when inactive.
   void arg(std::string key, std::uint64_t v);

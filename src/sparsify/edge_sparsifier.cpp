@@ -45,8 +45,7 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     ++stage;
     // Each stage rewrites the survivor set from the previous one, so it is a
     // recovery-safe boundary for phase-granularity checkpoints.
-    cluster.mark_phase("sparsify/stage", g.num_edges());
-    obs::Span stage_span(cluster.trace(), "sparsify/stage");
+    obs::Span stage_span = cluster.mark_phase("sparsify/stage", g.num_edges());
     stage_span.arg("stage", static_cast<std::uint64_t>(stage));
 
     // --- Distribute: type-A machine groups (every node's incident E_{j-1}

@@ -51,7 +51,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
       }
     }
     if (good.in_Q0[v]) {
-      result.max_q_degree = std::max(result.max_q_degree, deg_q0[v]);
+      result.max_degree = std::max(result.max_degree, deg_q0[v]);
     }
   }
 
@@ -59,7 +59,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
   std::uint32_t extra_used = 0;
   while (true) {
     if (stage >= planned) {
-      if (result.max_q_degree <= params.degree_cap() ||
+      if (result.max_degree <= params.degree_cap() ||
           extra_used >= kExtraStageCap) {
         break;
       }
@@ -68,8 +68,8 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     ++stage;
     // Each stage rewrites the survivor set from the previous one, so it is a
     // recovery-safe boundary for phase-granularity checkpoints.
-    cluster.mark_phase("mis_sparsify/stage", g.num_nodes());
-    obs::Span stage_span(cluster.trace(), "mis_sparsify/stage");
+    obs::Span stage_span =
+        cluster.mark_phase("mis_sparsify/stage", g.num_nodes());
     stage_span.arg("stage", static_cast<std::uint64_t>(stage));
 
     // --- Distribute Q-neighbor lists into per-owner windows: type-Q
@@ -136,7 +136,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     }
     report.invariant_degree_ratio = worst_deg_ratio;
     report.invariant_xv_ratio = worst_h_ratio;
-    result.max_q_degree = report.max_degree_after;
+    result.max_degree = report.max_degree_after;
     if (stage_span.active()) {
       stage_span.arg("candidate_seeds", report.trials);
       stage_span.arg("committed_seed", report.seed);

@@ -22,7 +22,7 @@ namespace dmpc::sparsify {
 struct NodeSparsifyResult {
   std::vector<bool> in_Qprime;        ///< Node mask of Q'.
   std::vector<StageReport> stages;
-  std::uint32_t max_q_degree = 0;     ///< Max degree inside Q'.
+  std::uint32_t max_degree = 0;       ///< Max degree inside Q'.
 };
 
 /// Run §4.2 on the chosen good set; `alive` masks the current graph.

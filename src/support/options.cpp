@@ -23,29 +23,43 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
+void ArgParser::reject_unread() const {
+  for (const auto& entry : values_) {
+    if (read_.count(entry.first) == 0) {
+      throw ParseError(ParseErrorCode::kBadToken,
+                       "unknown option --" + entry.first);
+    }
+  }
+}
+
 bool ArgParser::has(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::string ArgParser::get(const std::string& key,
                            const std::string& fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t ArgParser::get_int(const std::string& key,
                                 std::int64_t fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
 std::int64_t ArgParser::require_int(const std::string& key,
                                     std::int64_t fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   const std::string& text = it->second;
@@ -79,6 +93,7 @@ std::int64_t ArgParser::require_int(const std::string& key,
 
 double ArgParser::require_double(const std::string& key,
                                  double fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   const std::string& text = it->second;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,14 @@ class ArgParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws a dmpc::ParseError naming the first passed option no accessor
+  /// has read: strict front ends call it once they have read all theirs.
+  void reject_unread() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  ///< Keys the accessors looked up.
 };
 
 }  // namespace dmpc

@@ -63,7 +63,7 @@ TEST(DetMatching, IterationReportsShowProgress) {
     EXPECT_EQ(r.iteration, i + 1);
     EXPECT_LT(r.edges_after, r.edges_before);
     EXPECT_GT(r.progress_fraction, 0.0);
-    EXPECT_GT(r.matched_pairs, 0u);
+    EXPECT_GT(r.committed, 0u);
     EXPECT_GE(r.cls, 1u);
   }
   EXPECT_EQ(result.reports.back().edges_after, 0u);

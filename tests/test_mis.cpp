@@ -57,7 +57,7 @@ TEST(DetMis, ReportsShowProgress) {
   ASSERT_EQ(result.reports.size(), result.iterations);
   for (const auto& r : result.reports) {
     EXPECT_LT(r.edges_after, r.edges_before);
-    EXPECT_GT(r.independent_added, 0u);
+    EXPECT_GT(r.committed, 0u);
   }
   EXPECT_EQ(result.reports.back().edges_after, 0u);
 }

@@ -219,7 +219,7 @@ TEST(NodeSparsifier, ReducesQDegreesBelowCap) {
   const auto good = select_mis_good_set(cluster, params, g, alive);
   const auto sparse = sparsify_nodes(cluster, params, g, alive, good,
                                      SparsifyConfig{});
-  EXPECT_LE(sparse.max_q_degree, params.degree_cap());
+  EXPECT_LE(sparse.max_degree, params.degree_cap());
   // Q' never empty and Q' subset of Q_0.
   std::size_t q_count = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <set>
 
+#include "api/cli_options.hpp"
 #include "support/check.hpp"
 #include "support/logging.hpp"
 #include "support/math.hpp"
 #include "support/options.hpp"
+#include "support/parse_error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -225,6 +227,34 @@ TEST(Options, ParsesKeysAndPositional) {
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.txt");
+}
+
+std::string unread_error(const ArgParser& args) {
+  try {
+    args.reject_unread();
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.code(), ParseErrorCode::kBadToken);
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, RejectUnreadNamesOptionsNoAccessorRead) {
+  // A mistyped solve flag: parse_solve_options reads every flag the solve
+  // commands support, so only the typos stay unread.
+  const char* argv[] = {"mis", "--in=g.txt", "--certfy=full", "--thread=4",
+                        "--profile"};
+  const ArgParser args(5, argv);
+  parse_solve_options(args);
+  args.get("in", "graph.txt");
+  EXPECT_NE(unread_error(args).find("unknown option --certfy"),
+            std::string::npos);
+  args.get("certfy", "");
+  EXPECT_NE(unread_error(args).find("unknown option --thread"),
+            std::string::npos);
+  // Any accessor counts as a read, whatever the key's value.
+  args.has("thread");
+  EXPECT_EQ(unread_error(args), "");
 }
 
 }  // namespace

@@ -51,7 +51,9 @@
 // metrics document as `host_samples` (host section — never golden).
 // Invalid options (bad eps, unknown algorithm or trace format, a malformed
 // input file or fault plan, ...) are reported with their typed status code
-// and exit 2; internal check failures exit 1.
+// and exit 2; so is an option the command never reads (a typo such as
+// --certfy), which is rejected before anything is written. Internal check
+// failures exit 1.
 //
 // Graphs are plain edge lists: "n m" header then "u v" per line.
 #include <algorithm>
@@ -61,6 +63,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -256,41 +259,46 @@ void print_report(const dmpc::SolveReport& report) {
   }
 }
 
-/// Owns the trace output chain (--trace / --trace-format). Members are
-/// heap-allocated so the sink's stream pointer stays stable across moves.
+/// Owns the trace output chain (--trace / --trace-format). Construction
+/// reads the flags and open() creates the file, so a command can reject
+/// unknown options in between. Members are heap-allocated so the sink's
+/// stream pointer stays stable.
 struct TraceSetup {
+  explicit TraceSetup(const dmpc::ArgParser& args)
+      : path(args.get("trace", "")),
+        format(args.get("trace-format", "jsonl")),
+        host_counters(args.has("profile")) {}
+
+  std::string path;
+  std::string format;
+  bool host_counters;
   std::unique_ptr<std::ofstream> out;
   std::unique_ptr<dmpc::obs::TraceSink> sink;
   std::unique_ptr<dmpc::obs::TraceSession> session;
 
+  void open() {
+    if (path.empty()) return;
+    out = std::make_unique<std::ofstream>(open_out(path));
+    if (format == "chrome") {
+      sink = std::make_unique<dmpc::obs::ChromeTraceSink>(out.get());
+    } else if (format == "jsonl") {
+      sink = std::make_unique<dmpc::obs::JsonlTraceSink>(out.get());
+    } else {
+      throw dmpc::OptionsError(dmpc::Status::error(
+          dmpc::StatusCode::kInvalidTraceFormat,
+          "unknown trace format '" + format + "' (expected jsonl|chrome)"));
+    }
+    session = std::make_unique<dmpc::obs::TraceSession>(sink.get());
+    // --profile additionally records hostprof/* counter samples (wall/CPU/
+    // alloc per host scope); without it the trace stream is unchanged.
+    if (host_counters) session->enable_host_counters(true);
+  }
   dmpc::obs::TraceSession* session_or_null() const { return session.get(); }
   void finish() {
     if (session) session->finish();
     if (out) out->close();
   }
 };
-
-TraceSetup make_trace(const dmpc::ArgParser& args) {
-  TraceSetup t;
-  const std::string path = args.get("trace", "");
-  if (path.empty()) return t;
-  const std::string format = args.get("trace-format", "jsonl");
-  t.out = std::make_unique<std::ofstream>(open_out(path));
-  if (format == "chrome") {
-    t.sink = std::make_unique<dmpc::obs::ChromeTraceSink>(t.out.get());
-  } else if (format == "jsonl") {
-    t.sink = std::make_unique<dmpc::obs::JsonlTraceSink>(t.out.get());
-  } else {
-    throw dmpc::OptionsError(dmpc::Status::error(
-        dmpc::StatusCode::kInvalidTraceFormat,
-        "unknown trace format '" + format + "' (expected jsonl|chrome)"));
-  }
-  t.session = std::make_unique<dmpc::obs::TraceSession>(t.sink.get());
-  // --profile additionally records hostprof/* counter samples (wall/CPU/alloc
-  // per host scope); without it the trace stream is unchanged.
-  if (args.has("profile")) t.session->enable_host_counters(true);
-  return t;
-}
 
 /// Owns the progress-event chain (--events / --events-filter / --progress).
 /// Members are heap-allocated so the sink's stream pointer stays stable.
@@ -340,8 +348,9 @@ std::unique_ptr<dmpc::obs::HostSampler> make_sampler(
 }
 
 int cmd_gen(const dmpc::ArgParser& args) {
-  const auto g = generate(args);
   const std::string out = args.get("out", "");
+  const auto g = generate(args);
+  args.reject_unread();
   if (out.empty()) {
     dmpc::graph::write_edge_list(g, std::cout);
   } else {
@@ -353,9 +362,11 @@ int cmd_gen(const dmpc::ArgParser& args) {
 }
 
 int cmd_stats(const dmpc::ArgParser& args) {
-  const auto g = dmpc::graph::read_edge_list_file(args.get("in", "graph.txt"));
+  const std::string in = args.get("in", "graph.txt");
   const auto ex = dmpc::exec::Executor::with_threads(
       static_cast<std::uint32_t>(args.get_int("threads", 1)));
+  args.reject_unread();
+  const auto g = dmpc::graph::read_edge_list_file(in);
   const auto stats = dmpc::graph::compute_stats(g, ex);
   std::printf("nodes=%u edges=%llu components=%u isolated=%u\n", stats.nodes,
               (unsigned long long)stats.edges, stats.components,
@@ -388,8 +399,13 @@ std::size_t answer_size(const dmpc::MatchingSolution& solution) {
 template <typename Solve, typename WriteOut>
 int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
               const char* size_key, WriteOut&& write_out) {
-  auto trace = make_trace(args);
+  TraceSetup trace(args);
   auto cli = solve_options(args);
+  const std::string in = args.get("in", "graph.txt");
+  const std::string out = args.get("out", "");
+  const bool json = args.has("json");
+  args.reject_unread();
+  trace.open();
   auto events = make_events(cli);
   cli.options.trace = trace.session_or_null();
   cli.options.events = events.bus_or_null();
@@ -397,7 +413,7 @@ int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
   if (auto status = solver.validate(); !status.ok()) {
     throw dmpc::OptionsError(std::move(status));
   }
-  const auto storage = solver.open_storage(args.get("in", "graph.txt"));
+  const auto storage = solver.open_storage(in);
   const auto& g = storage->graph();
   auto sampler = make_sampler(cli);
   const auto solution = solve(solver, *storage);
@@ -406,7 +422,7 @@ int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
   events.finish();
   write_metrics(cli, solver, solution.report, sampler.get());
   const std::size_t size = answer_size(solution);
-  if (args.has("json")) {
+  if (json) {
     auto j = dmpc::to_json(solution.report);
     j.set(size_key, static_cast<std::uint64_t>(size));
     std::printf("%s\n", j.dump(2).c_str());
@@ -415,7 +431,6 @@ int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
     print_report(solution.report);
     print_certificate(solution.report);
   }
-  const std::string out = args.get("out", "");
   if (!out.empty()) {
     auto f = open_out(out);
     write_out(f, g, solution);
@@ -424,9 +439,13 @@ int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
 }
 
 int cmd_cover(const dmpc::ArgParser& args) {
-  const auto g = dmpc::graph::read_edge_list_file(args.get("in", "graph.txt"));
-  auto trace = make_trace(args);
+  TraceSetup trace(args);
   auto cli = solve_options(args);
+  const std::string in = args.get("in", "graph.txt");
+  const std::string out = args.get("out", "");
+  args.reject_unread();
+  const auto g = dmpc::graph::read_edge_list_file(in);
+  trace.open();
   cli.options.trace = trace.session_or_null();
   const auto result = dmpc::apps::vertex_cover_2approx(g, cli.options);
   trace.finish();
@@ -434,7 +453,6 @@ int cmd_cover(const dmpc::ArgParser& args) {
               (unsigned long long)result.cover_size,
               (unsigned long long)result.matching_size);
   print_report(result.report);
-  const std::string out = args.get("out", "");
   if (!out.empty()) {
     auto f = open_out(out);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -445,10 +463,20 @@ int cmd_cover(const dmpc::ArgParser& args) {
 }
 
 int cmd_color(const dmpc::ArgParser& args) {
-  const auto g = dmpc::graph::read_edge_list_file(args.get("in", "graph.txt"));
+  const std::string in = args.get("in", "graph.txt");
+  const std::string out = args.get("out", "");
+  const bool native = args.has("native");
+  // Only the Solver-backed coloring reads the trace and solve options.
+  std::optional<TraceSetup> trace;
+  dmpc::CliSolveOptions cli;
+  if (!native) {
+    trace.emplace(args);
+    cli = solve_options(args);
+  }
+  args.reject_unread();
+  const auto g = dmpc::graph::read_edge_list_file(in);
   std::vector<std::uint32_t> colors;
-  std::uint32_t used = 0;
-  if (args.has("native")) {
+  if (native) {
     // Native derandomized trial coloring (apps/derand_coloring.hpp).
     auto result = dmpc::apps::derand_coloring(g);
     std::printf("colors_used=%u (palette Delta+1 = %u) rounds=%llu "
@@ -457,21 +485,16 @@ int cmd_color(const dmpc::ArgParser& args) {
                 (unsigned long long)result.rounds,
                 (unsigned long long)result.metrics.rounds());
     colors = std::move(result.color);
-    used = result.colors_used;
   } else {
-    auto trace = make_trace(args);
-    auto cli = solve_options(args);
-    cli.options.trace = trace.session_or_null();
+    trace->open();
+    cli.options.trace = trace->session_or_null();
     auto result = dmpc::apps::delta_plus_one_coloring(g, cli.options);
-    trace.finish();
+    trace->finish();
     std::printf("colors_used=%u (palette Delta+1 = %u)\n",
                 result.colors_used, g.max_degree() + 1);
     print_report(result.report);
     colors = std::move(result.color);
-    used = result.colors_used;
   }
-  (void)used;
-  const std::string out = args.get("out", "");
   if (!out.empty()) {
     auto f = open_out(out);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
