@@ -12,8 +12,8 @@
 //   "threads": host threads used for Solver-driven experiments
 //   "points": [{"axis_value": <int|string>,
 //               "model":    {<integer-exact, thread-independent values>},
-//               "registry": {<model section of the metrics-registry delta
-//                             for this point (obs/metrics_registry.hpp)>},
+//               "registry": {<model section of this point's own metrics
+//                             registry (obs/metrics_registry.hpp)>},
 //               "wall":     {"wall_ms", "peak_rss_bytes"},
 //               "profile":  {<per-round load-skew timeline; E1/E2 only
 //                             (obs/profiler.hpp); model-deterministic and
@@ -136,36 +136,28 @@ std::string comparable_report(const dmpc::MisSolution& solution) {
   return to_json(report).dump();
 }
 
-/// Wraps one sweep point: snapshots the global registry before the body so
-/// the point's "registry" block is exactly this point's model-section delta.
+/// Wraps one sweep point in its own metrics registry scope, so the point's
+/// "registry" block is exactly what this point charged.
 class PointScope {
  public:
-  PointScope()
-      : before_(dmpc::obs::MetricsRegistry::global().snapshot()),
-        t0_(Clock::now()) {}
+  PointScope() : t0_(Clock::now()) {}
 
   /// Assemble the point row. `model` carries the experiment's own integer
-  /// fields; the registry delta and wall stats are appended here.
-  Json finish(Json axis_value, Json model) const {
+  /// fields; the point's registry and wall stats are appended here.
+  Json finish(Json axis_value, Json model) {
     const double wall_ms = ms_since(t0_);
-    auto& reg = dmpc::obs::MetricsRegistry::global();
-    dmpc::obs::sample_host(reg);
-    const auto delta =
-        dmpc::obs::MetricsSnapshot::delta(reg.snapshot(), before_);
-    // include_zero=false: which zero-valued metrics exist depends on which
-    // experiments ran earlier in this process, and the registry block must
-    // not (see obs/metrics_registry.hpp).
     return Json::object()
         .set("axis_value", std::move(axis_value))
         .set("model", std::move(model))
         .set("registry",
-             dmpc::obs::to_json_section(delta, dmpc::obs::MetricSection::kModel,
+             dmpc::obs::to_json_section(metrics_.registry().snapshot(),
+                                        dmpc::obs::MetricSection::kModel,
                                         /*include_zero=*/false))
         .set("wall", dmpc::bench::wall_stats(wall_ms));
   }
 
  private:
-  dmpc::obs::MetricsSnapshot before_;
+  dmpc::obs::RegistryScope metrics_;
   Clock::time_point t0_;
 };
 
@@ -767,7 +759,7 @@ Json e16_points(const RunConfig& cfg) {
   const dmpc::Solver solver(options);
   const auto solution = solver.mis(g);
   session.finish();
-  // The solve's registry delta is the aggregate the trace spans roll up to;
+  // The solve's registry is the aggregate the trace spans roll up to;
   // cross-check the headline counters against the typed report.
   const auto& snap = solver.metrics_snapshot();
   const auto* rounds = snap.find("mpc/rounds");

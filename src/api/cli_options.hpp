@@ -55,8 +55,8 @@ struct CliSolveOptions {
   /// applies mpc::IoFaultPlan::parse(text) to options.io_faults.
   std::string io_fault_plan_path;
   /// --metrics-out=<path>; empty = no metrics dump. After a successful
-  /// solve the caller writes the solve's full registry snapshot delta
-  /// (all sections, grouped) there as JSON.
+  /// solve the caller writes the solve's full registry snapshot (all
+  /// sections, grouped) there as JSON.
   std::string metrics_out_path;
   /// --metrics-format=json|openmetrics; picks the --metrics-out encoding
   /// (JSON document vs OpenMetrics v1.0 text exposition).

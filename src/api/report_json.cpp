@@ -105,7 +105,7 @@ Json to_json(const obs::EventsSummary& events) {
 }
 
 Json to_json(const SolveReport& report) {
-  // Only the golden model section of the registry delta enters the report:
+  // Only the golden model section of the solve's registry enters the report:
   // the recovery section would break the "identical modulo the recovery
   // block" fault contract, and the host section (wall/RSS, executor
   // scheduling) is non-deterministic by nature. The optional `profile`

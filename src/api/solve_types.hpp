@@ -116,8 +116,8 @@ struct SolveReport {
   verify::SparsifyAudit sparsify;
   /// The certificate produced in checked mode (empty when certify == kOff).
   verify::Certificate certificate;
-  /// This solve's delta over the process-wide obs::MetricsRegistry (taken
-  /// around the pipeline, before any certification replay). The model
+  /// The snapshot of this solve's own obs::MetricsRegistry (taken after the
+  /// pipeline, before any certification replay). The model
   /// section is golden — byte-identical across runs, thread counts, and
   /// admissible fault plans — and is the only section serialized into
   /// report JSON (as the "registry" block); recovery/host sections are for
@@ -136,7 +136,7 @@ struct SolveReport {
 /// for the CLI's --metrics-out document. Bumped to 2 when the
 /// "schema_version" and "recovery" keys were added, to 3 when the
 /// "certificate" and "sparsify_audit" blocks were added, and to 4 when the
-/// "registry" block (model-section metrics-registry delta) was added;
+/// "registry" block (model-section metrics registry) was added;
 /// downstream parsers should branch on this rather than sniffing keys,
 /// except for the two optional blocks below. Version 5 added the optional `profile` block (round-profiler skew
 /// timeline). Version 6 added the recovery block's "storage" sub-object

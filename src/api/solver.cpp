@@ -375,9 +375,8 @@ void Solver::flush_observers_on_unwind() const {
   if (options_.trace != nullptr) options_.trace->finish();
 }
 
-void Solver::capture_registry_delta(const obs::MetricsSnapshot& before,
-                                    SolveReport* report) const {
-  auto& registry = obs::MetricsRegistry::global();
+void Solver::capture_registry(obs::MetricsRegistry& registry,
+                              SolveReport* report) const {
   if (active_storage_ != nullptr) {
     // The backend's cumulative recovery ledger (open-time retries and
     // quarantines included) rides in the report's recovery.storage block.
@@ -390,7 +389,7 @@ void Solver::capture_registry_delta(const obs::MetricsSnapshot& before,
     mpc::export_storage_host_stats(*active_storage_);
   }
   obs::sample_host(registry);
-  report->registry = obs::MetricsSnapshot::delta(registry.snapshot(), before);
+  report->registry = registry.snapshot();
   last_snapshot_ = report->registry;
 }
 
@@ -421,8 +420,7 @@ Solution Solver::solve(const graph::Graph& g) const {
   require_valid();
   emit_solve_started(P::kEvent, g);
   try {
-    const obs::MetricsSnapshot before =
-        obs::MetricsRegistry::global().snapshot();
+    obs::RegistryScope metrics;
     Solution solution;
     SolveReport& report = solution.report;
     obs::RoundProfiler profiler;
@@ -453,7 +451,7 @@ Solution Solver::solve(const graph::Graph& g) const {
                  matching::params_for(config, g.num_nodes()).degree_cap());
     }
     if (prof != nullptr) report.profile = prof->snapshot();
-    capture_registry_delta(before, &report);
+    capture_registry(metrics.registry(), &report);
     finalize_certificate(g, &solution);
     emit_solve_finished(&report);
     return solution;

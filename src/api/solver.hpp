@@ -132,15 +132,16 @@ class Solver {
   /// instance race on this slot.
   const verify::Certificate& certificate() const;
 
-  /// The metrics-registry delta of the most recent solve on this Solver
-  /// instance (empty before the first solve): counters/histograms are this
-  /// solve's contribution to obs::MetricsRegistry::global(), gauges are the
-  /// post-solve sample. Also embedded in SolveReport::registry. Same
-  /// synchronization caveat as certificate().
+  /// The snapshot of the most recent solve's own metrics registry on this
+  /// Solver instance (empty before the first solve): each solve writes into
+  /// a fresh obs::RegistryScope, so the values are exactly this solve's,
+  /// whatever else runs in the process; gauges are the post-solve sample.
+  /// Also embedded in SolveReport::registry. Same synchronization caveat as
+  /// certificate().
   const obs::MetricsSnapshot& metrics_snapshot() const;
 
   /// OpenMetrics v1.0 text exposition of the most recent solve's registry
-  /// delta (obs::to_openmetrics over metrics_snapshot()): what a scrape
+  /// (obs::to_openmetrics over metrics_snapshot()): what a scrape
   /// endpoint would serve. Empty-registry exposition ("# EOF\n" only)
   /// before the first solve.
   std::string metrics_openmetrics() const;
@@ -150,7 +151,7 @@ class Solver {
 
   /// The one Theorem-1 solve behind mis(g) and maximal_matching(g)
   /// (Solution is MisSolution or MatchingSolution): dispatch, pipeline,
-  /// report, registry delta and certificate.
+  /// report, registry and certificate.
   template <typename Solution>
   Solution solve(const graph::Graph& g) const;
 
@@ -208,18 +209,18 @@ class Solver {
   template <typename Solution>
   void finalize_certificate(const graph::Graph& g, Solution* solution) const;
 
-  /// Export the pipeline's metrics into the global registry, sample the
-  /// host gauges, and store the per-solve delta against `before` into the
-  /// report and the metrics_snapshot() slot. Called after the pipeline and
-  /// before certification, so a certify=full replay solve cannot leak its
+  /// Export the pipeline's metrics into the solve's registry, sample the
+  /// host gauges, and store its snapshot into the report and the
+  /// metrics_snapshot() slot. Called after the pipeline and before
+  /// certification, so a certify=full replay solve cannot leak its
   /// registry increments into this report.
-  void capture_registry_delta(const obs::MetricsSnapshot& before,
-                              SolveReport* report) const;
+  void capture_registry(obs::MetricsRegistry& registry,
+                        SolveReport* report) const;
 
   SolveOptions options_;
   /// Storage backend attached for the duration of a storage-overload solve
   /// (mutable output-slot style, like the certificate):
-  /// capture_registry_delta exports its host stats and recovery ledger.
+  /// capture_registry exports its host stats and recovery ledger.
   mutable const mpc::Storage* active_storage_ = nullptr;
   /// The attached backend's integrity verdict from the pre-solve gate
   /// (meaningful only while active_storage_ is set).
@@ -227,7 +228,7 @@ class Solver {
   /// The last solve's certificate (see certificate()). Mutable: solves are
   /// logically const — the certificate is an output slot, not solver state.
   mutable verify::Certificate last_certificate_;
-  /// The last solve's registry delta (see metrics_snapshot()).
+  /// The last solve's registry snapshot (see metrics_snapshot()).
   mutable obs::MetricsSnapshot last_snapshot_;
 };
 

@@ -86,7 +86,7 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
   result.value = objective.evaluate(result.seed);
   // Model-section sweep counters; charged once per fix from the
   // orchestrating thread, mirroring the golden span args below.
-  auto& registry = obs::MetricsRegistry::global();
+  auto& registry = obs::MetricsRegistry::current();
   registry.counter("derand/ce_fixes").add(1);
   registry.counter("derand/ce_sweeps").add(result.chunks);
   registry.counter("derand/ce_candidates").add(candidates_swept);

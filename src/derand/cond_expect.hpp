@@ -11,8 +11,10 @@
 // ExhaustiveConditional upgrades any Objective to a ConditionalObjective by
 // computing conditional expectations exactly — averaging the true objective
 // over every suffix completion. That is only feasible for small seed spaces
-// (tests, §5's O(log Delta)-bit families); the large-family production path
-// is derand::find_seed (see seed_search.hpp for the guarantee argument).
+// (tests, §5's O(log Delta)-bit families); the large-family production
+// paths are derand::try_find_seed (the sparsifier stages) and
+// derand::select_seed (the selection commit); see seed_search.hpp for the
+// guarantee argument.
 #pragma once
 
 #include <cstdint>

@@ -80,14 +80,12 @@ BatchStats batch_evaluate(const exec::Executor& executor,
 }
 
 void record_batch_stats(const BatchStats& stats) {
-  // Model-section registry counters (see SearchMetrics in seed_search.cpp
+  // Model-section registry counters (see record_search in seed_search.cpp
   // for the charging discipline): once per completed engine run, from the
   // orchestrating thread, never inside a recoverable body.
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter* calls = &registry.counter("derand/batch_calls");
-  static obs::Counter* lanes = &registry.counter("derand/lanes_used");
-  calls->add(stats.calls);
-  lanes->add(stats.lanes);
+  auto& registry = obs::MetricsRegistry::current();
+  registry.counter("derand/batch_calls").add(stats.calls);
+  registry.counter("derand/lanes_used").add(stats.lanes);
 }
 
 }  // namespace dmpc::derand

@@ -21,33 +21,15 @@ namespace {
 /// deterministic across thread counts and fault plans — golden by the same
 /// argument as the trace args they mirror. The trials histogram has fixed
 /// power-of-four bounds so its serialization is value-independent.
-struct SearchMetrics {
-  obs::Counter* searches;
-  obs::Counter* candidates;
-  obs::Counter* batches;
-  obs::Histogram* trials;
-};
-
-SearchMetrics& search_metrics() {
-  static SearchMetrics metrics = [] {
-    auto& registry = obs::MetricsRegistry::global();
-    return SearchMetrics{
-        &registry.counter("derand/searches"),
-        &registry.counter("derand/candidate_seeds"),
-        &registry.counter("derand/batches"),
-        &registry.histogram("derand/trials_per_search",
-                            {1, 4, 16, 64, 256, 1024, 4096, 16384}),
-    };
-  }();
-  return metrics;
-}
-
 void record_search(const SearchResult& result) {
-  SearchMetrics& metrics = search_metrics();
-  metrics.searches->add(1);
-  metrics.candidates->add(result.trials);
-  metrics.batches->add(result.batches);
-  metrics.trials->observe(result.trials);
+  auto& registry = obs::MetricsRegistry::current();
+  registry.counter("derand/searches").add(1);
+  registry.counter("derand/candidate_seeds").add(result.trials);
+  registry.counter("derand/batches").add(result.batches);
+  registry
+      .histogram("derand/trials_per_search",
+                 {1, 4, 16, 64, 256, 1024, 4096, 16384})
+      .observe(result.trials);
 }
 /// Charge one evaluation batch of `k` candidates over `terms` local terms:
 /// local evaluation is free; aggregating k partial sums up a fan-in-S tree
@@ -218,53 +200,6 @@ SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
     }
     if (best.trials % kTrialsPerThreshold == 0) t /= 2.0;
   }
-}
-
-SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,
-                            std::uint64_t seed_count, std::uint64_t budget,
-                            const std::string& label) {
-  DMPC_CHECK(seed_count >= 1 && budget >= 1);
-  obs::HostScope host_scope("derand/seed_search", cluster.trace());
-  obs::Span span(cluster.trace(), label);
-  const std::uint64_t limit = std::min(seed_count, budget);
-  const std::uint64_t k =
-      std::max<std::uint64_t>(1, std::min<std::uint64_t>(limit, cluster.space()));
-  SearchResult result;
-  bool have = false;
-  std::uint64_t next = 0;
-  std::vector<std::uint64_t> seeds;
-  std::vector<double> values;
-  BatchStats batch_stats;
-  while (next < limit) {
-    const std::uint64_t batch_end = std::min(limit, next + k);
-    charge_batch(cluster, objective.term_count(), batch_end - next, label);
-    ++result.batches;
-    // Host-parallel evaluation through the range oracle, then a serial
-    // lowest-seed-first scan with a strict improvement test: ties commit
-    // the lowest seed, exactly like the serial search.
-    const std::uint64_t width = batch_end - next;
-    seeds.resize(width);
-    for (std::uint64_t i = 0; i < width; ++i) seeds[i] = next + i;
-    values.assign(width, 0.0);
-    batch_stats += batch_evaluate(cluster.executor(), objective, seeds.data(),
-                                  width, values.data());
-    for (std::uint64_t seed = next; seed < batch_end; ++seed) {
-      ++result.trials;
-      const double value = values[seed - next];
-      if (!have || value > result.value) {
-        have = true;
-        result.seed = seed;
-        result.value = value;
-      }
-    }
-    next = batch_end;
-  }
-  span.arg("candidate_seeds", result.trials);
-  span.arg("batches", result.batches);
-  span.arg("committed_seed", result.seed);
-  record_search(result);
-  record_batch_stats(batch_stats);
-  return result;
 }
 
 }  // namespace dmpc::derand

@@ -84,13 +84,6 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                                           std::uint64_t seed_count,
                                           const SearchOptions& options);
 
-/// Evaluate the first `budget` seeds and return the best — used when a
-/// threshold is not known a priori (e.g. §5 phase compression picks the
-/// sequence minimizing the residual edge count).
-SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,
-                            std::uint64_t seed_count, std::uint64_t budget,
-                            const std::string& label = "seed_search");
-
 /// How a pipeline's selection step (§3 Lemma 13, §4 Lemma 21) commits its
 /// pairwise-hash seed.
 enum class SelectionMode {

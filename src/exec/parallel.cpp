@@ -8,41 +8,18 @@
 
 namespace dmpc::exec {
 
-namespace {
-
-struct DispatchMetrics {
-  obs::Counter* inline_dispatches;
-  obs::Counter* inline_chunks;
-  obs::Counter* pool_dispatches;
-  obs::Counter* pool_chunks;
-};
-
-DispatchMetrics& dispatch_metrics() {
-  static DispatchMetrics metrics = [] {
-    auto& registry = obs::MetricsRegistry::global();
-    const auto host = obs::MetricSection::kHost;
-    return DispatchMetrics{
-        &registry.counter("exec/inline_dispatches", host),
-        &registry.counter("exec/inline_chunks", host),
-        &registry.counter("exec/pool_dispatches", host),
-        &registry.counter("exec/pool_chunks", host),
-    };
-  }();
-  return metrics;
+Executor::Executor() {
+  auto& registry = obs::MetricsRegistry::current();
+  const auto host = obs::MetricSection::kHost;
+  inline_dispatches_ = &registry.counter("exec/inline_dispatches", host);
+  inline_chunks_ = &registry.counter("exec/inline_chunks", host);
+  pool_dispatches_ = &registry.counter("exec/pool_dispatches", host);
+  pool_chunks_ = &registry.counter("exec/pool_chunks", host);
 }
 
-}  // namespace
-
-void note_inline_dispatch(std::uint64_t chunks) {
-  DispatchMetrics& metrics = dispatch_metrics();
-  metrics.inline_dispatches->add(1);
-  metrics.inline_chunks->add(chunks);
-}
-
-void note_pool_dispatch(std::uint64_t chunks) {
-  DispatchMetrics& metrics = dispatch_metrics();
-  metrics.pool_dispatches->add(1);
-  metrics.pool_chunks->add(chunks);
+void Executor::note_inline_dispatch(std::uint64_t chunks) const {
+  inline_dispatches_->add(1);
+  inline_chunks_->add(chunks);
 }
 
 Executor Executor::with_threads(std::uint32_t threads) {
@@ -60,7 +37,8 @@ void Executor::run_chunks_pooled(
     const std::function<void(std::uint64_t)>& chunk_fn) const {
   // Capture at most one exception per batch — the lowest-index chunk's — so
   // error paths are as deterministic as success paths.
-  note_pool_dispatch(chunks);
+  pool_dispatches_->add(1);
+  pool_chunks_->add(chunks);
   std::mutex error_mutex;
   std::exception_ptr error;
   std::uint64_t error_chunk = 0;

@@ -32,17 +32,13 @@
 
 namespace dmpc::exec {
 
-/// Host-section observability hooks (obs::MetricsRegistry::global()); see
-/// parallel.cpp. Out-of-line so this header stays registry-free.
-void note_inline_dispatch(std::uint64_t chunks);
-void note_pool_dispatch(std::uint64_t chunks);
-
 /// A copyable handle on an optional shared thread pool. Default-constructed
 /// (or with_threads(1)) it is serial: every helper runs inline with zero
-/// threading overhead. Cheap to copy; copies share the pool.
+/// threading overhead. Cheap to copy; copies share the pool and the dispatch
+/// counters, which bind to obs::MetricsRegistry::current() at construction.
 class Executor {
  public:
-  Executor() = default;
+  Executor();
 
   /// Serial executor (no pool).
   static Executor serial() { return Executor(); }
@@ -141,7 +137,15 @@ class Executor {
   void run_chunks_pooled(std::uint64_t chunks,
                          const std::function<void(std::uint64_t)>& chunk_fn) const;
 
+  /// Host-section dispatch counters; out-of-line so this header stays
+  /// registry-free.
+  void note_inline_dispatch(std::uint64_t chunks) const;
+
   std::shared_ptr<ThreadPool> pool_;
+  obs::Counter* inline_dispatches_ = nullptr;  ///< exec/inline_dispatches
+  obs::Counter* inline_chunks_ = nullptr;      ///< exec/inline_chunks
+  obs::Counter* pool_dispatches_ = nullptr;    ///< exec/pool_dispatches
+  obs::Counter* pool_chunks_ = nullptr;        ///< exec/pool_chunks
 };
 
 /// Sort `values` with a deterministic parallel merge sort: fixed-size sorted

@@ -20,7 +20,7 @@ struct WorkerScope {
 bool ThreadPool::in_worker() { return t_in_worker; }
 
 ThreadPool::ThreadPool(std::uint32_t threads) {
-  auto& registry = obs::MetricsRegistry::global();
+  auto& registry = obs::MetricsRegistry::current();
   const auto host = obs::MetricSection::kHost;
   tasks_metric_ = &registry.counter("exec/pool_tasks", host);
   steals_metric_ = &registry.counter("exec/steals", host);
@@ -28,13 +28,18 @@ ThreadPool::ThreadPool(std::uint32_t threads) {
   cpu_metric_ = &registry.counter("exec/task_cpu_ns", host);
   allocs_metric_ = &registry.counter("exec/task_allocs", host);
   alloc_bytes_metric_ = &registry.counter("exec/task_alloc_bytes", host);
-  queue_metric_ = &registry.gauge("exec/queue_depth", host);
+  // A live process-wide gauge the host sampler polls, not a per-solve total.
+  queue_metric_ =
+      &obs::MetricsRegistry::global().gauge("exec/queue_depth", host);
   registry.gauge("exec/pool_threads", host)
       .record_max(static_cast<std::int64_t>(threads));
   const std::uint32_t workers = threads <= 1 ? 0 : threads - 1;
   workers_.reserve(workers);
   for (std::uint32_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, &registry] {
+      obs::MetricsRegistry::adopt(registry);
+      worker_loop();
+    });
   }
 }
 

@@ -19,6 +19,9 @@
 //    so failures are deterministic too).
 //  - Nested run() from inside a task executes inline on the claiming thread
 //    (see in_worker()); parallel helpers use this to make nesting safe.
+//  - Host counters, and the metrics registry the workers write to, bind to
+//    obs::MetricsRegistry::current() at construction, so a pool built
+//    inside a solve's obs::RegistryScope must not outlive that scope.
 #pragma once
 
 #include <atomic>
@@ -80,17 +83,19 @@ class ThreadPool {
   std::atomic<std::uint64_t> next_{0};
   std::vector<std::thread> workers_;
 
-  // Host-section observability (obs::MetricsRegistry::global()): dynamic
-  // task claiming makes these scheduling-dependent, so they are non-golden
-  // by construction and never enter report JSON. Handles are resolved once
-  // here so the claim loop pays one relaxed add per batch per thread.
+  // Host-section observability in the registry current when the pool is
+  // built (obs::MetricsRegistry::current(), which the workers adopt too):
+  // dynamic task claiming makes these scheduling-dependent, so they are
+  // non-golden by construction and never enter report JSON. Handles are
+  // resolved once here so the claim loop pays one relaxed add per batch per
+  // thread.
   obs::Counter* tasks_metric_ = nullptr;    ///< exec/pool_tasks
   obs::Counter* steals_metric_ = nullptr;   ///< exec/steals (worker-claimed)
   obs::Gauge* imbalance_metric_ = nullptr;  ///< exec/imbalance_max_tasks
   obs::Counter* cpu_metric_ = nullptr;      ///< exec/task_cpu_ns
   obs::Counter* allocs_metric_ = nullptr;   ///< exec/task_allocs
   obs::Counter* alloc_bytes_metric_ = nullptr;  ///< exec/task_alloc_bytes
-  obs::Gauge* queue_metric_ = nullptr;      ///< exec/queue_depth
+  obs::Gauge* queue_metric_ = nullptr;  ///< exec/queue_depth (global())
 };
 
 }  // namespace dmpc::exec

@@ -17,7 +17,7 @@
 // deterministic seed-enumeration order (0, 1, 2, ...) immediately produce
 // non-degenerate polynomials — seed 1 is h(x) = x — while still enumerating
 // the whole family exhaustively, which is what the probabilistic-method
-// guarantee in derand::SeedSearch relies on.
+// guarantee of derand::try_find_seed relies on.
 #pragma once
 
 #include <cstddef>

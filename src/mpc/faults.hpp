@@ -165,10 +165,9 @@ struct RecoveryStats {
 
   /// Export this ledger into the *recovery* section of `registry` (counters
   /// "recovery/<field>" plus the "recovery/retries/<label>" family). Like
-  /// Metrics::export_to this adds, so per-solve values are read back via
-  /// snapshot deltas. The recovery section is excluded from report JSON —
-  /// reports stay byte-identical across fault plans modulo their typed
-  /// "recovery" block.
+  /// Metrics::export_to this adds into the solve's own registry. The
+  /// recovery section is excluded from report JSON — reports stay
+  /// byte-identical across fault plans modulo their typed "recovery" block.
   void export_to(obs::MetricsRegistry& registry) const;
 };
 

@@ -129,7 +129,7 @@ struct IoRecoveryStats {
   void merge(const IoRecoveryStats& other);
 
   /// Export into the kRecovery registry section ("storage/<field>"
-  /// counters). Adds, like every export; read back via snapshot deltas.
+  /// counters). Adds, like every export.
   void export_to(obs::MetricsRegistry& registry) const;
 };
 

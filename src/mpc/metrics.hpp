@@ -59,9 +59,9 @@ class Metrics {
   /// Export this run's totals into the model section of `registry` as
   /// counters "mpc/rounds", "mpc/communication", "mpc/peak_load" plus the
   /// per-label families "mpc/<quantity>/<label>". Each call *adds* this
-  /// object's values (peaks included — a cumulative registry is read back
-  /// per solve via snapshot deltas, so a peak exported as an addend
-  /// delta-reads as exactly this run's peak).
+  /// object's values (peaks included — a solve exports once into its own
+  /// registry, so a peak exported as an addend reads back as exactly this
+  /// run's peak).
   void export_to(obs::MetricsRegistry& registry) const;
 
  private:

@@ -462,7 +462,7 @@ std::unique_ptr<Storage> open_storage(const StorageOptions& options,
 }
 
 void export_storage_host_stats(const Storage& storage) {
-  auto& registry = obs::MetricsRegistry::global();
+  auto& registry = obs::MetricsRegistry::current();
   const StorageStats s = storage.stats();
   registry.gauge("storage/bytes_mapped", obs::MetricSection::kHost)
       .set(static_cast<std::int64_t>(s.bytes_total));

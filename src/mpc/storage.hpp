@@ -237,7 +237,7 @@ std::unique_ptr<Storage> open_storage(const StorageOptions& options,
                                       const IoFaultPlan& io_faults = {},
                                       const RecoveryOptions& recovery = {});
 
-/// Export a storage's host-side residency into the global registry's kHost
+/// Export a storage's host-side residency into the current registry's kHost
 /// section (gauges storage/bytes_mapped, storage/shards,
 /// storage/resident_bytes, storage/backend).
 void export_storage_host_stats(const Storage& storage);

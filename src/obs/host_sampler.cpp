@@ -29,8 +29,10 @@ HostSampler::HostSampler(Options options) : options_(options) {
   if (options_.interval_ms == 0) options_.interval_ms = 1;
   auto& registry = MetricsRegistry::global();
   const auto host = MetricSection::kHost;
-  // gauge() is idempotent: these resolve to the live gauges when storage /
-  // the executor registered them, and to fresh zero gauges otherwise.
+  // gauge() is idempotent: these resolve to the process-wide gauges, fresh
+  // zero ones if nothing registered them yet. Every pool keeps
+  // exec/queue_depth live here; the storage gauges arrive when a solve's
+  // registry scope folds into global().
   bytes_mapped_ = &registry.gauge("storage/bytes_mapped", host);
   resident_bytes_ = &registry.gauge("storage/resident_bytes", host);
   queue_depth_ = &registry.gauge("exec/queue_depth", host);

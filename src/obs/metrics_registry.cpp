@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "support/check.hpp"
 
@@ -55,12 +54,17 @@ std::vector<std::uint64_t> Histogram::counts() const {
   return out;
 }
 
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
+void Histogram::merge(const std::vector<std::uint64_t>& counts,
+                      std::uint64_t sum) {
+  DMPC_CHECK_MSG(counts.size() == bounds_.size() + 1,
+                 "histogram merge bucket mismatch");
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    total += counts[i];
   }
-  total_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  total_.fetch_add(total, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
 }
 
 const MetricValue* MetricsSnapshot::find(const std::string& name) const {
@@ -70,40 +74,24 @@ const MetricValue* MetricsSnapshot::find(const std::string& name) const {
   return nullptr;
 }
 
-MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& after,
-                                       const MetricsSnapshot& before) {
-  std::unordered_map<std::string, const MetricValue*> base;
-  base.reserve(before.entries.size());
-  for (const auto& entry : before.entries) base.emplace(entry.name, &entry);
-
-  MetricsSnapshot out;
-  out.entries.reserve(after.entries.size());
-  for (const auto& entry : after.entries) {
-    MetricValue d = entry;
-    const auto it = base.find(entry.name);
-    if (it != base.end() && entry.kind != MetricKind::kGauge) {
-      const MetricValue& b = *it->second;
-      DMPC_CHECK_MSG(b.kind == entry.kind, "snapshot delta kind mismatch");
-      d.value = entry.value - b.value;
-      if (entry.kind == MetricKind::kHistogram) {
-        DMPC_CHECK_MSG(b.counts.size() == entry.counts.size(),
-                       "snapshot delta bucket mismatch");
-        for (std::size_t i = 0; i < d.counts.size(); ++i) {
-          d.counts[i] = entry.counts[i] - b.counts[i];
-        }
-        d.sum = entry.sum - b.sum;
-      }
-    }
-    out.entries.push_back(std::move(d));
-  }
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   // Leaked on purpose: static-lifetime thread pools may still bump counters
   // after main() returns; a destroyed registry would be UB.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
+}
+
+namespace {
+// The calling thread's current registry; nullptr means global().
+thread_local MetricsRegistry* t_current = nullptr;
+}  // namespace
+
+MetricsRegistry& MetricsRegistry::current() {
+  return t_current != nullptr ? *t_current : global();
+}
+
+void MetricsRegistry::adopt(MetricsRegistry& registry) {
+  t_current = &registry;
 }
 
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(
@@ -162,11 +150,27 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
               .histogram;
 }
 
+std::vector<const MetricsRegistry::Entry*> MetricsRegistry::ordered_entries()
+    const {
+  std::vector<const Entry*> out;
+  out.reserve(entries_.size());
+  for (const auto& entry : entries_) out.push_back(entry.get());
+  const auto rank = [&](const Entry* entry) {
+    const auto it = inherited_rank_.find(entry->name);
+    return it != inherited_rank_.end() ? it->second : inherited_rank_.size();
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&](const Entry* a, const Entry* b) {
+                     return rank(a) < rank(b);
+                   });
+  return out;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot out;
   out.entries.reserve(entries_.size());
-  for (const auto& entry : entries_) {
+  for (const Entry* entry : ordered_entries()) {
     MetricValue v;
     v.name = entry->name;
     v.section = entry->section;
@@ -190,15 +194,41 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& entry : entries_) {
-    switch (entry->kind) {
-      case MetricKind::kCounter: entry->counter->reset(); break;
-      case MetricKind::kGauge: entry->gauge->reset(); break;
-      case MetricKind::kHistogram: entry->histogram->reset(); break;
+void MetricsRegistry::fold(const MetricsSnapshot& snapshot) {
+  for (const MetricValue& v : snapshot.entries) {
+    switch (v.kind) {
+      case MetricKind::kCounter:
+        counter(v.name, v.section).add(static_cast<std::uint64_t>(v.value));
+        break;
+      case MetricKind::kGauge:
+        gauge(v.name, v.section).set(v.value);
+        break;
+      case MetricKind::kHistogram: {
+        Histogram& h = histogram(v.name, v.bounds, v.section);
+        DMPC_CHECK_MSG(h.bounds() == v.bounds,
+                       "histogram folded with different bounds: " + v.name);
+        h.merge(v.counts, static_cast<std::uint64_t>(v.sum));
+        break;
+      }
     }
   }
+}
+
+RegistryScope::RegistryScope() : enclosing_(t_current) {
+  const MetricsRegistry& enclosing = MetricsRegistry::current();
+  {
+    std::lock_guard<std::mutex> lock(enclosing.mutex_);
+    const auto order = enclosing.ordered_entries();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      registry_.inherited_rank_.emplace(order[i]->name, i);
+    }
+  }
+  t_current = &registry_;
+}
+
+RegistryScope::~RegistryScope() {
+  t_current = enclosing_;
+  MetricsRegistry::current().fold(registry_.snapshot());
 }
 
 std::uint64_t wall_time_ns() {

@@ -1,4 +1,5 @@
-// Process-wide deterministic metrics registry.
+// Deterministic metrics registries: one per solve, folded into a
+// process-wide one.
 //
 // The trace layer (trace.hpp) answers "what happened, in order"; this layer
 // answers "how much, in total". Producers across the stack register named
@@ -22,10 +23,19 @@
 //    to_json() groups by section so goldens can compare the model subtree
 //    alone; to_json_section() extracts one section.
 //
-// Because the registry is process-global and cumulative, per-solve accounting
-// uses deltas: snapshot before, snapshot after, MetricsSnapshot::delta().
-// Counters and histograms subtract; gauges (point-in-time samples such as
-// wall clock or RSS) keep the "after" value.
+// Producers write to MetricsRegistry::current(): the registry of the
+// innermost RegistryScope open on the calling thread, or global() outside
+// every scope. Each Solver::solve opens its own scope, so a solve's snapshot
+// holds exactly its own values even while other solves run in the same
+// process. When a scope closes its values fold into the enclosing registry:
+// counters and histograms add; gauges (point-in-time samples such as wall
+// clock or RSS) take the inner value. A ThreadPool binds its workers to the
+// registry current when the pool is built.
+//
+// Snapshot order is registration order, with one refinement that keeps key
+// order in serialized blocks what a single process-wide registry would give:
+// a scope's registry lists the names its enclosing registry held when the
+// scope opened first, in that registry's order, then its own new names.
 #pragma once
 
 #include <atomic>
@@ -60,7 +70,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -81,7 +90,6 @@ class Gauge {
     }
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -102,7 +110,8 @@ class Histogram {
   std::vector<std::uint64_t> counts() const;
   std::uint64_t total() const { return total_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  void reset();
+  /// Add another histogram's bucket counts (same bounds) and sum.
+  void merge(const std::vector<std::uint64_t>& counts, std::uint64_t sum);
 
  private:
   std::vector<std::uint64_t> bounds_;
@@ -130,13 +139,6 @@ struct MetricsSnapshot {
 
   /// Lookup by full name; nullptr when absent.
   const MetricValue* find(const std::string& name) const;
-
-  /// Per-solve accounting over the cumulative global registry: counters and
-  /// histograms subtract (entries unknown to `before` pass through raw);
-  /// gauges keep the `after` value — they are point-in-time samples, not
-  /// accumulations. Entry order follows `after`.
-  static MetricsSnapshot delta(const MetricsSnapshot& after,
-                               const MetricsSnapshot& before);
 };
 
 /// Registry of named metrics. Registration is idempotent: the first call
@@ -149,10 +151,19 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry every production producer writes to. Never
-  /// destroyed (intentionally leaked) so worker threads and static-lifetime
-  /// pools can bump counters during teardown.
+  /// The process-wide registry: current() outside every RegistryScope, and
+  /// where outermost scopes fold. Never destroyed (intentionally leaked) so
+  /// worker threads and static-lifetime pools can bump counters during
+  /// teardown.
   static MetricsRegistry& global();
+
+  /// The registry producers write to on this thread: the innermost open
+  /// RegistryScope's, the pool's for a ThreadPool worker, else global().
+  static MetricsRegistry& current();
+
+  /// Make `registry` current on the calling thread for the rest of its life,
+  /// with no fold (a ThreadPool worker adopts its pool's registry).
+  static void adopt(MetricsRegistry& registry);
 
   Counter& counter(const std::string& name,
                    MetricSection section = MetricSection::kModel);
@@ -165,12 +176,8 @@ class MetricsRegistry {
                        std::vector<std::uint64_t> bounds,
                        MetricSection section = MetricSection::kModel);
 
-  /// Ordered copy of all current values.
+  /// Ordered copy of all current values (order: see the file comment).
   MetricsSnapshot snapshot() const;
-
-  /// Zero every value, keeping registrations (tests only; production code
-  /// uses snapshot deltas instead).
-  void reset_values();
 
  private:
   struct Entry {
@@ -182,12 +189,40 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  friend class RegistryScope;
+
   Entry& find_or_create(const std::string& name, MetricSection section,
                         MetricKind kind, std::vector<std::uint64_t> bounds);
+  /// Entries in snapshot order. Caller holds mutex_.
+  std::vector<const Entry*> ordered_entries() const;
+  /// Add a closing scope's values, registering missing names in its order.
+  void fold(const MetricsSnapshot& snapshot);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  // registration order
   std::unordered_map<std::string, std::size_t> index_;
+  /// Snapshot position of each name the enclosing registry held when this
+  /// one's RegistryScope opened; fixed from then on.
+  std::unordered_map<std::string, std::size_t> inherited_rank_;
+};
+
+/// Makes a fresh registry current on the constructing thread until the
+/// scope closes; then its values fold into the registry that was current
+/// before (an enclosing scope's, or global()). Scopes nest and close in
+/// reverse order on the thread that opened them. A ThreadPool built inside a
+/// scope binds to the scope's registry, so it must not outlive the scope.
+class RegistryScope {
+ public:
+  RegistryScope();
+  ~RegistryScope();
+  RegistryScope(const RegistryScope&) = delete;
+  RegistryScope& operator=(const RegistryScope&) = delete;
+
+  MetricsRegistry& registry() { return registry_; }
+
+ private:
+  MetricsRegistry registry_;
+  MetricsRegistry* enclosing_;  ///< The thread's current() before this scope.
 };
 
 /// Monotonic wall clock in nanoseconds since the first call in this process.
@@ -205,10 +240,8 @@ void sample_host(MetricsRegistry& reg);
 /// Serialize one section as a flat name -> value object, in registration
 /// order. Histograms serialize as {"total","sum","bounds","counts"}.
 /// With include_zero = false, entries whose value (and, for histograms,
-/// observation count) is zero are omitted — this makes a *delta* snapshot's
-/// serialization independent of which metrics earlier, unrelated solves
-/// happened to register in the same process, which is what lets the report
-/// "registry" block stay byte-identical across process histories.
+/// observation count) is zero are omitted, so the report "registry" block
+/// lists only what the solve actually charged.
 Json to_json_section(const MetricsSnapshot& snapshot, MetricSection section,
                      bool include_zero = true);
 

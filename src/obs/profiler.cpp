@@ -263,7 +263,7 @@ HostScope::~HostScope() {
   const std::uint64_t allocs = now.allocations - alloc_begin_.allocations;
   const std::uint64_t bytes = now.bytes - alloc_begin_.bytes;
 
-  auto& registry = MetricsRegistry::global();
+  auto& registry = MetricsRegistry::current();
   const auto section = MetricSection::kHost;
   registry.counter("host/" + name_ + "/calls", section).add(1);
   registry.counter("host/" + name_ + "/wall_ns", section).add(wall);

@@ -89,23 +89,6 @@ TEST(SeedSearch, BatchRoundChargesAreConstantPerBatch) {
   EXPECT_EQ(result.batches, 1u);  // one O(1)-round batch covered all
 }
 
-TEST(SeedSearch, FindBestSeed) {
-  auto cluster = make_cluster();
-  PopcountObjective objective;
-  const auto result = find_best_seed(cluster, objective, 1 << 8, 1 << 8);
-  EXPECT_EQ(result.value, 8.0);
-  EXPECT_EQ(result.seed, 255u);
-  EXPECT_EQ(result.trials, 256u);
-}
-
-TEST(SeedSearch, FindBestSeedWithinBudget) {
-  auto cluster = make_cluster();
-  PopcountObjective objective;
-  const auto result = find_best_seed(cluster, objective, 1 << 8, 8);
-  EXPECT_EQ(result.trials, 8u);
-  EXPECT_DOUBLE_EQ(result.value, 3.0);  // best among 0..7 is 7 -> 3 bits
-}
-
 // --- Stride coverage property. ---
 
 TEST(SeedSearch, EffectiveStrideIsAlwaysCoprime) {

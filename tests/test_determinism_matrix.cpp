@@ -7,10 +7,12 @@
 // {1, 2, hardware}.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/report_json.hpp"
@@ -33,7 +35,7 @@ using graph::Graph;
 
 const std::uint32_t kThreadCounts[] = {1, 2, 0};  // 0 = hardware concurrency
 
-/// The golden model section of a Solver's per-solve registry delta. One more
+/// The golden model section of a Solver's per-solve registry. One more
 /// byte-comparable artifact per run: the metrics-snapshot axis of the matrix.
 std::string registry_model_json(const Solver& solver) {
   return obs::to_json_section(solver.metrics_snapshot(),
@@ -753,6 +755,58 @@ TEST(DeterminismMatrix, BatchDispatchAxis) {
     }
   }
   field::reset_batch_dispatch();
+}
+
+// ---- Concurrency axis ----
+//
+// Every solve writes into its own metrics registry (obs::RegistryScope), so
+// solves running at the same time in one process must report exactly what
+// each reports alone: the report JSON, whose "registry" block is the solve's
+// model section, and the model section of metrics_snapshot().
+
+TEST(DeterminismMatrix, ConcurrentSolvesAxis) {
+  const std::vector<PipelineCase> cases = {
+      {"mis/sparsification", false, "sparsification",
+       graph::gnm(1024, 16384, 100)},
+      {"matching/sparsification", true, "sparsification",
+       graph::gnm(1024, 16384, 101)},
+      {"mis/lowdeg", false, "lowdeg", graph::random_regular(2048, 4, 102)},
+      {"matching/lowdeg", true, "lowdeg", graph::random_regular(1024, 4, 103)}};
+  struct Artifacts {
+    std::string report_json;
+    std::string registry_json;
+  };
+  const auto run = [&](std::size_t i) {
+    SolveOptions options;
+    options.threads = 2;
+    options.profile = i == 1;
+    const Solver solver(options);
+    const CaseSolution solution = solve_case(solver, cases[i]);
+    return Artifacts{to_json(solution.report).dump(),
+                     registry_model_json(solver)};
+  };
+  std::vector<Artifacts> serial;
+  for (std::size_t i = 0; i < cases.size(); ++i) serial.push_back(run(i));
+
+  std::vector<Artifacts> concurrent(cases.size());
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    threads.emplace_back([&, i] {
+      // Start together so the solves overlap.
+      ready.fetch_add(1);
+      while (ready.load() < cases.size()) std::this_thread::yield();
+      concurrent[i] = run(i);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(concurrent[i].report_json, serial[i].report_json)
+        << cases[i].name;
+    EXPECT_EQ(concurrent[i].registry_json, serial[i].registry_json)
+        << cases[i].name;
+  }
 }
 
 }  // namespace

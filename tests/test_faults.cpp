@@ -501,7 +501,7 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
   EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"recovery\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"retries_by_label\""), std::string::npos) << json;
-  // Schema >= 4: the golden model section of the registry delta rides
+  // Schema >= 4: the golden model section of the solve's registry rides
   // along; schema 6 additionally types the storage recovery sub-block.
   EXPECT_NE(json.find("\"registry\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"mpc/rounds\""), std::string::npos) << json;

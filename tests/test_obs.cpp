@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/solver.hpp"
+#include "exec/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "mis/det_mis.hpp"
 #include "mpc/faults.hpp"
@@ -500,32 +503,102 @@ TEST(Registry, LabeledFamilyMembersGetSlashNames) {
   EXPECT_EQ(snap.find("mpc/communication/sparsify")->value, 7);
 }
 
-TEST(Registry, DeltaSubtractsCountersAndKeepsGauges) {
-  obs::MetricsRegistry reg;
-  auto& c = reg.counter("mpc/rounds");
-  auto& g = reg.gauge("host/wall_ns", obs::MetricSection::kHost);
-  auto& h = reg.histogram("derand/batch", {8});
-  c.add(10);
-  g.set(100);
-  h.observe(3);
-  const auto before = reg.snapshot();
-  c.add(5);
-  g.set(250);
-  h.observe(20);
-  auto& late = reg.counter("derand/sweeps");  // registered mid-solve
-  late.add(2);
-  const auto delta =
-      obs::MetricsSnapshot::delta(reg.snapshot(), before);
-  // Counters and histograms subtract; gauges keep the after value; entries
-  // unknown to `before` pass through raw.
-  EXPECT_EQ(delta.find("mpc/rounds")->value, 5);
-  EXPECT_EQ(delta.find("host/wall_ns")->value, 250);
-  EXPECT_EQ(delta.find("derand/sweeps")->value, 2);
-  const auto* hist = delta.find("derand/batch");
+// --- Registry scopes: each solve writes into its own registry, which folds
+// into the enclosing one when the scope closes. ---
+
+TEST(RegistryScope, OutermostScopeFoldsIntoGlobal) {
+  auto& global = obs::MetricsRegistry::global();
+  const std::uint64_t before = global.counter("test/scope_to_global").value();
+  {
+    obs::RegistryScope scope;
+    EXPECT_EQ(&obs::MetricsRegistry::current(), &scope.registry());
+    obs::MetricsRegistry::current().counter("test/scope_to_global").add(3);
+    // Nothing reaches global() while the scope is open.
+    EXPECT_EQ(global.counter("test/scope_to_global").value(), before);
+  }
+  EXPECT_EQ(&obs::MetricsRegistry::current(), &global);
+  EXPECT_EQ(global.counter("test/scope_to_global").value(), before + 3);
+}
+
+TEST(RegistryScope, NestedScopeFoldsIntoItsParent) {
+  // Names no producer registers, so global()'s history cannot rank them.
+  obs::RegistryScope outer;
+  obs::MetricsRegistry::current().counter("test/nested_first").add(1);
+  {
+    obs::RegistryScope inner;
+    EXPECT_EQ(&obs::MetricsRegistry::current(), &inner.registry());
+    obs::MetricsRegistry::current().counter("test/nested_second").add(5);
+    obs::MetricsRegistry::current().counter("test/nested_first").add(2);
+    // Names the parent held come first, in the parent's order.
+    const auto inner_snap = inner.registry().snapshot();
+    ASSERT_EQ(inner_snap.entries.size(), 2u);
+    EXPECT_EQ(inner_snap.entries[0].name, "test/nested_first");
+    EXPECT_EQ(inner_snap.entries[1].name, "test/nested_second");
+    const auto outer_snap = outer.registry().snapshot();
+    EXPECT_EQ(outer_snap.find("test/nested_first")->value, 1);
+    EXPECT_EQ(outer_snap.find("test/nested_second"), nullptr);
+  }
+  EXPECT_EQ(&obs::MetricsRegistry::current(), &outer.registry());
+  const auto snap = outer.registry().snapshot();
+  EXPECT_EQ(snap.find("test/nested_first")->value, 3);
+  ASSERT_NE(snap.find("test/nested_second"), nullptr);
+  EXPECT_EQ(snap.find("test/nested_second")->value, 5);
+  // Names the parent lacked register in the inner scope's order.
+  ASSERT_EQ(snap.entries.size(), 2u);
+  EXPECT_EQ(snap.entries[1].name, "test/nested_second");
+}
+
+TEST(RegistryScope, FoldAddsCountersAndHistogramsAndGaugesTakeInnerValue) {
+  obs::RegistryScope outer;
+  auto& reg = outer.registry();
+  reg.counter("test/fold_counter").add(10);
+  reg.gauge("test/fold_gauge", obs::MetricSection::kHost).set(100);
+  reg.histogram("test/fold_hist", {8}).observe(3);
+  {
+    obs::RegistryScope inner;
+    auto& cur = obs::MetricsRegistry::current();
+    cur.counter("test/fold_counter").add(5);
+    cur.gauge("test/fold_gauge", obs::MetricSection::kHost).set(40);
+    cur.histogram("test/fold_hist", {8}).observe(20);
+  }
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.find("test/fold_counter")->value, 15);
+  EXPECT_EQ(snap.find("test/fold_gauge")->value, 40);
+  const auto* hist = snap.find("test/fold_hist");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->value, 1);
-  EXPECT_EQ(hist->sum, 20);
-  EXPECT_EQ(hist->counts, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(hist->value, 2);
+  EXPECT_EQ(hist->sum, 23);
+  EXPECT_EQ(hist->counts, (std::vector<std::uint64_t>{1, 1}));
+}
+
+TEST(RegistryScope, PoolWorkersInheritThePoolsScope) {
+  constexpr std::uint32_t kThreads = 4;
+  obs::RegistryScope scope;
+  std::atomic<std::uint32_t> entered{0};
+  std::atomic<std::uint32_t> in_scope{0};
+  {
+    exec::ThreadPool pool(kThreads);
+    // kThreads tasks that each wait for all the others: every thread of the
+    // pool, workers included, runs exactly one of them.
+    pool.run(kThreads, [&](std::uint64_t) {
+      entered.fetch_add(1);
+      while (entered.load() < kThreads) std::this_thread::yield();
+      if (&obs::MetricsRegistry::current() == &scope.registry()) {
+        in_scope.fetch_add(1);
+      }
+      obs::MetricsRegistry::current().counter("test/task_writes").add(1);
+    });
+  }
+  EXPECT_EQ(in_scope.load(), kThreads);
+  const auto snap = scope.registry().snapshot();
+  ASSERT_NE(snap.find("test/task_writes"), nullptr);
+  EXPECT_EQ(snap.find("test/task_writes")->value, kThreads);
+  // The pool's own host counters bind to the scope too, except the live
+  // process-wide queue gauge.
+  ASSERT_NE(snap.find("exec/pool_tasks"), nullptr);
+  EXPECT_EQ(snap.find("exec/pool_tasks")->value, kThreads);
+  EXPECT_EQ(snap.find("exec/steals")->value, kThreads - 1);
+  EXPECT_EQ(snap.find("exec/queue_depth"), nullptr);
 }
 
 TEST(Registry, SectionsSerializeSeparatelyAndDropZeros) {

@@ -178,13 +178,12 @@ TEST(ProfileSnapshot, ExportWritesModelSectionCounters) {
   auto snap = profiler.snapshot();
   snap.enabled = true;
 
-  auto& registry = obs::MetricsRegistry::global();
-  const auto before = registry.snapshot();
-  snap.export_to(registry);
-  const auto delta = obs::MetricsSnapshot::delta(registry.snapshot(), before);
-  const auto* records = delta.find("profile/records");
-  const auto* rounds = delta.find("profile/rounds");
-  const auto* load_obs = delta.find("profile/load_observations");
+  obs::RegistryScope scope;
+  snap.export_to(obs::MetricsRegistry::current());
+  const auto exported = scope.registry().snapshot();
+  const auto* records = exported.find("profile/records");
+  const auto* rounds = exported.find("profile/rounds");
+  const auto* load_obs = exported.find("profile/load_observations");
   ASSERT_NE(records, nullptr);
   ASSERT_NE(rounds, nullptr);
   ASSERT_NE(load_obs, nullptr);
@@ -199,12 +198,9 @@ TEST(ProfileSnapshot, DisabledExportIsANoOp) {
   // registry; this is what every unprofiled solve exports.
   obs::ProfileSnapshot snap;
   ASSERT_FALSE(snap.enabled);
-  auto& registry = obs::MetricsRegistry::global();
-  const auto before = registry.snapshot();
-  snap.export_to(registry);
-  const auto delta = obs::MetricsSnapshot::delta(registry.snapshot(), before);
-  const auto* records = delta.find("profile/records");
-  if (records != nullptr) EXPECT_EQ(records->value, 0);
+  obs::RegistryScope scope;
+  snap.export_to(obs::MetricsRegistry::current());
+  EXPECT_TRUE(scope.registry().snapshot().entries.empty());
 }
 
 TEST(ProfileSnapshot, JsonBlockIsIntegerOnlyAndComplete) {
@@ -350,17 +346,16 @@ TEST(ProfiledSolve, ProfileDoesNotPerturbSolutionOrMetrics) {
 // ---- Host-side scopes ----
 
 TEST(HostScope, AddsHostSectionCountersOnDestruction) {
-  auto& registry = obs::MetricsRegistry::global();
-  const auto before = registry.snapshot();
+  obs::RegistryScope metrics;
   {
     obs::HostScope scope("test/host_scope");
     std::vector<std::uint64_t> work(4096, 1);
     volatile std::uint64_t sink = 0;
     for (const auto v : work) sink += v;
   }
-  const auto delta = obs::MetricsSnapshot::delta(registry.snapshot(), before);
-  const auto* calls = delta.find("host/test/host_scope/calls");
-  const auto* wall = delta.find("host/test/host_scope/wall_ns");
+  const auto snap = metrics.registry().snapshot();
+  const auto* calls = snap.find("host/test/host_scope/calls");
+  const auto* wall = snap.find("host/test/host_scope/wall_ns");
   ASSERT_NE(calls, nullptr);
   ASSERT_NE(wall, nullptr);
   EXPECT_EQ(calls->value, 1);

@@ -109,7 +109,7 @@ TEST(TraceAnalyze, FixtureCriticalPathIsRoundWeighted) {
 
 TEST(TraceAnalyze, WallWeightedPathSurfacesDerandSeedSearch) {
   // With wall timestamps on, the host-side critical path must end in the
-  // derand CE sweep (mis_sparsify/seed wraps derand::find_best_seed), which
+  // derand seed search (mis_sparsify/seed wraps derand::try_find_seed), which
   // charges few model rounds but dominates wall time.
   const auto g = graph::gnm(512, 8192, 23);
   std::ostringstream out;

@@ -195,7 +195,7 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-// --metrics-out: full registry snapshot delta for the solve, all three
+// --metrics-out: the solve's full registry snapshot, all three
 // sections grouped (docs/OBSERVABILITY.md). The model subtree is golden;
 // host/recovery are diagnostic. Under --profile the skew timeline rides
 // along as a `profile` block and with --events an `events_summary` block
