@@ -59,24 +59,27 @@ void RangeObjective::evaluate_batch(const std::uint64_t* seeds,
   for (std::size_t i = 0; i < count; ++i) out[i] = evaluate(seeds[i]);
 }
 
+BatchStats BatchStats::of(std::uint64_t lanes) {
+  return {(lanes + kBatchChunk - 1) / kBatchChunk, lanes};
+}
+
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,
                           double* out, std::size_t grain) {
-  BatchStats stats;
-  if (count == 0) return stats;
-  const std::size_t chunks = (count + kBatchChunk - 1) / kBatchChunk;
-  stats.calls = chunks;
-  stats.lanes = count;
+  if (count == 0) return {};
   // Chunks are the accounting unit only; the host dispatches `grain` seeds
   // per task (each seed is O(n) work, so the default of one lets a one-chunk
   // selection batch spread over the pool). out[i] depends only on seeds[i],
-  // so results and the stats above are thread-count and grain invariant.
+  // so results and the stats are thread-count and grain invariant.
   obs::HostScope host_scope("derand/batch_eval");
+  obs::MetricsRegistry::current()
+      .counter("derand/evaluated_seeds", obs::MetricSection::kHost)
+      .add(count);
   executor.for_each(
       0, count,
       [&](std::uint64_t i) { out[i] = objective.evaluate(seeds[i]); }, grain);
-  return stats;
+  return BatchStats::of(count);
 }
 
 void record_batch_stats(const BatchStats& stats) {

@@ -135,12 +135,18 @@ class RangeObjective : public Objective {
 };
 
 /// Dispatch accounting for one engine run: kBatchChunk-wide chunks and
-/// candidate-seed lanes. Chunks are a logical unit — batch_evaluate sizes
-/// its host tasks by its own `grain` — so both counts are pure functions of
-/// the candidate count, deterministic across thread counts.
+/// candidate-seed lanes of the batches the model charges. Chunks are a
+/// logical unit — batch_evaluate sizes its host tasks by its own `grain` —
+/// and an engine that evaluates only a prefix of a charged batch still
+/// counts the whole batch (BatchStats::of its charged width), so both
+/// counts are pure functions of the charged candidate counts, deterministic
+/// across thread counts.
 struct BatchStats {
   std::uint64_t calls = 0;
   std::uint64_t lanes = 0;
+
+  /// The stats of one batch of `lanes` candidates.
+  static BatchStats of(std::uint64_t lanes);
 
   BatchStats& operator+=(const BatchStats& other) {
     calls += other.calls;
@@ -149,16 +155,17 @@ struct BatchStats {
   }
 };
 
-/// Seeds per accounting chunk in batch_evaluate — fixed (never derived from
-/// the thread count) so BatchStats are invariant across executors.
+/// Seeds per accounting chunk of a charged batch — fixed (never derived
+/// from the thread count) so BatchStats are invariant across executors.
 inline constexpr std::size_t kBatchChunk = 16;
 
 /// Evaluate seeds[0..count) with out[i] = evaluate(seeds[i]), `grain`
 /// evaluate() calls per pool task (the default 1 spreads even a one-chunk
 /// batch over the pool; a batch of at most `grain` seeds runs on the calling
-/// thread). Returns the dispatch stats, counted in kBatchChunk chunks for
-/// every grain; the caller records them once per completed engine run
-/// (record_batch_stats) so registry totals stay deterministic.
+/// thread). Adds `count` to the kHost counter `derand/evaluated_seeds` and
+/// returns BatchStats::of(count); the caller records the stats of what it
+/// charged once per completed engine run (record_batch_stats) so registry
+/// totals stay deterministic.
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,

@@ -14,6 +14,13 @@
 // first candidate reaching the threshold. Termination before the family is
 // exhausted is unconditional when threshold <= Q.
 //
+// The model charges every batch in full. The host needs only the seeds up to
+// the commit: it evaluates a batch in enumeration order, one seed per
+// executor thread at a time, and stops at the first sub-batch holding a
+// qualifying seed. The counting argument does not depend on evaluation
+// order, and the objective is pure, so the committed seed, `trials` and
+// every model charge are the same for every thread count.
+//
 // This engine is the production path; the textbook prefix-fixing engine
 // (cond_expect.hpp) is the faithful §2.4 implementation used where the
 // conditional expectations are exactly computable.
@@ -53,7 +60,8 @@ struct SearchOptions : EngineOptions {
 struct SearchResult {
   std::uint64_t seed = 0;
   double value = 0.0;
-  std::uint64_t trials = 0;   ///< Seeds evaluated (including the committed one).
+  /// Candidates in enumeration order up to and including the committed one.
+  std::uint64_t trials = 0;
   std::uint64_t batches = 0;  ///< O(1)-round batches used.
 };
 
@@ -69,16 +77,18 @@ struct SearchResult {
 std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
 /// Find the first seed (in enumeration order) meeting the threshold.
-/// Batches are evaluated on the cluster's host executor; the committed seed
-/// is the first qualifying one in enumeration order regardless of thread
-/// count (the whole batch is evaluated, then scanned lowest-trial-first).
+/// Each batch is charged in full and evaluated on the cluster's host
+/// executor in sub-batches of executor().threads() seeds, stopping at the
+/// first sub-batch holding a qualifying seed; the committed seed is the
+/// first qualifying one in enumeration order regardless of thread count.
 /// CheckFailure when no seed within the budget qualifies.
 SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
                        std::uint64_t seed_count, const SearchOptions& options);
 
 /// find_seed without the guarantee check: nullopt when no seed within
 /// options.max_trials qualifies (the sparsifiers' cue to widen their
-/// windows). An exhausted search records nothing in the metrics registry.
+/// windows). An exhausted search records nothing in the registry's model
+/// section.
 std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                                           const Objective& objective,
                                           std::uint64_t seed_count,

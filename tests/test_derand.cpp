@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -18,16 +19,19 @@
 #include "hash/kwise.hpp"
 #include "hash/seed.hpp"
 #include "mpc/cluster.hpp"
+#include "obs/metrics_registry.hpp"
 #include "support/check.hpp"
 
 namespace dmpc::derand {
 namespace {
 
-mpc::Cluster make_cluster() {
+mpc::Cluster make_cluster(std::uint32_t threads = 1) {
   mpc::ClusterConfig config;
   config.machine_space = 256;
   config.num_machines = 64;
-  return mpc::Cluster(config);
+  mpc::ClusterSetup setup;
+  setup.threads = threads;
+  return mpc::Cluster(config, setup);
 }
 
 /// Toy objective: q(seed) = number of 1-bits in the low 8 bits of the seed.
@@ -161,6 +165,61 @@ TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
   const auto result = find_seed(cluster, objective, 1 << 8, options);
   EXPECT_EQ(result.seed, 255u);
   EXPECT_LE(result.trials, 256u);
+}
+
+// --- Lazy host evaluation of a charged batch. ---
+
+/// q(seed) = seed, counting evaluate() calls: at threshold 69 under the
+/// default walk (trial t is seed t) the first qualifying seed is trial 70,
+/// the sixth of the second 64-seed batch, and every later seed qualifies too.
+class IdentityObjective final : public Objective {
+ public:
+  double evaluate(std::uint64_t seed) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return static_cast<double>(seed);
+  }
+  std::uint64_t term_count() const override { return 8; }
+  std::uint64_t calls() const { return calls_.load(); }
+
+ private:
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(SeedSearch, LazySubBatchesMatchAtEveryThreadCount) {
+  // The host evaluates a charged batch threads() seeds at a time and stops
+  // at the first sub-batch holding a qualifying seed; the commit, the model
+  // charge and the golden counters must not see the sub-batch width.
+  std::vector<mpc::LabelCost> ledgers;
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    obs::RegistryScope scope;
+    auto cluster = make_cluster(threads);
+    IdentityObjective objective;
+    SearchOptions options;
+    options.label = "test/lazy";
+    options.threshold = 69.0;
+    const SearchResult result = find_seed(cluster, objective, 1 << 8, options);
+    EXPECT_EQ(result.seed, 69u);
+    EXPECT_DOUBLE_EQ(result.value, 69.0);
+    EXPECT_EQ(result.trials, 70u);
+    EXPECT_EQ(result.batches, 2u);
+    // The first batch misses and is evaluated in full; the second stops at
+    // the sub-batch holding its sixth seed.
+    const std::uint64_t second = (6 + threads - 1) / threads * threads;
+    EXPECT_GE(objective.calls(), 70u);
+    EXPECT_LE(objective.calls(), 64 + second);
+    const obs::MetricsSnapshot snap = scope.registry().snapshot();
+    const auto value = [&](const std::string& name) -> std::uint64_t {
+      const obs::MetricValue* m = snap.find(name);
+      return m == nullptr ? 0 : static_cast<std::uint64_t>(m->value);
+    };
+    EXPECT_EQ(value("derand/evaluated_seeds"), objective.calls());
+    // Both batches count at their charged width of 64.
+    EXPECT_EQ(value("derand/batch_calls"), 2 * 64 / kBatchChunk);
+    EXPECT_EQ(value("derand/lanes_used"), 64u + 64u);
+    ledgers.push_back(cluster.metrics().by_label().at(options.label));
+    EXPECT_EQ(ledgers.back(), ledgers.front());
+  }
 }
 
 // --- The pipelines' selection commit (select_seed). ---

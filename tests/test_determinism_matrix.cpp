@@ -33,7 +33,7 @@ namespace {
 
 using graph::Graph;
 
-const std::uint32_t kThreadCounts[] = {1, 2, 0};  // 0 = hardware concurrency
+const std::uint32_t kThreadCounts[] = {1, 2, 3, 0};  // 0 = hardware concurrency
 
 /// The golden model section of a Solver's per-solve registry. One more
 /// byte-comparable artifact per run: the metrics-snapshot axis of the matrix.

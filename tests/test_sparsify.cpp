@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/solver.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mpc/cluster.hpp"
@@ -23,11 +24,13 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-mpc::Cluster roomy_cluster() {
+mpc::Cluster roomy_cluster(std::uint32_t threads = 1) {
   mpc::ClusterConfig config;
   config.machine_space = 1 << 16;
   config.num_machines = 1 << 10;
-  return mpc::Cluster(config);
+  mpc::ClusterSetup setup;
+  setup.threads = threads;
+  return mpc::Cluster(config, setup);
 }
 
 TEST(Params, ClassOfDegreeBands) {
@@ -325,57 +328,64 @@ TEST(Sparsifiers, GoldenStageSequence) {
   params.n = g.num_nodes();
   params.inv_delta = 8;
   const std::vector<bool> alive(g.num_nodes(), true);
-  {
-    auto cluster = roomy_cluster();
-    const auto good = select_matching_good_set(cluster, params, g, alive);
-    const auto sparse =
-        sparsify_edges(cluster, params, g, good, SparsifyConfig{});
-    expect_golden(sparse.stages, {{1, 0x00b1e7cfb3de54cfULL, 2, 845, 3.0},
-                                  {2, 0x005119d0504d134fULL, 1, 845, 3.0}});
+  // An escalating node instance: on p = 2053 (prime, so ids are exactly the
+  // field) node v is joined to the 48-term progression v + i r_v mod p with
+  // its own step r_v. Under a pairwise (linear) hash a window of such a
+  // progression keeps all or nothing of it whenever slope * r_v is small
+  // mod p; with over 2000 distinct steps no seed in the budget makes every
+  // window good at the default slack, so stages 1 and 2 escalate.
+  constexpr NodeId p = 2053;
+  graph::GraphBuilder builder(p);
+  for (NodeId v = 0; v < p; ++v) {
+    const std::uint64_t step = 1 + (1009ULL * v + 17) % (p - 2);
+    for (std::uint64_t i = 1; i <= 48; ++i) {
+      builder.try_add_edge(v, static_cast<NodeId>((v + step * i) % p));
+    }
   }
-  {
-    auto cluster = roomy_cluster();
-    const auto good = select_mis_good_set(cluster, params, g, alive);
-    const auto sparse =
-        sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
-    expect_golden(sparse.stages, {{1, 0x0000000cb6d51d1fULL, 1, 998, 3.0},
-                                  {2, 0x0000000e335b661eULL, 1, 748, 3.0}});
-  }
-  {
-    // An escalating node instance: on p = 2053 (prime, so ids are exactly
-    // the field) node v is joined to the 48-term progression v + i r_v mod
-    // p with its own step r_v. Under a pairwise (linear) hash a window of
-    // such a progression keeps all or nothing of it whenever slope * r_v is
-    // small mod p; with over 2000 distinct steps no seed in the budget makes
-    // every window good at the default slack, so stages 1 and 2 escalate.
-    constexpr NodeId p = 2053;
-    graph::GraphBuilder builder(p);
-    for (NodeId v = 0; v < p; ++v) {
-      const std::uint64_t step = 1 + (1009ULL * v + 17) % (p - 2);
-      for (std::uint64_t i = 1; i <= 48; ++i) {
-        builder.try_add_edge(v, static_cast<NodeId>((v + step * i) % p));
+  const Graph dense = std::move(builder).build();
+  Params dense_params;
+  dense_params.n = p;
+  dense_params.inv_delta = 12;
+  const std::vector<bool> all(p, true);
+  // The host evaluates each charged batch threads() seeds at a time; the
+  // stages must not see it. The escalating instance exhausts 64-seed
+  // batches and commits at trial 3, in the second sub-batch at 2 threads.
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    {
+      auto cluster = roomy_cluster(threads);
+      const auto good = select_matching_good_set(cluster, params, g, alive);
+      const auto sparse =
+          sparsify_edges(cluster, params, g, good, SparsifyConfig{});
+      expect_golden(sparse.stages, {{1, 0x00b1e7cfb3de54cfULL, 2, 845, 3.0},
+                                    {2, 0x005119d0504d134fULL, 1, 845, 3.0}});
+    }
+    {
+      auto cluster = roomy_cluster(threads);
+      const auto good = select_mis_good_set(cluster, params, g, alive);
+      const auto sparse =
+          sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
+      expect_golden(sparse.stages, {{1, 0x0000000cb6d51d1fULL, 1, 998, 3.0},
+                                    {2, 0x0000000e335b661eULL, 1, 748, 3.0}});
+    }
+    {
+      auto cluster = roomy_cluster(threads);
+      const auto good = select_mis_good_set(cluster, dense_params, dense, all);
+      // Each Q_0 id sits in the type-B mass windows of many B neighbours.
+      std::vector<std::uint32_t> mass_windows(p, 0);
+      for (NodeId v = 0; v < p; ++v) {
+        if (!good.in_B[v]) continue;
+        for (NodeId u : dense.neighbors(v)) mass_windows[u] += good.in_Q0[u];
       }
+      ASSERT_GT(*std::max_element(mass_windows.begin(), mass_windows.end()),
+                1u);
+      const auto sparse = sparsify_nodes(cluster, dense_params, dense, all,
+                                         good, SparsifyConfig{/*hash_k=*/2});
+      expect_golden(sparse.stages, {{1, 0x000000000000ad8bULL, 65, 3981, 6.0},
+                                    {2, 0x0000000000404a60ULL, 65, 3075, 6.0},
+                                    {3, 0x00000000001d007cULL, 3, 2592, 3.0},
+                                    {4, 0x000000000002bbe5ULL, 1, 2335, 3.0}});
     }
-    const Graph dense = std::move(builder).build();
-    Params dense_params;
-    dense_params.n = p;
-    dense_params.inv_delta = 12;
-    const std::vector<bool> all(p, true);
-    auto cluster = roomy_cluster();
-    const auto good = select_mis_good_set(cluster, dense_params, dense, all);
-    // Each Q_0 id sits in the type-B mass windows of many B neighbours.
-    std::vector<std::uint32_t> mass_windows(p, 0);
-    for (NodeId v = 0; v < p; ++v) {
-      if (!good.in_B[v]) continue;
-      for (NodeId u : dense.neighbors(v)) mass_windows[u] += good.in_Q0[u];
-    }
-    ASSERT_GT(*std::max_element(mass_windows.begin(), mass_windows.end()), 1u);
-    const auto sparse = sparsify_nodes(cluster, dense_params, dense, all, good,
-                                       SparsifyConfig{/*hash_k=*/2});
-    expect_golden(sparse.stages, {{1, 0x000000000000ad8bULL, 65, 3981, 6.0},
-                                  {2, 0x0000000000404a60ULL, 65, 3075, 6.0},
-                                  {3, 0x00000000001d007cULL, 3, 2592, 3.0},
-                                  {4, 0x000000000002bbe5ULL, 1, 2335, 3.0}});
   }
 }
 
@@ -504,6 +514,54 @@ TEST(StageWindows, DoublingTheMultiplierNeverNarrows) {
         }
       }
     }
+  }
+}
+
+// Why find_stage_seed's "window escalation cap reached" check does not fire
+// on solver inputs with at most 2^28 nodes and 2^28 edges. The last
+// attempt, kMaxEscalations, bounds every window at multiplier
+// M = kWindowSlack * 2^kMaxEscalations = 196608. For every rate q the
+// Solver can produce (q = n^-delta, n >= 2, 8 <= 1/delta <= kMaxInvDelta)
+// and every window a stage can build (a node window holds at most n ids, an
+// edge window at most n(n-1)/2), the count bounds are then trivial: lo = 0
+// and hi = count. A kMass window over c ids with total weight W, sum of
+// squares W2 and max weight w has W <= c w and W2 >= W^2 / c, so its
+// bound is 0 whenever q c <= M (sqrt(c q (1-q)) + 1), which is the count
+// windows' lo = 0 condition. Every window is then good under every seed,
+// so the last attempt commits its first candidate. At 2^29 ids the claim
+// already fails (n = 2^15, 1/delta >= 755), so on larger inputs the cap
+// stays a CheckFailure.
+TEST(StageWindows, EscalationCapBoundsAreTrivialOnSolverInputs) {
+  const double cap = kWindowSlack * std::ldexp(1.0, kMaxEscalations);
+  constexpr std::uint64_t kMaxIds = std::uint64_t{1} << 28;
+  const WindowSet empty(std::vector<bool>{});
+  for (std::uint32_t inv_delta = 8; inv_delta <= Solver::kMaxInvDelta;
+       ++inv_delta) {
+    for (std::uint32_t lg = 1; lg <= 32; ++lg) {
+      for (const std::uint64_t n :
+           {std::uint64_t{1} << lg, std::uint64_t{3} << (lg - 1)}) {
+        Params params;
+        params.n = n;
+        params.inv_delta = inv_delta;
+        const double q = params.sample_probability();
+        const std::uint64_t count =
+            std::min(kMaxIds, std::max(n, n * (n - 1) / 2));
+        for (const Side side : {Side::kUpper, Side::kLower, Side::kBoth}) {
+          Window w{0, count, side};
+          set_bounds(w, empty, q, cap);
+          ASSERT_EQ(w.lo, 0u) << "n=" << n << " 1/delta=" << inv_delta;
+          ASSERT_EQ(w.hi, count) << "n=" << n << " 1/delta=" << inv_delta;
+        }
+      }
+    }
+  }
+  // The mass side on a real window of unequal weights, at the extreme rates.
+  std::vector<double> weighted;
+  for (std::uint64_t x = 0; x < 4096; ++x) {
+    weighted.push_back(1.0 / static_cast<double>(1 + x % 97));
+  }
+  for (const double q : {0.01, 0.5, 0.999}) {
+    EXPECT_EQ(bounded(weighted, 4096, Side::kMass, q, cap).mass_lo, 0.0);
   }
 }
 
