@@ -43,7 +43,7 @@ const hash::KWiseFamily& RangeObjective::family() const {
   return *family_;
 }
 
-double RangeObjective::evaluate(std::uint64_t seed) const {
+const std::uint64_t* RangeObjective::sweep(std::uint64_t seed) const {
   DMPC_CHECK_MSG(family_ != nullptr, "RangeObjective points not bound");
   SweepScratch& scratch = sweep_scratch();
   scratch.values.resize(table_.count());
@@ -51,7 +51,11 @@ double RangeObjective::evaluate(std::uint64_t seed) const {
   family_->coefficients_into(seed, coeffs);
   table_.eval(coeffs, scratch.values.data());
   prepare_seed(seed, scratch.values.data());
-  return accumulate_terms(0, range_count(), seed, scratch.values.data());
+  return scratch.values.data();
+}
+
+double RangeObjective::evaluate(std::uint64_t seed) const {
+  return accumulate_terms(0, range_count(), seed, sweep(seed));
 }
 
 void RangeObjective::evaluate_batch(const std::uint64_t* seeds,
@@ -80,6 +84,15 @@ BatchStats batch_evaluate(const exec::Executor& executor,
       0, count,
       [&](std::uint64_t i) { out[i] = objective.evaluate(seeds[i]); }, grain);
   return BatchStats::of(count);
+}
+
+double evaluate_seed(const exec::Executor& executor, const Objective& objective,
+                     std::uint64_t seed) {
+  obs::HostScope host_scope("derand/batch_eval");
+  obs::MetricsRegistry::current()
+      .counter("derand/evaluated_seeds", obs::MetricSection::kHost)
+      .add(1);
+  return objective.evaluate_parallel(executor, seed);
 }
 
 void record_batch_stats(const BatchStats& stats) {

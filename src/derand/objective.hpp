@@ -48,6 +48,15 @@ class Objective {
   /// Contiguous convenience: out[i] = evaluate(seed_lo + i).
   void evaluate_batch(std::uint64_t seed_lo, std::uint64_t count,
                       double* out) const;
+
+  /// evaluate(seed) with the host work of that one seed spread over
+  /// `executor`. Must return exactly evaluate(seed) for every executor. The
+  /// default evaluates on the calling thread.
+  virtual double evaluate_parallel(const exec::Executor& executor,
+                                   std::uint64_t seed) const {
+    (void)executor;
+    return evaluate(seed);
+  }
 };
 
 /// An objective that can additionally report conditional expectations given
@@ -129,6 +138,11 @@ class RangeObjective : public Objective {
 
   const hash::KWiseFamily& family() const;
 
+  /// The PowerTable sweep and prepare_seed of evaluate(): the raw values of
+  /// every bound point under `seed`, in the calling thread's scratch until
+  /// that thread sweeps again.
+  const std::uint64_t* sweep(std::uint64_t seed) const;
+
  private:
   const hash::KWiseFamily* family_ = nullptr;
   field::PowerTable table_;
@@ -170,6 +184,12 @@ BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,
                           double* out, std::size_t grain = 1);
+
+/// objective.evaluate_parallel(executor, seed), profiled and counted like
+/// one seed of batch_evaluate (the `derand/batch_eval` host scope and the
+/// kHost counter `derand/evaluated_seeds`).
+double evaluate_seed(const exec::Executor& executor, const Objective& objective,
+                     std::uint64_t seed);
 
 /// Charge the kModel counters `derand/batch_calls` / `derand/lanes_used`.
 /// Call once per completed engine run from the orchestrating thread.

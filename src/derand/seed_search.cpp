@@ -75,10 +75,6 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                             options.seed_base % seed_count;
     return static_cast<std::uint64_t>(pos % seed_count);
   };
-  // Host sub-batch width: one seed per executor thread.
-  const std::uint64_t sub = cluster.executor().threads();
-  std::vector<std::uint64_t> seeds(sub);
-  std::vector<double> values(sub);
   BatchStats batch_stats;
   while (next < limit) {
     const std::uint64_t batch_end = std::min(limit, next + k);
@@ -87,28 +83,23 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
     ++result.batches;
     batch_stats += BatchStats::of(batch_end - next);
     // The model evaluates the charged batch on the machines at once; the
-    // host walks it in enumeration order, one sub-batch at a time, and
-    // stops at the first sub-batch holding a qualifying trial. The
-    // objective is pure, so the committed seed (the first qualifying trial)
-    // and `trials` (the enumeration up to and including it) are the same
-    // for every sub-batch width, i.e. for every thread count.
-    for (std::uint64_t lo = next; lo < batch_end; lo += sub) {
-      const std::uint64_t width = std::min(sub, batch_end - lo);
-      for (std::uint64_t i = 0; i < width; ++i) seeds[i] = seed_at(lo + i);
-      batch_evaluate(cluster.executor(), objective, seeds.data(), width,
-                     values.data());
-      for (std::uint64_t i = 0; i < width; ++i) {
-        if (values[i] >= options.threshold) {
-          result.trials = lo + i + 1;
-          result.seed = seeds[i];
-          result.value = values[i];
-          span.arg("candidate_seeds", result.trials);
-          span.arg("batches", result.batches);
-          span.arg("committed_seed", result.seed);
-          record_search(result);
-          record_batch_stats(batch_stats);
-          return result;
-        }
+    // host walks it in enumeration order, one seed at a time with that
+    // seed's work spread over the executor, and stops at the first
+    // qualifying trial. It evaluates exactly the `trials` candidates it
+    // reports, for every thread count.
+    for (std::uint64_t t = next; t < batch_end; ++t) {
+      const std::uint64_t seed = seed_at(t);
+      const double value = evaluate_seed(cluster.executor(), objective, seed);
+      if (value >= options.threshold) {
+        result.trials = t + 1;
+        result.seed = seed;
+        result.value = value;
+        span.arg("candidate_seeds", result.trials);
+        span.arg("batches", result.batches);
+        span.arg("committed_seed", result.seed);
+        record_search(result);
+        record_batch_stats(batch_stats);
+        return result;
       }
     }
     result.trials = batch_end;

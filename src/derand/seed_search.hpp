@@ -15,11 +15,13 @@
 // exhausted is unconditional when threshold <= Q.
 //
 // The model charges every batch in full. The host needs only the seeds up to
-// the commit: it evaluates a batch in enumeration order, one seed per
-// executor thread at a time, and stops at the first sub-batch holding a
-// qualifying seed. The counting argument does not depend on evaluation
-// order, and the objective is pure, so the committed seed, `trials` and
-// every model charge are the same for every thread count.
+// the commit: it evaluates a batch in enumeration order, one seed at a time
+// with that seed's work spread over the executor
+// (Objective::evaluate_parallel), and stops at the first qualifying seed.
+// The counting argument does not depend on evaluation order, and the
+// objective is pure, so the committed seed, `trials` (which is also the
+// number of seeds the host evaluates) and every model charge are the same
+// for every thread count.
 //
 // This engine is the production path; the textbook prefix-fixing engine
 // (cond_expect.hpp) is the faithful §2.4 implementation used where the
@@ -77,10 +79,10 @@ struct SearchResult {
 std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
 /// Find the first seed (in enumeration order) meeting the threshold.
-/// Each batch is charged in full and evaluated on the cluster's host
-/// executor in sub-batches of executor().threads() seeds, stopping at the
-/// first sub-batch holding a qualifying seed; the committed seed is the
-/// first qualifying one in enumeration order regardless of thread count.
+/// Each batch is charged in full; the host evaluates its seeds one at a
+/// time through objective.evaluate_parallel on the cluster's executor and
+/// stops at the first qualifying one, so the commit and the seeds evaluated
+/// do not depend on the thread count.
 /// CheckFailure when no seed within the budget qualifies.
 SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
                        std::uint64_t seed_count, const SearchOptions& options);

@@ -19,6 +19,9 @@ namespace {
 // without rebuilding the table.
 class StageObjective final : public derand::RangeObjective {
  public:
+  /// Windows per host task of evaluate_parallel's scan.
+  static constexpr std::uint64_t kScanGrain = 512;
+
   StageObjective(const StageHash& stage_hash, const WindowSet& set)
       : cutoff_(stage_hash.cutoff), set_(&set) {
     bind_points(stage_hash.family, set.ids.data(), set.ids.size());
@@ -46,6 +49,25 @@ class StageObjective final : public derand::RangeObjective {
       }
     }
     return static_cast<double>(good);
+  }
+
+  // The sweep runs on the calling thread, the window scan in kScanGrain
+  // chunks over the executor. Each chunk's value is a count of good
+  // windows, an integer, so the chunked sum equals evaluate(seed) exactly
+  // for every executor.
+  double evaluate_parallel(const exec::Executor& executor,
+                           std::uint64_t seed) const override {
+    const std::uint64_t* values = sweep(seed);
+    const std::uint64_t ranges = range_count();
+    const std::uint64_t chunks = (ranges + kScanGrain - 1) / kScanGrain;
+    return executor.map_reduce(
+        0, chunks, 0.0,
+        [&](std::uint64_t c) {
+          return accumulate_terms(c * kScanGrain,
+                                  std::min(ranges, (c + 1) * kScanGrain),
+                                  seed, values);
+        },
+        [](double a, double b) { return a + b; }, /*grain=*/1);
   }
 
   std::uint64_t range_count() const override { return set_->windows.size(); }

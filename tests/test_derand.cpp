@@ -169,14 +169,24 @@ TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
 
 // --- Lazy host evaluation of a charged batch. ---
 
-/// q(seed) = seed, counting evaluate() calls: at threshold 69 under the
-/// default walk (trial t is seed t) the first qualifying seed is trial 70,
-/// the sixth of the second 64-seed batch, and every later seed qualifies too.
+/// q(seed) = seed, counting evaluations: at threshold 69 under the default
+/// walk (trial t is seed t) the first qualifying seed is trial 70, the sixth
+/// of the second 64-seed batch, and every later seed qualifies too.
+/// evaluate_parallel spreads the eight terms, one of which carries the seed,
+/// over the executor.
 class IdentityObjective final : public Objective {
  public:
   double evaluate(std::uint64_t seed) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
     return static_cast<double>(seed);
+  }
+  double evaluate_parallel(const exec::Executor& executor,
+                           std::uint64_t seed) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return executor.map_reduce(
+        0, term_count(), 0.0,
+        [&](std::uint64_t i) { return i == 0 ? static_cast<double>(seed) : 0.0; },
+        [](double a, double b) { return a + b; }, /*grain=*/1);
   }
   std::uint64_t term_count() const override { return 8; }
   std::uint64_t calls() const { return calls_.load(); }
@@ -185,10 +195,11 @@ class IdentityObjective final : public Objective {
   mutable std::atomic<std::uint64_t> calls_{0};
 };
 
-TEST(SeedSearch, LazySubBatchesMatchAtEveryThreadCount) {
-  // The host evaluates a charged batch threads() seeds at a time and stops
-  // at the first sub-batch holding a qualifying seed; the commit, the model
-  // charge and the golden counters must not see the sub-batch width.
+TEST(SeedSearch, LazyEvaluationMatchesAtEveryThreadCount) {
+  // The host evaluates a charged batch one seed at a time, each spread over
+  // the executor, and stops at the first qualifying seed; the commit, the
+  // seeds evaluated, the model charge and the golden counters must not see
+  // the thread count.
   std::vector<mpc::LabelCost> ledgers;
   for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
@@ -204,10 +215,8 @@ TEST(SeedSearch, LazySubBatchesMatchAtEveryThreadCount) {
     EXPECT_EQ(result.trials, 70u);
     EXPECT_EQ(result.batches, 2u);
     // The first batch misses and is evaluated in full; the second stops at
-    // the sub-batch holding its sixth seed.
-    const std::uint64_t second = (6 + threads - 1) / threads * threads;
-    EXPECT_GE(objective.calls(), 70u);
-    EXPECT_LE(objective.calls(), 64 + second);
+    // its sixth seed.
+    EXPECT_EQ(objective.calls(), 70u);
     const obs::MetricsSnapshot snap = scope.registry().snapshot();
     const auto value = [&](const std::string& name) -> std::uint64_t {
       const obs::MetricValue* m = snap.find(name);

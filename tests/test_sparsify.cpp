@@ -347,9 +347,9 @@ TEST(Sparsifiers, GoldenStageSequence) {
   dense_params.n = p;
   dense_params.inv_delta = 12;
   const std::vector<bool> all(p, true);
-  // The host evaluates each charged batch threads() seeds at a time; the
-  // stages must not see it. The escalating instance exhausts 64-seed
-  // batches and commits at trial 3, in the second sub-batch at 2 threads.
+  // The host spreads each candidate's window scan over threads() threads;
+  // the stages must not see it. The escalating instance exhausts 64-seed
+  // batches and commits at trial 3.
   for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
     {
