@@ -76,14 +76,6 @@ mpc::FallbackMode parse_fallback_mode(const std::string& name) {
       "unknown storage fallback mode '" + name + "' (expected none|memory)"));
 }
 
-MetricsFormat parse_metrics_format(const std::string& name) {
-  if (name == "json") return MetricsFormat::kJson;
-  if (name == "openmetrics") return MetricsFormat::kOpenMetrics;
-  throw OptionsError(Status::error(
-      StatusCode::kInvalidMetricsFormat,
-      "unknown metrics format '" + name + "' (expected json|openmetrics)"));
-}
-
 CliSolveOptions parse_solve_options(const ArgParser& args) {
   CliSolveOptions cli;
   SolveOptions& options = cli.options;
@@ -105,11 +97,9 @@ CliSolveOptions parse_solve_options(const ArgParser& args) {
   cli.fault_plan_path = args.get("fault-plan", "");
   cli.io_fault_plan_path = args.get("io-fault-plan", "");
   cli.metrics_out_path = args.get("metrics-out", "");
-  cli.metrics_format = parse_metrics_format(args.get("metrics-format", "json"));
   cli.events_path = args.get("events", "");
   cli.events_filter = obs::parse_event_filter(args.get("events-filter", "all"));
   cli.progress = args.has("progress");
-  cli.host_sample_ms = require_u32_flag(args, "host-sample-ms", 0);
   return cli;
 }
 

@@ -8,7 +8,6 @@
 // unknown mode names), never a DMPC_CHECK abort.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "api/solve_types.hpp"
@@ -17,9 +16,6 @@
 #include "support/options.hpp"
 
 namespace dmpc {
-
-/// --metrics-format=json|openmetrics. Selects the --metrics-out encoding.
-enum class MetricsFormat : std::uint8_t { kJson = 0, kOpenMetrics = 1 };
 
 /// --algorithm=auto|sparse|lowdeg. Throws OptionsError(kInvalidAlgorithm).
 Algorithm parse_algorithm(const std::string& name);
@@ -39,10 +35,6 @@ mpc::VerifyMode parse_verify_mode(const std::string& name);
 /// --storage-fallback=none|memory. Throws OptionsError(kInvalidStorage).
 mpc::FallbackMode parse_fallback_mode(const std::string& name);
 
-/// --metrics-format=json|openmetrics. Throws
-/// OptionsError(kInvalidMetricsFormat).
-MetricsFormat parse_metrics_format(const std::string& name);
-
 /// SolveOptions parsed from flags, plus the side-channels the caller must
 /// resolve itself (file loading stays out of this layer so the fuzz harness
 /// can drive it hermetically).
@@ -58,9 +50,6 @@ struct CliSolveOptions {
   /// solve the caller writes the solve's full registry snapshot (all
   /// sections, grouped) there as JSON.
   std::string metrics_out_path;
-  /// --metrics-format=json|openmetrics; picks the --metrics-out encoding
-  /// (JSON document vs OpenMetrics v1.0 text exposition).
-  MetricsFormat metrics_format = MetricsFormat::kJson;
   /// --events=<path>; empty = no event stream. The caller opens the file
   /// (typed kIoError on failure), attaches a JsonlEventSink to an EventBus,
   /// and wires the bus into options.events.
@@ -70,22 +59,17 @@ struct CliSolveOptions {
   obs::EventFilter events_filter;
   /// --progress: mirror lifecycle events as a throttled human stderr line.
   bool progress = false;
-  /// --host-sample-ms=<ms>; 0 = no background host sampler. When > 0 the
-  /// caller runs an obs::HostSampler at this cadence around the solve and
-  /// embeds its ring in the --metrics-out document as "host_samples".
-  std::uint64_t host_sample_ms = 0;
 };
 
 /// Parse --eps, --threads, --algorithm, --certify, --max-retries,
 /// --checkpoint, --profile, --fault-plan, --io-fault-plan, --metrics-out,
-/// --metrics-format, --storage, --shard-dir, --storage-verify,
-/// --storage-fallback, --events, --events-filter, --progress,
-/// --host-sample-ms. Numeric
-/// values are parsed strictly (ParseError on
-/// garbage/overflow); enum values raise OptionsError with the matching
-/// StatusCode. Flags not present keep SolveOptions defaults. Consistency of
-/// --storage/--shard-dir is left to Solver::validate (kInvalidStorage), so
-/// the CLI and library reject the same inputs with the same code.
+/// --storage, --shard-dir, --storage-verify, --storage-fallback, --events,
+/// --events-filter, --progress. Numeric values are parsed strictly
+/// (ParseError on garbage/overflow); enum values raise OptionsError with the
+/// matching StatusCode. Flags not present keep SolveOptions defaults.
+/// Consistency of --storage/--shard-dir is left to Solver::validate
+/// (kInvalidStorage), so the CLI and library reject the same inputs with the
+/// same code.
 CliSolveOptions parse_solve_options(const ArgParser& args);
 
 }  // namespace dmpc

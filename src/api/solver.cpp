@@ -11,7 +11,6 @@
 #include "mpc/storage.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/trace.hpp"
 #include "verify/certifier.hpp"
 
@@ -153,8 +152,6 @@ const char* status_code_name(StatusCode code) {
       return "invalid_storage";
     case StatusCode::kInvalidEventFilter:
       return "invalid_event_filter";
-    case StatusCode::kInvalidMetricsFormat:
-      return "invalid_metrics_format";
   }
   return "unknown";
 }
@@ -523,10 +520,6 @@ const verify::Certificate& Solver::certificate() const {
 
 const obs::MetricsSnapshot& Solver::metrics_snapshot() const {
   return last_snapshot_;
-}
-
-std::string Solver::metrics_openmetrics() const {
-  return obs::to_openmetrics(last_snapshot_);
 }
 
 verify::Certificate Solver::certify_common(

@@ -140,12 +140,6 @@ class Solver {
   /// certificate().
   const obs::MetricsSnapshot& metrics_snapshot() const;
 
-  /// OpenMetrics v1.0 text exposition of the most recent solve's registry
-  /// (obs::to_openmetrics over metrics_snapshot()): what a scrape
-  /// endpoint would serve. Empty-registry exposition ("# EOF\n" only)
-  /// before the first solve.
-  std::string metrics_openmetrics() const;
-
  private:
   void require_valid() const;
 

@@ -33,7 +33,6 @@ enum class StatusCode {
   kIoError,              ///< cannot open an output file (--metrics-out, --trace).
   kInvalidStorage,       ///< storage backend/shard_dir combination invalid.
   kInvalidEventFilter,   ///< malformed --events-filter category list.
-  kInvalidMetricsFormat, ///< metrics format not json|openmetrics.
 };
 
 /// Short stable name for a code ("invalid_eps", ...), for logs and tests.

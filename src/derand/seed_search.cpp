@@ -108,17 +108,6 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
   return std::nullopt;
 }
 
-SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
-                       std::uint64_t seed_count, const SearchOptions& options) {
-  const auto result = try_find_seed(cluster, objective, seed_count, options);
-  DMPC_CHECK_MSG(result.has_value(),
-                 options.label << ": no seed met threshold "
-                               << options.threshold << " within "
-                               << std::min(seed_count, options.max_trials)
-                               << " candidates — guarantee violated");
-  return *result;
-}
-
 SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
                          const hash::KWiseFamily& family,
                          const SelectionOptions& options) {

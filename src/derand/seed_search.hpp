@@ -83,14 +83,11 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 /// time through objective.evaluate_parallel on the cluster's executor and
 /// stops at the first qualifying one, so the commit and the seeds evaluated
 /// do not depend on the thread count.
-/// CheckFailure when no seed within the budget qualifies.
-SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
-                       std::uint64_t seed_count, const SearchOptions& options);
-
-/// find_seed without the guarantee check: nullopt when no seed within
-/// options.max_trials qualifies (the sparsifiers' cue to widen their
-/// windows). An exhausted search records nothing in the registry's model
-/// section.
+/// nullopt when no seed within options.max_trials qualifies. Where the
+/// threshold is an averaging bound over the whole family, that means the
+/// guarantee is violated; the sparsifiers take it as their cue to widen
+/// their windows. An exhausted search records nothing in the registry's
+/// model section.
 std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                                           const Objective& objective,
                                           std::uint64_t seed_count,

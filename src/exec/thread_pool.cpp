@@ -28,9 +28,6 @@ ThreadPool::ThreadPool(std::uint32_t threads) {
   cpu_metric_ = &registry.counter("exec/task_cpu_ns", host);
   allocs_metric_ = &registry.counter("exec/task_allocs", host);
   alloc_bytes_metric_ = &registry.counter("exec/task_alloc_bytes", host);
-  // A live process-wide gauge the host sampler polls, not a per-solve total.
-  queue_metric_ =
-      &obs::MetricsRegistry::global().gauge("exec/queue_depth", host);
   registry.gauge("exec/pool_threads", host)
       .record_max(static_cast<std::int64_t>(threads));
   const std::uint32_t workers = threads <= 1 ? 0 : threads - 1;
@@ -124,9 +121,6 @@ void ThreadPool::run(std::uint64_t tasks,
     next_.store(0, std::memory_order_relaxed);
     ++generation_;
   }
-  // Live queue depth for the host sampler: the batch size while claiming
-  // is in flight, back to zero once the batch retires.
-  queue_metric_->set(static_cast<std::int64_t>(tasks));
   work_cv_.notify_all();
   claim_tasks(task, tasks, /*is_worker=*/false);
   {
@@ -135,7 +129,6 @@ void ThreadPool::run(std::uint64_t tasks,
                   [&] { return completed_ == job_tasks_ && active_claimers_ == 0; });
     job_ = nullptr;
   }
-  queue_metric_->set(0);
 }
 
 }  // namespace dmpc::exec

@@ -95,7 +95,6 @@ class ThreadPool {
   obs::Counter* cpu_metric_ = nullptr;      ///< exec/task_cpu_ns
   obs::Counter* allocs_metric_ = nullptr;   ///< exec/task_allocs
   obs::Counter* alloc_bytes_metric_ = nullptr;  ///< exec/task_alloc_bytes
-  obs::Gauge* queue_metric_ = nullptr;  ///< exec/queue_depth (global())
 };
 
 }  // namespace dmpc::exec

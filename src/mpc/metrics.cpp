@@ -29,7 +29,6 @@ void Metrics::export_to(obs::MetricsRegistry& registry) const {
   registry.counter("mpc/rounds", section).add(rounds_);
   registry.counter("mpc/communication", section).add(communication_);
   registry.counter("mpc/peak_load", section).add(peak_load_);
-  // One pass per column keeps the registry's registration order.
   const std::pair<const char*, std::uint64_t LabelCost::*> columns[] = {
       {"mpc/rounds", &LabelCost::rounds},
       {"mpc/communication", &LabelCost::communication},

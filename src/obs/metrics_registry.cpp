@@ -98,33 +98,29 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
     const std::string& name, MetricSection section, MetricKind kind,
     std::vector<std::uint64_t> bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    Entry& entry = *entries_[it->second];
+  const auto [it, inserted] = entries_.try_emplace(name);
+  Entry& entry = it->second;
+  if (!inserted) {
     DMPC_CHECK_MSG(entry.kind == kind,
                    "metric re-registered with a different kind: " + name);
     DMPC_CHECK_MSG(entry.section == section,
                    "metric re-registered in a different section: " + name);
     return entry;
   }
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->section = section;
-  entry->kind = kind;
+  entry.section = section;
+  entry.kind = kind;
   switch (kind) {
     case MetricKind::kCounter:
-      entry->counter = std::make_unique<Counter>();
+      entry.counter = std::make_unique<Counter>();
       break;
     case MetricKind::kGauge:
-      entry->gauge = std::make_unique<Gauge>();
+      entry.gauge = std::make_unique<Gauge>();
       break;
     case MetricKind::kHistogram:
-      entry->histogram = std::make_unique<Histogram>(std::move(bounds));
+      entry.histogram = std::make_unique<Histogram>(std::move(bounds));
       break;
   }
-  index_.emplace(name, entries_.size());
-  entries_.push_back(std::move(entry));
-  return *entries_.back();
+  return entry;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
@@ -150,43 +146,27 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
               .histogram;
 }
 
-std::vector<const MetricsRegistry::Entry*> MetricsRegistry::ordered_entries()
-    const {
-  std::vector<const Entry*> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.get());
-  const auto rank = [&](const Entry* entry) {
-    const auto it = inherited_rank_.find(entry->name);
-    return it != inherited_rank_.end() ? it->second : inherited_rank_.size();
-  };
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const Entry* a, const Entry* b) {
-                     return rank(a) < rank(b);
-                   });
-  return out;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot out;
   out.entries.reserve(entries_.size());
-  for (const Entry* entry : ordered_entries()) {
+  for (const auto& [name, entry] : entries_) {
     MetricValue v;
-    v.name = entry->name;
-    v.section = entry->section;
-    v.kind = entry->kind;
-    switch (entry->kind) {
+    v.name = name;
+    v.section = entry.section;
+    v.kind = entry.kind;
+    switch (entry.kind) {
       case MetricKind::kCounter:
-        v.value = static_cast<std::int64_t>(entry->counter->value());
+        v.value = static_cast<std::int64_t>(entry.counter->value());
         break;
       case MetricKind::kGauge:
-        v.value = entry->gauge->value();
+        v.value = entry.gauge->value();
         break;
       case MetricKind::kHistogram:
-        v.value = static_cast<std::int64_t>(entry->histogram->total());
-        v.bounds = entry->histogram->bounds();
-        v.counts = entry->histogram->counts();
-        v.sum = static_cast<std::int64_t>(entry->histogram->sum());
+        v.value = static_cast<std::int64_t>(entry.histogram->total());
+        v.bounds = entry.histogram->bounds();
+        v.counts = entry.histogram->counts();
+        v.sum = static_cast<std::int64_t>(entry.histogram->sum());
         break;
     }
     out.entries.push_back(std::move(v));
@@ -215,14 +195,6 @@ void MetricsRegistry::fold(const MetricsSnapshot& snapshot) {
 }
 
 RegistryScope::RegistryScope() : enclosing_(t_current) {
-  const MetricsRegistry& enclosing = MetricsRegistry::current();
-  {
-    std::lock_guard<std::mutex> lock(enclosing.mutex_);
-    const auto order = enclosing.ordered_entries();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      registry_.inherited_rank_.emplace(order[i]->name, i);
-    }
-  }
   t_current = &registry_;
 }
 

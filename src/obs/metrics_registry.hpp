@@ -9,8 +9,8 @@
 // Determinism contract (mirrors TraceArg):
 //  * Values are integer-exact — counters and gauges are 64-bit integers,
 //    histograms have fixed integer bucket bounds. No floats anywhere.
-//  * Snapshots list metrics in registration order, so serialized output is
-//    byte-stable for a fixed program path.
+//  * Snapshots list metrics in name order, so serialized output never
+//    depends on process history or on which thread registered a name first.
 //  * Metrics are segregated into three sections:
 //      - kModel:    golden. Deterministic functions of (graph, options minus
 //                   threads); byte-identical across runs, thread counts, and
@@ -31,19 +31,14 @@
 // counters and histograms add; gauges (point-in-time samples such as wall
 // clock or RSS) take the inner value. A ThreadPool binds its workers to the
 // registry current when the pool is built.
-//
-// Snapshot order is registration order, with one refinement that keeps key
-// order in serialized blocks what a single process-wide registry would give:
-// a scope's registry lists the names its enclosing registry held when the
-// scope opened first, in that registry's order, then its own new names.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/json.hpp"
@@ -133,7 +128,7 @@ struct MetricValue {
 };
 
 /// An ordered, immutable copy of every registered metric's value at one
-/// instant. Entry order is registration order — byte-stable by construction.
+/// instant. Entries are in name order — byte-stable by construction.
 struct MetricsSnapshot {
   std::vector<MetricValue> entries;
 
@@ -176,12 +171,11 @@ class MetricsRegistry {
                        std::vector<std::uint64_t> bounds,
                        MetricSection section = MetricSection::kModel);
 
-  /// Ordered copy of all current values (order: see the file comment).
+  /// Copy of all current values, in name order.
   MetricsSnapshot snapshot() const;
 
  private:
   struct Entry {
-    std::string name;
     MetricSection section;
     MetricKind kind;
     std::unique_ptr<Counter> counter;
@@ -193,17 +187,12 @@ class MetricsRegistry {
 
   Entry& find_or_create(const std::string& name, MetricSection section,
                         MetricKind kind, std::vector<std::uint64_t> bounds);
-  /// Entries in snapshot order. Caller holds mutex_.
-  std::vector<const Entry*> ordered_entries() const;
-  /// Add a closing scope's values, registering missing names in its order.
+  /// Add a closing scope's values, registering the names it lacks.
   void fold(const MetricsSnapshot& snapshot);
 
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Entry>> entries_;  // registration order
-  std::unordered_map<std::string, std::size_t> index_;
-  /// Snapshot position of each name the enclosing registry held when this
-  /// one's RegistryScope opened; fixed from then on.
-  std::unordered_map<std::string, std::size_t> inherited_rank_;
+  /// Map nodes never move, so handles into an Entry stay valid.
+  std::map<std::string, Entry> entries_;
 };
 
 /// Makes a fresh registry current on the constructing thread until the
@@ -237,8 +226,8 @@ std::uint64_t peak_rss_bytes();
 /// "host/wall_ns" and "host/peak_rss_bytes".
 void sample_host(MetricsRegistry& reg);
 
-/// Serialize one section as a flat name -> value object, in registration
-/// order. Histograms serialize as {"total","sum","bounds","counts"}.
+/// Serialize one section as a flat name -> value object, in name order.
+/// Histograms serialize as {"total","sum","bounds","counts"}.
 /// With include_zero = false, entries whose value (and, for histograms,
 /// observation count) is zero are omitted, so the report "registry" block
 /// lists only what the solve actually charged.

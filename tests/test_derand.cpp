@@ -48,10 +48,11 @@ TEST(SeedSearch, FindsFirstSeedMeetingThreshold) {
   PopcountObjective objective;
   SearchOptions options;
   options.threshold = 3.0;
-  const auto result = find_seed(cluster, objective, 1 << 8, options);
-  EXPECT_EQ(result.seed, 7u);  // first seed with >= 3 bits set
-  EXPECT_DOUBLE_EQ(result.value, 3.0);
-  EXPECT_EQ(result.trials, 8u);
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->seed, 7u);  // first seed with >= 3 bits set
+  EXPECT_DOUBLE_EQ(result->value, 3.0);
+  EXPECT_EQ(result->trials, 8u);
   EXPECT_GT(cluster.metrics().rounds(), 0u);
 }
 
@@ -60,17 +61,18 @@ TEST(SeedSearch, ThresholdZeroCommitsImmediately) {
   PopcountObjective objective;
   SearchOptions options;
   options.threshold = 0.0;
-  const auto result = find_seed(cluster, objective, 1 << 8, options);
-  EXPECT_EQ(result.seed, 0u);
-  EXPECT_EQ(result.trials, 1u);
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->seed, 0u);
+  EXPECT_EQ(result->trials, 1u);
 }
 
-TEST(SeedSearch, ExhaustionThrows) {
+TEST(SeedSearch, ExhaustionReturnsNullopt) {
   auto cluster = make_cluster();
   PopcountObjective objective;
   SearchOptions options;
   options.threshold = 9.0;  // unreachable: popcount of 8 bits <= 8
-  EXPECT_THROW(find_seed(cluster, objective, 1 << 8, options), CheckFailure);
+  EXPECT_FALSE(try_find_seed(cluster, objective, 1 << 8, options).has_value());
 }
 
 TEST(SeedSearch, MaxTrialsRespected) {
@@ -79,7 +81,7 @@ TEST(SeedSearch, MaxTrialsRespected) {
   SearchOptions options;
   options.threshold = 8.0;  // only seed 255 qualifies
   options.max_trials = 10;
-  EXPECT_THROW(find_seed(cluster, objective, 1 << 8, options), CheckFailure);
+  EXPECT_FALSE(try_find_seed(cluster, objective, 1 << 8, options).has_value());
 }
 
 TEST(SeedSearch, BatchRoundChargesAreConstantPerBatch) {
@@ -88,9 +90,10 @@ TEST(SeedSearch, BatchRoundChargesAreConstantPerBatch) {
   SearchOptions options;
   options.threshold = 8.0;
   options.candidates_per_batch = 256;
-  const auto result = find_seed(cluster, objective, 1 << 8, options);
-  EXPECT_EQ(result.seed, 255u);
-  EXPECT_EQ(result.batches, 1u);  // one O(1)-round batch covered all
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->seed, 255u);
+  EXPECT_EQ(result->batches, 1u);  // one O(1)-round batch covered all
 }
 
 // --- Stride coverage property. ---
@@ -124,9 +127,9 @@ TEST(SeedSearch, EffectiveStrideIsAlwaysCoprime) {
 }
 
 TEST(SeedSearch, StridedWalkVisitsEveryResidue) {
-  // Directly verify the coverage property find_seed's termination guarantee
-  // rests on: for any requested stride, seed t -> (base + t*s) mod count
-  // visits every residue exactly once over count trials.
+  // Directly verify the coverage property try_find_seed's termination
+  // guarantee rests on: for any requested stride, seed t -> (base + t*s) mod
+  // count visits every residue exactly once over count trials.
   const std::uint64_t count = 360;  // many divisors -> many bad raw strides
   for (std::uint64_t stride : {1ull, 2ull, 90ull, 360ull, 719ull}) {
     const auto s = effective_stride(stride, count);
@@ -149,9 +152,10 @@ TEST(SeedSearch, NonCoprimeStrideStillFindsIsolatedSeed) {
   options.threshold = 8.0;
   options.seed_base = 0;
   options.seed_stride = 4;
-  const auto result = find_seed(cluster, objective, 1 << 8, options);
-  EXPECT_EQ(result.seed, 255u);
-  EXPECT_DOUBLE_EQ(result.value, 8.0);
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->seed, 255u);
+  EXPECT_DOUBLE_EQ(result->value, 8.0);
 }
 
 TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
@@ -162,9 +166,10 @@ TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
   options.threshold = 8.0;
   options.seed_base = 3;
   options.seed_stride = 256;  // == seed_count
-  const auto result = find_seed(cluster, objective, 1 << 8, options);
-  EXPECT_EQ(result.seed, 255u);
-  EXPECT_LE(result.trials, 256u);
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->seed, 255u);
+  EXPECT_LE(result->trials, 256u);
 }
 
 // --- Lazy host evaluation of a charged batch. ---
@@ -209,11 +214,12 @@ TEST(SeedSearch, LazyEvaluationMatchesAtEveryThreadCount) {
     SearchOptions options;
     options.label = "test/lazy";
     options.threshold = 69.0;
-    const SearchResult result = find_seed(cluster, objective, 1 << 8, options);
-    EXPECT_EQ(result.seed, 69u);
-    EXPECT_DOUBLE_EQ(result.value, 69.0);
-    EXPECT_EQ(result.trials, 70u);
-    EXPECT_EQ(result.batches, 2u);
+    const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->seed, 69u);
+    EXPECT_DOUBLE_EQ(result->value, 69.0);
+    EXPECT_EQ(result->trials, 70u);
+    EXPECT_EQ(result->batches, 2u);
     // The first batch misses and is evaluated in full; the second stops at
     // its sixth seed.
     EXPECT_EQ(objective.calls(), 70u);

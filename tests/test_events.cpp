@@ -12,7 +12,6 @@
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
 #include "obs/events.hpp"
-#include "obs/host_sampler.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
@@ -375,42 +374,6 @@ TEST(EventsUnwind, SinksFlushedWhenCertificationFails) {
   EXPECT_GT(collector.events().size(), 4u);
   // The trace was flushed on the same unwind path.
   EXPECT_FALSE(trace_out.str().empty());
-}
-
-// ---- Host sampler ----
-
-TEST(HostSampler, SampleOnceFillsRingInEveryBuild) {
-  obs::HostSampler::Options options;
-  options.ring_capacity = 4;
-  obs::HostSampler sampler(options);
-  for (int i = 0; i < 6; ++i) sampler.sample_once();
-  EXPECT_EQ(sampler.samples_taken(), 6u);
-  EXPECT_EQ(sampler.samples_dropped(), 2u);
-  const auto samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 4u);
-  // Oldest-first: wall clocks are monotone across the ring.
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].wall_ns, samples[i - 1].wall_ns);
-  }
-  const Json json = sampler.to_json();
-  EXPECT_EQ(json.at("taken").as_int64(), 6);
-  EXPECT_EQ(json.at("dropped").as_int64(), 2);
-  EXPECT_EQ(json.at("samples").items().size(), 4u);
-}
-
-TEST(HostSampler, StartStopMatchesCompileGate) {
-  obs::HostSampler sampler;
-  if (obs::HostSampler::compiled_in()) {
-    EXPECT_TRUE(sampler.start());
-    EXPECT_FALSE(sampler.start());  // already running
-    sampler.stop();
-    sampler.stop();  // idempotent
-    EXPECT_GE(sampler.samples_taken(), 1u);
-  } else {
-    EXPECT_FALSE(sampler.start());
-    sampler.stop();  // no-op, must not hang
-    EXPECT_EQ(sampler.samples_taken(), 0u);
-  }
 }
 
 }  // namespace

@@ -466,10 +466,10 @@ TEST(Registry, CounterGaugeHistogramBasics) {
 
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.entries.size(), 3u);
-  // Registration order, not name order.
-  EXPECT_EQ(snap.entries[0].name, "mpc/rounds");
+  // Name order, not registration order.
+  EXPECT_EQ(snap.entries[0].name, "derand/batch");
   EXPECT_EQ(snap.entries[1].name, "host/pool");
-  EXPECT_EQ(snap.entries[2].name, "derand/batch");
+  EXPECT_EQ(snap.entries[2].name, "mpc/rounds");
   EXPECT_EQ(snap.find("mpc/rounds")->value, 5);
   EXPECT_EQ(snap.find("host/pool")->value, 12);
   EXPECT_EQ(snap.find("missing"), nullptr);
@@ -521,7 +521,6 @@ TEST(RegistryScope, OutermostScopeFoldsIntoGlobal) {
 }
 
 TEST(RegistryScope, NestedScopeFoldsIntoItsParent) {
-  // Names no producer registers, so global()'s history cannot rank them.
   obs::RegistryScope outer;
   obs::MetricsRegistry::current().counter("test/nested_first").add(1);
   {
@@ -529,7 +528,7 @@ TEST(RegistryScope, NestedScopeFoldsIntoItsParent) {
     EXPECT_EQ(&obs::MetricsRegistry::current(), &inner.registry());
     obs::MetricsRegistry::current().counter("test/nested_second").add(5);
     obs::MetricsRegistry::current().counter("test/nested_first").add(2);
-    // Names the parent held come first, in the parent's order.
+    // Name order, not the order the inner scope registered them in.
     const auto inner_snap = inner.registry().snapshot();
     ASSERT_EQ(inner_snap.entries.size(), 2u);
     EXPECT_EQ(inner_snap.entries[0].name, "test/nested_first");
@@ -543,9 +542,30 @@ TEST(RegistryScope, NestedScopeFoldsIntoItsParent) {
   EXPECT_EQ(snap.find("test/nested_first")->value, 3);
   ASSERT_NE(snap.find("test/nested_second"), nullptr);
   EXPECT_EQ(snap.find("test/nested_second")->value, 5);
-  // Names the parent lacked register in the inner scope's order.
+  // Folded names the parent lacked take their place in name order.
   ASSERT_EQ(snap.entries.size(), 2u);
+  EXPECT_EQ(snap.entries[0].name, "test/nested_first");
   EXPECT_EQ(snap.entries[1].name, "test/nested_second");
+}
+
+TEST(RegistryScope, SnapshotOrderIgnoresEnclosingHistory) {
+  obs::RegistryScope outer;
+  outer.registry().counter("test/order_z").add(1);
+  outer.registry().counter("test/order_a").add(1);
+  {
+    obs::RegistryScope inner;
+    inner.registry().counter("test/order_a").add(1);
+    inner.registry().counter("test/order_z").add(1);
+    const auto inner_snap = inner.registry().snapshot();
+    ASSERT_EQ(inner_snap.entries.size(), 2u);
+    EXPECT_EQ(inner_snap.entries[0].name, "test/order_a");
+    EXPECT_EQ(inner_snap.entries[1].name, "test/order_z");
+  }
+  const auto outer_snap = outer.registry().snapshot();
+  ASSERT_EQ(outer_snap.entries.size(), 2u);
+  EXPECT_EQ(outer_snap.entries[0].name, "test/order_a");
+  EXPECT_EQ(outer_snap.entries[1].name, "test/order_z");
+  EXPECT_EQ(outer_snap.find("test/order_a")->value, 2);
 }
 
 TEST(RegistryScope, FoldAddsCountersAndHistogramsAndGaugesTakeInnerValue) {
@@ -574,6 +594,8 @@ TEST(RegistryScope, FoldAddsCountersAndHistogramsAndGaugesTakeInnerValue) {
 TEST(RegistryScope, PoolWorkersInheritThePoolsScope) {
   constexpr std::uint32_t kThreads = 4;
   obs::RegistryScope scope;
+  const std::string global_before =
+      obs::to_json(obs::MetricsRegistry::global().snapshot()).dump();
   std::atomic<std::uint32_t> entered{0};
   std::atomic<std::uint32_t> in_scope{0};
   {
@@ -593,12 +615,13 @@ TEST(RegistryScope, PoolWorkersInheritThePoolsScope) {
   const auto snap = scope.registry().snapshot();
   ASSERT_NE(snap.find("test/task_writes"), nullptr);
   EXPECT_EQ(snap.find("test/task_writes")->value, kThreads);
-  // The pool's own host counters bind to the scope too, except the live
-  // process-wide queue gauge.
+  // The pool's own host counters bind to the scope too, and nothing
+  // reaches global() while the scope is open.
   ASSERT_NE(snap.find("exec/pool_tasks"), nullptr);
   EXPECT_EQ(snap.find("exec/pool_tasks")->value, kThreads);
   EXPECT_EQ(snap.find("exec/steals")->value, kThreads - 1);
-  EXPECT_EQ(snap.find("exec/queue_depth"), nullptr);
+  EXPECT_EQ(obs::to_json(obs::MetricsRegistry::global().snapshot()).dump(),
+            global_before);
 }
 
 TEST(Registry, SectionsSerializeSeparatelyAndDropZeros) {

@@ -11,15 +11,13 @@
 //                 [--storage-verify=off|open|paranoid]
 //                 [--storage-fallback=none|memory] [--io-fault-plan=plan.txt]
 //                 [--events=events.jsonl] [--events-filter=round,recovery,...]
-//                 [--progress] [--metrics-format=json|openmetrics]
-//                 [--host-sample-ms=100]
+//                 [--progress]
 //   dmpc matching --in=g.txt [--eps=0.5] [--threads=N] [--out=matching.txt]
 //                 [--trace=...] [--trace-format=...] [--fault-plan=...]
 //                 [--certify=...] [--metrics-out=...] [--profile]
 //                 [--storage=...] [--shard-dir=...] [--storage-verify=...]
 //                 [--storage-fallback=...] [--io-fault-plan=...]
 //                 [--events=...] [--events-filter=...] [--progress]
-//                 [--metrics-format=...] [--host-sample-ms=...]
 //   dmpc cover    --in=g.txt [--out=cover.txt]
 //   dmpc color    --in=g.txt [--out=colors.txt]
 //
@@ -45,10 +43,7 @@
 // --events streams typed JSONL progress events (docs/OBSERVABILITY.md,
 // "Live telemetry"); --events-filter narrows categories, --progress mirrors
 // lifecycle events as a throttled stderr line, and the report gains the
-// optional `events_summary` block. --metrics-format=openmetrics switches
-// --metrics-out to the OpenMetrics v1.0 text exposition; --host-sample-ms
-// runs a periodic host-gauge sampler whose ring rides along in the JSON
-// metrics document as `host_samples` (host section — never golden).
+// optional `events_summary` block.
 // Invalid options (bad eps, unknown algorithm or trace format, a malformed
 // input file or fault plan, ...) are reported with their typed status code
 // and exit 2; so is an option the command never reads (a typo such as
@@ -76,7 +71,6 @@
 #include "graph/graph_stats.hpp"
 #include "graph/io.hpp"
 #include "obs/events.hpp"
-#include "obs/host_sampler.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
@@ -200,19 +194,10 @@ std::ofstream open_out(const std::string& path) {
 // host/recovery are diagnostic. Under --profile the skew timeline rides
 // along as a `profile` block and with --events an `events_summary` block
 // rides along too; the document carries the one report schema version.
-// --metrics-format=openmetrics writes the OpenMetrics v1.0 text
-// exposition instead (host_samples stays JSON-only: OpenMetrics exposes the
-// registry's *current* state, not a timeline).
-void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
-                   const dmpc::SolveReport& report,
-                   const dmpc::obs::HostSampler* sampler) {
-  const std::string& path = cli.metrics_out_path;
+void write_metrics(const std::string& path, const dmpc::Solver& solver,
+                   const dmpc::SolveReport& report) {
   if (path.empty()) return;
   auto f = open_out(path);
-  if (cli.metrics_format == dmpc::MetricsFormat::kOpenMetrics) {
-    f << solver.metrics_openmetrics();
-    return;
-  }
   auto out = dmpc::Json::object()
                  .set("schema_version", dmpc::kReportSchemaVersion)
                  .set("registry", dmpc::obs::to_json(solver.metrics_snapshot()));
@@ -220,7 +205,6 @@ void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
   if (report.events.enabled) {
     out.set("events_summary", dmpc::to_json(report.events));
   }
-  if (sampler != nullptr) out.set("host_samples", sampler->to_json());
   f << out.dump(2) << '\n';
 }
 
@@ -334,19 +318,6 @@ EventSetup make_events(const dmpc::CliSolveOptions& cli) {
   return e;
 }
 
-/// --host-sample-ms: periodic host-gauge sampler around the solve. In builds
-/// where the background thread is compiled out (sanitizers, fuzzing) the
-/// sampler still takes one synchronous sample so the ring is never empty.
-std::unique_ptr<dmpc::obs::HostSampler> make_sampler(
-    const dmpc::CliSolveOptions& cli) {
-  if (cli.host_sample_ms == 0) return nullptr;
-  dmpc::obs::HostSampler::Options options;
-  options.interval_ms = cli.host_sample_ms;
-  auto sampler = std::make_unique<dmpc::obs::HostSampler>(options);
-  if (!sampler->start()) sampler->sample_once();
-  return sampler;
-}
-
 int cmd_gen(const dmpc::ArgParser& args) {
   const std::string out = args.get("out", "");
   const auto g = generate(args);
@@ -415,12 +386,10 @@ int cmd_solve(const dmpc::ArgParser& args, Solve&& solve,
   }
   const auto storage = solver.open_storage(in);
   const auto& g = storage->graph();
-  auto sampler = make_sampler(cli);
   const auto solution = solve(solver, *storage);
-  if (sampler) sampler->stop();
   trace.finish();
   events.finish();
-  write_metrics(cli, solver, solution.report, sampler.get());
+  write_metrics(cli.metrics_out_path, solver, solution.report);
   const std::size_t size = answer_size(solution);
   if (json) {
     auto j = dmpc::to_json(solution.report);

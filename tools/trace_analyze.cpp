@@ -11,11 +11,9 @@
 //
 // With --report it reads a report JSON (its optional `profile` block)
 // or a bench artifact (BENCH_*.json whose points embed `profile`) and prints
-// a skew report; when the document carries a `host_samples` block
-// (--host-sample-ms runs) the sampler's taken/dropped counts are surfaced
-// too. A report without any profile block — or with an empty one — is a
-// typed one-line `no_profile:` / `empty_profile:` error (exit 2), never a
-// crash or a silently empty report. --gate evaluates every profile block
+// a skew report. A report without any profile block — or with an empty
+// one — is a typed one-line `no_profile:` / `empty_profile:` error (exit 2),
+// never a crash or a silently empty report. --gate evaluates every profile block
 // against a threshold document (see obs/trace_analysis.hpp) and exits 1
 // naming the offending labels and round ranges — the CI bench-smoke job
 // runs this on uploaded artifacts.
@@ -145,20 +143,6 @@ void print_skew_report(const std::string& context, const Json& profile) {
   }
 }
 
-/// `host_samples` rides along in --metrics-out documents when the solve ran
-/// a host sampler; dropped = ring overwrites (docs/OBSERVABILITY.md).
-void print_host_samples(const Json& doc) {
-  const Json* samples = doc.find("host_samples");
-  if (samples == nullptr) return;
-  std::printf("host samples: taken=%llu samples_dropped=%llu "
-              "interval_ms=%llu\n",
-              static_cast<unsigned long long>(field_or_zero(*samples, "taken")),
-              static_cast<unsigned long long>(
-                  field_or_zero(*samples, "dropped")),
-              static_cast<unsigned long long>(
-                  field_or_zero(*samples, "interval_ms")));
-}
-
 /// A report JSON carries one top-level `profile`; a bench artifact embeds
 /// one per point. Returns (context, profile) pairs.
 std::vector<std::pair<std::string, const Json*>> find_profiles(
@@ -257,7 +241,6 @@ int main(int argc, char** argv) {
         }
         gate_failures += static_cast<int>(violations.size());
       }
-      print_host_samples(doc);
     }
     if (gate_failures > 0) {
       std::fprintf(stderr, "trace_analyze: %d gate violations\n",
