@@ -86,13 +86,14 @@ BatchStats batch_evaluate(const exec::Executor& executor,
   return BatchStats::of(count);
 }
 
-double evaluate_seed(const exec::Executor& executor, const Objective& objective,
-                     std::uint64_t seed) {
+std::optional<double> evaluate_seed(const exec::Executor& executor,
+                                    const Objective& objective,
+                                    std::uint64_t seed, double threshold) {
   obs::HostScope host_scope("derand/batch_eval");
   obs::MetricsRegistry::current()
       .counter("derand/evaluated_seeds", obs::MetricSection::kHost)
       .add(1);
-  return objective.evaluate_parallel(executor, seed);
+  return objective.evaluate_if_at_least(executor, seed, threshold);
 }
 
 void record_batch_stats(const BatchStats& stats) {

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -56,6 +57,21 @@ class Objective {
                                    std::uint64_t seed) const {
     (void)executor;
     return evaluate(seed);
+  }
+
+  /// The threshold search's oracle: evaluate(seed) when it is >= threshold,
+  /// nullopt otherwise, with the host work spread over `executor`. The
+  /// default is evaluate_parallel. An override may stop as soon as the
+  /// seed is decided below the threshold (a conjunction of terms can reject
+  /// at its first failing term), so it does not promise to touch every
+  /// term; the answer must still be exactly the default's for every
+  /// executor.
+  virtual std::optional<double> evaluate_if_at_least(
+      const exec::Executor& executor, std::uint64_t seed,
+      double threshold) const {
+    const double value = evaluate_parallel(executor, seed);
+    if (value >= threshold) return value;
+    return std::nullopt;
   }
 };
 
@@ -185,11 +201,13 @@ BatchStats batch_evaluate(const exec::Executor& executor,
                           const std::uint64_t* seeds, std::size_t count,
                           double* out, std::size_t grain = 1);
 
-/// objective.evaluate_parallel(executor, seed), profiled and counted like
-/// one seed of batch_evaluate (the `derand/batch_eval` host scope and the
-/// kHost counter `derand/evaluated_seeds`).
-double evaluate_seed(const exec::Executor& executor, const Objective& objective,
-                     std::uint64_t seed);
+/// objective.evaluate_if_at_least(executor, seed, threshold), profiled and
+/// counted like one seed of batch_evaluate (the `derand/batch_eval` host
+/// scope and the kHost counter `derand/evaluated_seeds`, which counts the
+/// seed whether or not its evaluation ran to the end).
+std::optional<double> evaluate_seed(const exec::Executor& executor,
+                                    const Objective& objective,
+                                    std::uint64_t seed, double threshold);
 
 /// Charge the kModel counters `derand/batch_calls` / `derand/lanes_used`.
 /// Call once per completed engine run from the orchestrating thread.

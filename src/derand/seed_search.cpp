@@ -89,11 +89,12 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
     // reports, for every thread count.
     for (std::uint64_t t = next; t < batch_end; ++t) {
       const std::uint64_t seed = seed_at(t);
-      const double value = evaluate_seed(cluster.executor(), objective, seed);
-      if (value >= options.threshold) {
+      const std::optional<double> value =
+          evaluate_seed(cluster.executor(), objective, seed, options.threshold);
+      if (value) {
         result.trials = t + 1;
         result.seed = seed;
-        result.value = value;
+        result.value = *value;
         span.arg("candidate_seeds", result.trials);
         span.arg("batches", result.batches);
         span.arg("committed_seed", result.seed);

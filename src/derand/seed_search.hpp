@@ -16,12 +16,15 @@
 //
 // The model charges every batch in full. The host needs only the seeds up to
 // the commit: it evaluates a batch in enumeration order, one seed at a time
-// with that seed's work spread over the executor
-// (Objective::evaluate_parallel), and stops at the first qualifying seed.
-// The counting argument does not depend on evaluation order, and the
-// objective is pure, so the committed seed, `trials` (which is also the
-// number of seeds the host evaluates) and every model charge are the same
-// for every thread count.
+// with that seed's work spread over the executor, and stops at the first
+// qualifying seed. Each seed goes through Objective::evaluate_if_at_least,
+// which only has to decide "below the threshold" for a rejected seed: an
+// objective that is a conjunction (the sparsifier stages need every window
+// good) rejects at its first failing term. The counting argument does not
+// depend on evaluation order, and the objective is pure, so the committed
+// seed, its value, `trials` (which is also the number of seeds the host
+// starts to evaluate) and every model charge are the same for every thread
+// count.
 //
 // This engine is the production path; the textbook prefix-fixing engine
 // (cond_expect.hpp) is the faithful §2.4 implementation used where the
@@ -80,9 +83,9 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
 /// Find the first seed (in enumeration order) meeting the threshold.
 /// Each batch is charged in full; the host evaluates its seeds one at a
-/// time through objective.evaluate_parallel on the cluster's executor and
-/// stops at the first qualifying one, so the commit and the seeds evaluated
-/// do not depend on the thread count.
+/// time through objective.evaluate_if_at_least on the cluster's executor
+/// and stops at the first qualifying one, so the commit and the seeds
+/// evaluated do not depend on the thread count.
 /// nullopt when no seed within options.max_trials qualifies. Where the
 /// threshold is an averaging bound over the whole family, that means the
 /// guarantee is violated; the sparsifiers take it as their cue to widen

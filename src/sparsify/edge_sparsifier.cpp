@@ -29,6 +29,8 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
   result.max_degree = *std::max_element(deg_e0.begin(), deg_e0.end());
 
   const StageHash stage_hash(g.num_edges(), q, config.hash_k);
+  // Every node owns the type-A window of its incident E_{j-1} edges.
+  const std::vector<bool> every_node(g.num_nodes(), true);
 
   std::uint32_t stage = 0;
   std::uint32_t extra_used = 0;
@@ -52,22 +54,21 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     // list, upper windows) and type-B groups (X(v) for v in B, lower
     // windows; X(v) is built inside E_0 and re-filtered after every stage,
     // so it holds E_{j-1} edges only). ---
-    WindowSet windows(result.in_Estar);
-    std::vector<std::uint64_t> counts(g.num_nodes(), 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint64_t begin = windows.slots.size();
-      for (EdgeId e : g.incident_edges(v)) {
-        if (result.in_Estar[e]) windows.push(e);
-      }
-      counts[v] = windows.close(begin, Side::kUpper);
-    }
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!good.in_B[v]) continue;
-      const std::uint64_t begin = windows.slots.size();
-      for (EdgeId e : result.xv_star[v]) windows.push(e);
-      windows.close(begin, Side::kLower);
-    }
-    windows.add_global();
+    std::vector<std::uint64_t> counts;
+    WindowSet windows = build_windows(
+        cluster.executor(), result.in_Estar,
+        {{&every_node, Side::kUpper,
+          [&](std::uint64_t v, IdSink& sink) {
+            for (EdgeId e : g.incident_edges(static_cast<NodeId>(v))) {
+              if (result.in_Estar[e]) sink(e);
+            }
+          },
+          &counts},
+         {&good.in_B, Side::kLower,
+          [&](std::uint64_t v, IdSink& sink) {
+            for (EdgeId e : result.xv_star[v]) sink(e);
+          }},
+         global_window()});
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/2,
                               "sparsify/distribute");
 

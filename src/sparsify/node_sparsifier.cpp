@@ -11,6 +11,22 @@ namespace dmpc::sparsify {
 using graph::Graph;
 using graph::NodeId;
 
+namespace {
+
+/// Nodes per host task of the per-node passes.
+constexpr std::uint64_t kNodeGrain = 256;
+
+/// One stage's Lemma 17/18 measurements, folded over nodes: the largest
+/// degree ratio, the smallest mass ratio and the largest Q-degree. The
+/// defaults are the fold's identity.
+struct Invariants {
+  double degree_ratio = 0.0;
+  double mass_ratio = 2.0;
+  std::uint32_t max_degree = 0;
+};
+
+}  // namespace
+
 NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
                                   const Graph& g,
                                   const std::vector<bool>& alive,
@@ -31,28 +47,29 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
 
   const StageHash stage_hash(g.num_nodes(), q, config.hash_k);
 
-  auto q_degree = [&](NodeId v) {
-    std::uint32_t d = 0;
-    for (NodeId u : g.neighbors(v)) {
-      if (alive[u] && result.in_Qprime[u]) ++d;
-    }
-    return d;
-  };
-
-  // Baselines for the invariant measurements; Q' starts as Q_0.
+  // Baselines for the invariant measurements; Q' starts as Q_0. Each node
+  // writes only its own entries.
   std::vector<std::uint32_t> deg_q0(g.num_nodes(), 0);
   std::vector<double> hmass_q0(g.num_nodes(), 0.0);
+  result.max_degree = cluster.executor().map_reduce(
+      0, g.num_nodes(), std::uint32_t{0},
+      [&](std::uint64_t i) -> std::uint32_t {
+        const auto v = static_cast<NodeId>(i);
+        if (!alive[v]) return 0;
+        for (NodeId u : g.neighbors(v)) {
+          if (alive[u] && good.in_Q0[u]) {
+            ++deg_q0[v];
+            hmass_q0[v] += inv_deg[u];
+          }
+        }
+        return good.in_Q0[v] ? deg_q0[v] : 0;
+      },
+      [](std::uint32_t a, std::uint32_t b) { return std::max(a, b); },
+      kNodeGrain);
+  // Owners of the type-B mass windows.
+  std::vector<bool> mass_owners(g.num_nodes(), false);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!alive[v]) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (alive[u] && good.in_Q0[u]) {
-        ++deg_q0[v];
-        hmass_q0[v] += inv_deg[u];
-      }
-    }
-    if (good.in_Q0[v]) {
-      result.max_degree = std::max(result.max_degree, deg_q0[v]);
-    }
+    mass_owners[v] = alive[v] && good.in_B[v];
   }
 
   std::uint32_t stage = 0;
@@ -74,26 +91,21 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
 
     // --- Distribute Q-neighbor lists into per-owner windows: type-Q
     // (upper count) and type-B (lower 1/d mass). Q' holds alive nodes only. ---
-    WindowSet windows(result.in_Qprime);
+    std::vector<std::uint64_t> counts;
+    const auto q_neighbors = [&](std::uint64_t v, IdSink& sink) {
+      for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
+        if (alive[u] && result.in_Qprime[u]) sink(u);
+      }
+    };
+    WindowSet windows = build_windows(
+        cluster.executor(), result.in_Qprime,
+        {{&result.in_Qprime, Side::kUpper, q_neighbors, &counts},
+         {&mass_owners, Side::kMass, q_neighbors},
+         global_window()});
     windows.weight.reserve(windows.ids.size());
     for (const std::uint64_t u : windows.ids) {
       windows.weight.push_back(inv_deg[u]);
     }
-    std::vector<std::uint64_t> counts(g.num_nodes(), 0);
-    auto append_q_neighbors = [&](NodeId owner, Side side) {
-      const std::uint64_t begin = windows.slots.size();
-      for (NodeId u : g.neighbors(owner)) {
-        if (alive[u] && result.in_Qprime[u]) windows.push(u);
-      }
-      return windows.close(begin, side);
-    };
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (result.in_Qprime[v]) counts[v] = append_q_neighbors(v, Side::kUpper);
-    }
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (alive[v] && good.in_B[v]) append_q_neighbors(v, Side::kMass);
-    }
-    windows.add_global();
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/1,
                               "mis_sparsify/distribute");
 
@@ -105,37 +117,49 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
       break;
     }
 
-    // --- Measure the paper-form invariants (Lemmas 17 & 18). ---
+    // --- Measure the paper-form invariants (Lemmas 17 & 18), one node per
+    // term. Each node's mass is summed in neighbour order and the fold
+    // takes exact maxima and minima, so the report is identical for every
+    // executor. ---
     const double shrink = std::pow(q, static_cast<double>(stage));
     const double cls_lower = params.class_lower(good.cls);
-    // Q'-nodes with deg_q0 = 0 have Q-degree 0, so skipping them leaves
-    // the maximum unchanged.
-    double worst_deg_ratio = 0.0;
-    double worst_h_ratio = 2.0;
-    report.max_degree_after = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!alive[v]) continue;
-      if (result.in_Qprime[v] && deg_q0[v] > 0) {
-        const std::uint32_t d = q_degree(v);
-        report.max_degree_after = std::max(report.max_degree_after, d);
-        const double bound =
-            shrink * static_cast<double>(deg_q0[v]) + params.pow_nd(3.0);
-        worst_deg_ratio =
-            std::max(worst_deg_ratio, static_cast<double>(d) / bound);
-      }
-      if (good.in_B[v] && hmass_q0[v] > 0) {
-        double mass = 0.0;
-        for (NodeId u : g.neighbors(v)) {
-          if (alive[u] && result.in_Qprime[u]) mass += inv_deg[u];
-        }
-        const double expect = shrink * hmass_q0[v];
-        if (expect * cls_lower >= 1.0) {  // above measurement resolution
-          worst_h_ratio = std::min(worst_h_ratio, mass / expect);
-        }
-      }
-    }
-    report.invariant_degree_ratio = worst_deg_ratio;
-    report.invariant_xv_ratio = worst_h_ratio;
+    const Invariants measured = cluster.executor().map_reduce(
+        0, g.num_nodes(), Invariants{},
+        [&](std::uint64_t i) {
+          const auto v = static_cast<NodeId>(i);
+          Invariants node;
+          if (!alive[v]) return node;
+          // Q'-nodes with deg_q0 = 0 have Q-degree 0, so skipping them
+          // leaves the maximum unchanged.
+          if (result.in_Qprime[v] && deg_q0[v] > 0) {
+            for (NodeId u : g.neighbors(v)) {
+              if (alive[u] && result.in_Qprime[u]) ++node.max_degree;
+            }
+            const double bound =
+                shrink * static_cast<double>(deg_q0[v]) + params.pow_nd(3.0);
+            node.degree_ratio = static_cast<double>(node.max_degree) / bound;
+          }
+          if (good.in_B[v] && hmass_q0[v] > 0) {
+            double mass = 0.0;
+            for (NodeId u : g.neighbors(v)) {
+              if (alive[u] && result.in_Qprime[u]) mass += inv_deg[u];
+            }
+            const double expect = shrink * hmass_q0[v];
+            if (expect * cls_lower >= 1.0) {  // above measurement resolution
+              node.mass_ratio = mass / expect;
+            }
+          }
+          return node;
+        },
+        [](const Invariants& a, const Invariants& b) {
+          return Invariants{std::max(a.degree_ratio, b.degree_ratio),
+                            std::min(a.mass_ratio, b.mass_ratio),
+                            std::max(a.max_degree, b.max_degree)};
+        },
+        kNodeGrain);
+    report.max_degree_after = measured.max_degree;
+    report.invariant_degree_ratio = measured.degree_ratio;
+    report.invariant_xv_ratio = measured.mass_ratio;
     result.max_degree = report.max_degree_after;
     if (stage_span.active()) {
       stage_span.arg("candidate_seeds", report.trials);

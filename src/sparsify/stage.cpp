@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "derand/seed_search.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +20,7 @@ namespace {
 // without rebuilding the table.
 class StageObjective final : public derand::RangeObjective {
  public:
-  /// Windows per host task of evaluate_parallel's scan.
+  /// Windows per host task of the window scans.
   static constexpr std::uint64_t kScanGrain = 512;
 
   StageObjective(const StageHash& stage_hash, const WindowSet& set)
@@ -32,21 +33,7 @@ class StageObjective final : public derand::RangeObjective {
                           const std::uint64_t* values) const override {
     std::uint64_t good = 0;
     for (std::uint64_t o = range_begin; o < range_end; ++o) {
-      const Window& w = set_->windows[o];
-      if (w.side == Side::kMass) {
-        double mass = 0.0;
-        for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          const std::uint32_t s = set_->slots[i];
-          if (values[s] < cutoff_) mass += set_->weight[s];
-        }
-        if (mass >= w.mass_lo) ++good;
-      } else {
-        std::uint64_t kept = 0;
-        for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          if (values[set_->slots[i]] < cutoff_) ++kept;
-        }
-        if (kept >= w.lo && kept <= w.hi) ++good;
-      }
+      good += is_good(set_->windows[o], values);
     }
     return static_cast<double>(good);
   }
@@ -70,13 +57,57 @@ class StageObjective final : public derand::RangeObjective {
         [](double a, double b) { return a + b; }, /*grain=*/1);
   }
 
+  // The stage search asks for every window at once (threshold = the window
+  // count), so one failing window decides a seed: scan in kScanGrain chunks
+  // for the lowest failing window and stop there. When none fails the value
+  // is exactly the window count, what evaluate_parallel would count. A
+  // lower threshold needs the count itself.
+  std::optional<double> evaluate_if_at_least(
+      const exec::Executor& executor, std::uint64_t seed,
+      double threshold) const override {
+    const std::uint64_t windows = range_count();
+    const double all = static_cast<double>(windows);
+    if (threshold > all) return std::nullopt;
+    if (threshold < all) {
+      return Objective::evaluate_if_at_least(executor, seed, threshold);
+    }
+    const std::uint64_t* values = sweep(seed);
+    const std::uint64_t bad = executor.find_first(
+        0, windows,
+        [&](std::uint64_t o) { return !is_good(set_->windows[o], values); },
+        kScanGrain);
+    if (bad < windows) return std::nullopt;
+    return all;
+  }
+
   std::uint64_t range_count() const override { return set_->windows.size(); }
   std::uint64_t term_count() const override { return set_->windows.size(); }
 
  private:
+  bool is_good(const Window& w, const std::uint64_t* values) const {
+    if (w.side == Side::kMass) {
+      double mass = 0.0;
+      for (std::uint64_t i = w.begin; i < w.end; ++i) {
+        const std::uint32_t s = set_->slots[i];
+        if (values[s] < cutoff_) mass += set_->weight[s];
+      }
+      return mass >= w.mass_lo;
+    }
+    std::uint64_t kept = 0;
+    for (std::uint64_t i = w.begin; i < w.end; ++i) {
+      if (values[set_->slots[i]] < cutoff_) ++kept;
+    }
+    return kept >= w.lo && kept <= w.hi;
+  }
+
   std::uint64_t cutoff_;
   const WindowSet* set_;
 };
+
+/// Owners per host task of build_windows' counting pass, and windows per
+/// task of its filling pass.
+constexpr std::uint64_t kOwnerGrain = 256;
+constexpr std::uint64_t kFillGrain = 64;
 
 }  // namespace
 
@@ -91,27 +122,73 @@ StageInvariants worst_invariants(const std::vector<StageReport>& stages) {
   return worst;
 }
 
-WindowSet::WindowSet(const std::vector<bool>& mask)
-    : slot_of_(mask.size(), kNoSlot) {
+WindowSet build_windows(const exec::Executor& executor,
+                        const std::vector<bool>& mask,
+                        const std::vector<WindowSource>& sources) {
+  WindowSet set;
+  std::vector<std::uint32_t> slot_of(mask.size(), IdSink::kNoSlot);
   for (std::uint64_t x = 0; x < mask.size(); ++x) {
     if (!mask[x]) continue;
-    DMPC_CHECK(ids.size() < kNoSlot);
-    slot_of_[x] = static_cast<std::uint32_t>(ids.size());
-    ids.push_back(x);
+    DMPC_CHECK(set.ids.size() < IdSink::kNoSlot);
+    slot_of[x] = static_cast<std::uint32_t>(set.ids.size());
+    set.ids.push_back(x);
   }
-}
-
-std::uint64_t WindowSet::close(std::uint64_t begin, Side side) {
-  if (slots.size() > begin) windows.push_back({begin, slots.size(), side});
-  return slots.size() - begin;
-}
-
-void WindowSet::add_global() {
-  const std::uint64_t begin = slots.size();
-  for (std::uint64_t s = 0; s < ids.size(); ++s) {
-    slots.push_back(static_cast<std::uint32_t>(s));
+  // Pass 1 counts each owner's ids; the serial prefix sum over the counts
+  // places the windows owner by owner, source after source, and records
+  // which (source, owner) fills each one.
+  struct Origin {
+    std::size_t source;
+    std::uint64_t owner;
+  };
+  std::vector<Origin> origins;
+  std::uint64_t total = 0;
+  auto place = [&](std::size_t source, std::uint64_t owner,
+                   std::uint64_t count) {
+    if (count == 0) return;
+    set.windows.push_back({total, total + count, sources[source].side});
+    origins.push_back({source, owner});
+    total += count;
+  };
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const WindowSource& source = sources[s];
+    if (source.owners == nullptr) {
+      place(s, 0, set.ids.size());
+      continue;
+    }
+    const std::vector<bool>& owners = *source.owners;
+    std::vector<std::uint64_t> counts(owners.size(), 0);
+    executor.for_each(
+        0, owners.size(),
+        [&](std::uint64_t v) {
+          if (!owners[v]) return;
+          IdSink sink;
+          source.ids(v, sink);
+          counts[v] = sink.count_;
+        },
+        kOwnerGrain);
+    for (std::uint64_t v = 0; v < owners.size(); ++v) place(s, v, counts[v]);
+    if (source.counts != nullptr) *source.counts = std::move(counts);
   }
-  close(begin, Side::kBoth);
+  // Pass 2 fills each window's slots in place.
+  set.slots.resize(total);
+  executor.for_each(
+      0, set.windows.size(),
+      [&](std::uint64_t w) {
+        const Window& window = set.windows[w];
+        std::uint32_t* out = set.slots.data() + window.begin;
+        const WindowSource& source = sources[origins[w].source];
+        if (source.owners == nullptr) {
+          for (std::uint64_t s = 0; s < window.count(); ++s) {
+            out[s] = static_cast<std::uint32_t>(s);
+          }
+          return;
+        }
+        IdSink sink(slot_of, out, window.count());
+        source.ids(origins[w].owner, sink);
+        DMPC_CHECK(sink.count_ == window.count());
+      },
+      kFillGrain);
+  return set;
 }
 
 void set_bounds(Window& w, const WindowSet& set, double q, double mult) {
@@ -158,7 +235,12 @@ StageReport find_stage_seed(mpc::Cluster& cluster, const StageHash& stage_hash,
     DMPC_CHECK_MSG(attempt <= kMaxEscalations,
                    prefix << ": window escalation cap reached");
     if (attempt > 0) mult *= 2.0;
-    for (Window& w : set.windows) set_bounds(w, set, stage_hash.q, mult);
+    cluster.executor().for_each(
+        0, set.windows.size(),
+        [&](std::uint64_t w) {
+          set_bounds(set.windows[w], set, stage_hash.q, mult);
+        },
+        StageObjective::kScanGrain);
     derand::SearchOptions opts;
     opts.threshold = static_cast<double>(set.windows.size());
     opts.max_trials = kTrialsPerWindow;

@@ -9,9 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
 #include "support/check.hpp"
@@ -79,37 +81,79 @@ struct Window {
 /// once, in `ids`; windows hold 32-bit slots into that table, so a seed
 /// hashes |ids| points however many windows share an id (the §4.2 sums are
 /// per-node sums over neighbours, where every id sits in many windows).
+/// build_windows makes one.
 struct WindowSet {
-  /// An empty set over the ids set in `mask`.
-  explicit WindowSet(const std::vector<bool>& mask);
-
   std::vector<std::uint64_t> ids;    ///< The mask's set ids, ascending.
   std::vector<std::uint32_t> slots;  ///< Ranks into ids, window after window.
   /// kMass windows weigh the id in slot s by weight[s].
   std::vector<double> weight;
   std::vector<Window> windows;
+};
 
-  /// Append `id` to the open window. Every window entry is in the mask;
-  /// an id outside it fails a check.
-  void push(std::uint64_t id) {
-    DMPC_CHECK(id < slot_of_.size() && slot_of_[id] != kNoSlot);
-    slots.push_back(slot_of_[id]);
+class IdSink;
+
+/// One group of per-owner windows: every owner v with owners[v] set gets a
+/// window on `side` over the ids that ids(v, sink) passes to the sink, in
+/// that order. The enumerator runs twice per owner, on pool threads, and
+/// must pass the same ids both times.
+struct WindowSource {
+  /// Null for the global window (see global_window()).
+  const std::vector<bool>* owners = nullptr;
+  Side side = Side::kUpper;
+  std::function<void(std::uint64_t owner, IdSink& sink)> ids;
+  /// When set, receives each owner's id count (0 off the owners): the
+  /// per-owner loads the stage distributes.
+  std::vector<std::uint64_t>* counts = nullptr;
+};
+
+/// The global window: every id of the mask, in id order, kBoth. At finite n
+/// the per-owner windows can all be trivially wide (counts of a few dozen
+/// admit no non-trivial satisfiable window), so without it the degenerate
+/// all-keep / all-drop polynomials would count as good; it rejects them and
+/// guarantees per-stage progress at one Lemma-4 aggregation.
+inline WindowSource global_window() { return {nullptr, Side::kBoth, {}}; }
+
+/// Build a stage's windows over the ids set in `mask`: each source's
+/// windows in turn, owner by owner, dropping the windows with no ids. Pass 1
+/// counts every owner's ids on the executor; a serial prefix sum over the
+/// counts places the windows; pass 2 fills one exactly sized `slots` array
+/// on the executor. `weight` is left to the caller. The set is identical
+/// for every executor. An id outside the mask fails a check.
+WindowSet build_windows(const exec::Executor& executor,
+                        const std::vector<bool>& mask,
+                        const std::vector<WindowSource>& sources);
+
+/// Where a WindowSource's enumerator puts one owner's ids: build_windows'
+/// first pass counts them, its second stores their slots.
+class IdSink {
+ public:
+  void operator()(std::uint64_t id) {
+    if (out_ != nullptr) {
+      DMPC_CHECK(count_ < room_ && id < universe_ && slot_of_[id] != kNoSlot);
+      out_[count_] = slot_of_[id];
+    }
+    ++count_;
   }
 
-  /// Close a window over the slots pushed since `begin` and return its
-  /// size; a window with no slots is dropped.
-  std::uint64_t close(std::uint64_t begin, Side side);
-
-  /// Add the global window: every id, kBoth. At finite n the per-owner
-  /// windows can all be trivially wide (counts of a few dozen admit no
-  /// non-trivial satisfiable window), so without it the degenerate
-  /// all-keep / all-drop polynomials would count as good; it rejects them
-  /// and guarantees per-stage progress at one Lemma-4 aggregation.
-  void add_global();
-
  private:
+  friend WindowSet build_windows(const exec::Executor&,
+                                 const std::vector<bool>&,
+                                 const std::vector<WindowSource>&);
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  std::vector<std::uint32_t> slot_of_;  ///< Id -> slot; kNoSlot off the mask.
+
+  IdSink() = default;
+  IdSink(const std::vector<std::uint32_t>& slot_of, std::uint32_t* out,
+         std::uint64_t room)
+      : slot_of_(slot_of.data()),
+        universe_(slot_of.size()),
+        out_(out),
+        room_(room) {}
+
+  const std::uint32_t* slot_of_ = nullptr;  ///< Id -> slot; kNoSlot off the mask.
+  std::uint64_t universe_ = 0;
+  std::uint32_t* out_ = nullptr;  ///< Null while counting.
+  std::uint64_t room_ = 0;
+  std::uint64_t count_ = 0;
 };
 
 /// The window-bound rule at slack multiplier `mult`. Count windows get

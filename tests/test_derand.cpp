@@ -8,6 +8,7 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -235,6 +236,99 @@ TEST(SeedSearch, LazyEvaluationMatchesAtEveryThreadCount) {
     ledgers.push_back(cluster.metrics().by_label().at(options.label));
     EXPECT_EQ(ledgers.back(), ledgers.front());
   }
+}
+
+/// A conjunction of kTerms 0/1 terms that counts its term evaluations. Seed
+/// s qualifies (every term holds) iff s >= 69 and s is a multiple of 3;
+/// any other seed fails exactly one term, fail_at(s), and all the others
+/// hold. evaluate_if_at_least rejects at the lowest failing term when the
+/// threshold asks for every term, the way the sparsifier stages do.
+class ConjunctionObjective final : public Objective {
+ public:
+  static constexpr std::uint64_t kTerms = 1024;
+  static constexpr std::uint64_t kGrain = 16;
+
+  static bool qualifies(std::uint64_t seed) {
+    return seed >= 69 && seed % 3 == 0;
+  }
+  static std::uint64_t fail_at(std::uint64_t seed) {
+    return qualifies(seed) ? kTerms : (seed * 37) % 101;
+  }
+
+  double evaluate(std::uint64_t seed) const override {
+    double good = 0.0;
+    for (std::uint64_t i = 0; i < kTerms; ++i) good += term(seed, i);
+    return good;
+  }
+  std::optional<double> evaluate_if_at_least(
+      const exec::Executor& executor, std::uint64_t seed,
+      double threshold) const override {
+    if (threshold < static_cast<double>(kTerms)) {
+      return Objective::evaluate_if_at_least(executor, seed, threshold);
+    }
+    const std::uint64_t bad = executor.find_first(
+        0, kTerms, [&](std::uint64_t i) { return term(seed, i) == 0; },
+        kGrain);
+    if (bad < kTerms) return std::nullopt;
+    return static_cast<double>(kTerms);
+  }
+  std::uint64_t term_count() const override { return kTerms; }
+  std::uint64_t term_evaluations() const { return terms_.load(); }
+
+ private:
+  int term(std::uint64_t seed, std::uint64_t i) const {
+    terms_.fetch_add(1, std::memory_order_relaxed);
+    return i == fail_at(seed) ? 0 : 1;
+  }
+
+  mutable std::atomic<std::uint64_t> terms_{0};
+};
+
+TEST(SeedSearch, ConjunctionRejectsASeedAtItsFirstFailingTerm) {
+  // Trials 0..68 fail (seeds 0..68 under the default walk); trial 70 is
+  // seed 69, the sixth seed of the second 64-seed batch, and qualifies.
+  std::uint64_t scanned_one_thread = 0;
+  for (std::uint64_t seed = 0; seed < 69; ++seed) {
+    scanned_one_thread += ConjunctionObjective::fail_at(seed) + 1;
+  }
+  scanned_one_thread += ConjunctionObjective::kTerms;
+  ASSERT_LT(scanned_one_thread, 70 * ConjunctionObjective::kTerms / 4);
+  std::vector<mpc::LabelCost> ledgers;
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    obs::RegistryScope scope;
+    auto cluster = make_cluster(threads);
+    ConjunctionObjective objective;
+    SearchOptions options;
+    options.label = "test/conjunction";
+    options.threshold = static_cast<double>(ConjunctionObjective::kTerms);
+    const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->seed, 69u);
+    EXPECT_DOUBLE_EQ(result->value, options.threshold);
+    EXPECT_EQ(result->trials, 70u);
+    EXPECT_EQ(result->batches, 2u);
+    // A rejected seed stops at its failing term. One thread scans each
+    // rejected seed up to that term exactly; a pool may also run a few
+    // chunks past it before it sees the find.
+    if (threads == 1) {
+      EXPECT_EQ(objective.term_evaluations(), scanned_one_thread);
+    }
+    EXPECT_LT(objective.term_evaluations(),
+              result->trials * ConjunctionObjective::kTerms);
+    const obs::MetricsSnapshot snap = scope.registry().snapshot();
+    const obs::MetricValue* evaluated = snap.find("derand/evaluated_seeds");
+    ASSERT_NE(evaluated, nullptr);
+    EXPECT_EQ(static_cast<std::uint64_t>(evaluated->value), result->trials);
+    ledgers.push_back(cluster.metrics().by_label().at(options.label));
+    EXPECT_EQ(ledgers.back(), ledgers.front());
+  }
+  // Below the all-terms threshold the hook counts every term.
+  const exec::Executor serial;
+  ConjunctionObjective objective;
+  EXPECT_EQ(objective.evaluate_if_at_least(serial, 5, 1000.0),
+            std::optional<double>(1023.0));
+  EXPECT_EQ(objective.term_evaluations(), ConjunctionObjective::kTerms);
 }
 
 // --- The pipelines' selection commit (select_seed). ---

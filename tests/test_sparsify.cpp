@@ -298,6 +298,35 @@ TEST(NodeSparsifier, LowClassKeepsQ0) {
   EXPECT_EQ(sparse.in_Qprime, good.in_Q0);
 }
 
+// One window of the `count` ids 0..count-1 on `side`, bounded at `mult`; id
+// x weighs weight[x] (an empty `weight` leaves the ids unweighted).
+Window bounded(const std::vector<double>& weight, std::uint64_t count,
+               Side side, double q, double mult) {
+  WindowSet set;
+  for (std::uint64_t x = 0; x < count; ++x) {
+    set.ids.push_back(x);
+    set.slots.push_back(static_cast<std::uint32_t>(x));
+  }
+  if (!weight.empty()) {
+    set.weight.assign(weight.begin(), weight.begin() + count);
+  }
+  set.windows.push_back({0, count, side});
+  Window w = set.windows.at(0);
+  set_bounds(w, set, q, mult);
+  return w;
+}
+
+// The owner mask of a single window.
+const std::vector<bool> kOneOwner{true};
+
+// A source of one window on `side` over `ids`, in order.
+WindowSource one_window(Side side, std::vector<std::uint64_t> ids) {
+  return {&kOneOwner, side,
+          [ids = std::move(ids)](std::uint64_t, IdSink& sink) {
+            for (const std::uint64_t id : ids) sink(id);
+          }};
+}
+
 // Golden (seed, trials, machines, window multiplier) of every stage of both
 // sparsifiers: any change to the windows, the bound rule, the objective or
 // the seed walk moves them.
@@ -386,22 +415,27 @@ TEST(Sparsifiers, GoldenStageSequence) {
                                     {3, 0x00000000001d007cULL, 3, 2592, 3.0},
                                     {4, 0x000000000002bbe5ULL, 1, 2335, 3.0}});
     }
+    {
+      // A hand-built stage whose only binding window is its last one, past
+      // the first kScanGrain-window chunk of the early-reject scan: 600
+      // one-id windows that every seed satisfies (a kept id sits exactly on
+      // the upper bound, hi = 1), then 1000 copies of id 7, which keep all
+      // or nothing and force the escalation to x24 that drops id 7.
+      auto cluster = roomy_cluster(threads);
+      const StageHash stage_hash(64, 0.25, 4);
+      std::vector<WindowSource> sources;
+      for (std::uint64_t w = 0; w < 600; ++w) {
+        sources.push_back(one_window(Side::kUpper, {w % 64}));
+      }
+      sources.push_back(
+          one_window(Side::kBoth, std::vector<std::uint64_t>(1000, 7)));
+      WindowSet set = build_windows(cluster.executor(),
+                                    std::vector<bool>(64, true), sources);
+      expect_golden({find_stage_seed(cluster, stage_hash, 1, set, "test")},
+                    {{1, 0x000000000114ccd3ULL, 193, 601, 24.0}});
+      EXPECT_EQ(set.windows.front().hi, 1u);
+    }
   }
-}
-
-// One window of the `count` ids 0..count-1 on `side`, bounded at `mult`; id
-// x weighs weight[x] (an empty `weight` leaves the ids unweighted).
-Window bounded(const std::vector<double>& weight, std::uint64_t count,
-               Side side, double q, double mult) {
-  WindowSet set(std::vector<bool>(count, true));
-  for (std::uint64_t x = 0; x < count; ++x) set.push(x);
-  if (!weight.empty()) {
-    set.weight.assign(weight.begin(), weight.begin() + count);
-  }
-  set.close(0, side);
-  Window w = set.windows.at(0);
-  set_bounds(w, set, q, mult);
-  return w;
 }
 
 // Hand-computed bounds: 100 points at q = 1/4 have mean 25 and binomial
@@ -449,50 +483,163 @@ TEST(StageWindows, MassBound) {
   EXPECT_EQ(bounded(weighted, 4, Side::kMass, 0.25, 3.0).mass_lo, 0.0);
 }
 
-// The mask's ids are bound once each, ascending, and every pushed id is
+// The mask's ids are bound once each, ascending, and every enumerated id is
 // stored as its slot in that table.
 TEST(StageWindows, SlotTableBindsEachIdOnce) {
+  const exec::Executor serial;
   std::vector<bool> mask(200, false);
   std::vector<std::uint64_t> expected;
   for (std::uint64_t x = 3; x < mask.size(); x += 7) {
     mask[x] = true;
     expected.push_back(x);
   }
-  WindowSet set(mask);
-  EXPECT_EQ(set.ids, expected);
   std::vector<std::uint64_t> pushed;
   for (std::uint64_t x = mask.size(); x-- > 0;) {
     if (!mask[x]) continue;
     for (std::uint64_t copies = 0; copies < 1 + x % 3; ++copies) {
-      set.push(x);
       pushed.push_back(x);
     }
   }
+  const WindowSet set =
+      build_windows(serial, mask, {one_window(Side::kUpper, pushed)});
+  EXPECT_EQ(set.ids, expected);
   ASSERT_EQ(set.slots.size(), pushed.size());
   for (std::size_t i = 0; i < pushed.size(); ++i) {
     EXPECT_EQ(set.ids.at(set.slots[i]), pushed[i]) << "entry " << i;
   }
   // An id off the mask is rejected, inside its range or past its end.
-  EXPECT_THROW(set.push(4), CheckFailure);
-  EXPECT_THROW(set.push(mask.size()), CheckFailure);
-  EXPECT_EQ(set.slots.size(), pushed.size());
+  EXPECT_THROW(build_windows(serial, mask, {one_window(Side::kUpper, {4})}),
+               CheckFailure);
+  EXPECT_THROW(
+      build_windows(serial, mask, {one_window(Side::kUpper, {mask.size()})}),
+      CheckFailure);
 }
 
 // The global window covers exactly the ids set in the mask, on both sides.
 TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
-  WindowSet set({true, false, true, true, false, false, false, false, false,
-                 true});
-  set.push(9);
-  set.push(9);
-  set.add_global();
-  ASSERT_EQ(set.windows.size(), 1u);
-  EXPECT_EQ(set.windows[0].side, Side::kBoth);
-  EXPECT_EQ(set.windows[0].begin, 2u);
+  const exec::Executor serial;
+  const WindowSet set = build_windows(
+      serial,
+      {true, false, true, true, false, false, false, false, false, true},
+      {one_window(Side::kUpper, {9, 9}), global_window()});
+  ASSERT_EQ(set.windows.size(), 2u);
+  EXPECT_EQ(set.windows[1].side, Side::kBoth);
+  EXPECT_EQ(set.windows[1].begin, 2u);
+  EXPECT_EQ(set.windows[1].end, 6u);
   EXPECT_EQ(set.ids, (std::vector<std::uint64_t>{0, 2, 3, 9}));
   EXPECT_EQ(set.slots, (std::vector<std::uint32_t>{3, 3, 0, 1, 2, 3}));
-  WindowSet empty({false, false});
-  empty.add_global();  // an empty set adds no window
-  EXPECT_TRUE(empty.windows.empty());
+  // An empty set adds no window.
+  EXPECT_TRUE(
+      build_windows(serial, {false, false}, {global_window()}).windows.empty());
+}
+
+// The parallel builder lays out a node stage's windows exactly as a serial
+// hand-built reference does: the Q' owners' upper windows in owner order,
+// then the B owners' mass windows, then the global window, with every owner
+// whose list is empty dropped. Its per-owner counts are the upper windows'
+// sizes.
+TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
+  const Graph g = graph::gnm(300, 700, 5);
+  std::vector<bool> alive(g.num_nodes()), in_q(g.num_nodes()),
+      in_b(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    alive[v] = v % 5 != 0;
+    in_q[v] = alive[v] && v % 3 != 0;
+    in_b[v] = alive[v] && v % 2 == 0;
+  }
+  auto weight_of = [](std::uint64_t id) { return 1.0 / (1.0 + id % 7); };
+
+  WindowSet ref;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (in_q[v]) ref.ids.push_back(v);
+  }
+  for (const std::uint64_t id : ref.ids) ref.weight.push_back(weight_of(id));
+  std::vector<std::uint64_t> ref_counts(g.num_nodes(), 0);
+  std::uint64_t empty_owners = 0;
+  auto append = [&](NodeId v, Side side) {
+    const std::uint64_t begin = ref.slots.size();
+    for (NodeId u : g.neighbors(v)) {
+      if (!alive[u] || !in_q[u]) continue;
+      const auto it = std::lower_bound(ref.ids.begin(), ref.ids.end(), u);
+      ref.slots.push_back(static_cast<std::uint32_t>(it - ref.ids.begin()));
+    }
+    if (ref.slots.size() == begin) ++empty_owners;
+    if (ref.slots.size() > begin) {
+      ref.windows.push_back({begin, ref.slots.size(), side});
+    }
+    return ref.slots.size() - begin;
+  };
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (in_q[v]) ref_counts[v] = append(v, Side::kUpper);
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (in_b[v]) append(v, Side::kMass);
+  }
+  const std::uint64_t global_begin = ref.slots.size();
+  for (std::uint64_t s = 0; s < ref.ids.size(); ++s) {
+    ref.slots.push_back(static_cast<std::uint32_t>(s));
+  }
+  ref.windows.push_back({global_begin, ref.slots.size(), Side::kBoth});
+  ASSERT_GT(empty_owners, 0u);
+
+  const auto q_neighbors = [&](std::uint64_t v, IdSink& sink) {
+    for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
+      if (alive[u] && in_q[u]) sink(u);
+    }
+  };
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::uint64_t> counts;
+    WindowSet set = build_windows(
+        exec::Executor::with_threads(threads), in_q,
+        {{&in_q, Side::kUpper, q_neighbors, &counts},
+         {&in_b, Side::kMass, q_neighbors},
+         global_window()});
+    for (const std::uint64_t id : set.ids) set.weight.push_back(weight_of(id));
+    EXPECT_EQ(set.ids, ref.ids);
+    EXPECT_EQ(set.slots, ref.slots);
+    EXPECT_EQ(set.weight, ref.weight);
+    EXPECT_EQ(counts, ref_counts);
+    ASSERT_EQ(set.windows.size(), ref.windows.size());
+    for (std::size_t w = 0; w < ref.windows.size(); ++w) {
+      EXPECT_EQ(set.windows[w].begin, ref.windows[w].begin) << "window " << w;
+      EXPECT_EQ(set.windows[w].end, ref.windows[w].end) << "window " << w;
+      EXPECT_EQ(set.windows[w].side, ref.windows[w].side) << "window " << w;
+    }
+  }
+}
+
+// The per-stage Lemma 17/18 measurements run over the pool; every stage
+// report must be the same at every thread count.
+TEST(NodeSparsifier, StageReportsMatchAtEveryThreadCount) {
+  const Graph g = graph::gnm(512, 16000, 4);
+  Params params;
+  params.n = g.num_nodes();
+  params.inv_delta = 16;
+  const std::vector<bool> alive(g.num_nodes(), true);
+  std::vector<StageReport> first;
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto cluster = roomy_cluster(threads);
+    const auto good = select_mis_good_set(cluster, params, g, alive);
+    const auto sparse =
+        sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
+    ASSERT_GT(sparse.stages.size(), 1u);
+    if (first.empty()) first = sparse.stages;
+    ASSERT_EQ(sparse.stages.size(), first.size());
+    for (std::size_t j = 0; j < first.size(); ++j) {
+      const StageReport& r = sparse.stages[j];
+      EXPECT_EQ(r.seed, first[j].seed) << "stage " << j + 1;
+      EXPECT_EQ(r.items_after, first[j].items_after) << "stage " << j + 1;
+      EXPECT_EQ(r.max_degree_after, first[j].max_degree_after)
+          << "stage " << j + 1;
+      EXPECT_EQ(r.invariant_degree_ratio, first[j].invariant_degree_ratio)
+          << "stage " << j + 1;
+      EXPECT_EQ(r.invariant_xv_ratio, first[j].invariant_xv_ratio)
+          << "stage " << j + 1;
+    }
+    EXPECT_EQ(sparse.max_degree, first.back().max_degree_after);
+  }
 }
 
 // Escalation doubles the multiplier; that must only ever widen a window.
@@ -534,7 +681,7 @@ TEST(StageWindows, DoublingTheMultiplierNeverNarrows) {
 TEST(StageWindows, EscalationCapBoundsAreTrivialOnSolverInputs) {
   const double cap = kWindowSlack * std::ldexp(1.0, kMaxEscalations);
   constexpr std::uint64_t kMaxIds = std::uint64_t{1} << 28;
-  const WindowSet empty(std::vector<bool>{});
+  const WindowSet empty;
   for (std::uint32_t inv_delta = 8; inv_delta <= Solver::kMaxInvDelta;
        ++inv_delta) {
     for (std::uint32_t lg = 1; lg <= 32; ++lg) {
@@ -576,9 +723,9 @@ TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
   const StageHash stage_hash(64, 0.25, 4);
   std::vector<bool> mask(64, false);
   mask[7] = true;
-  WindowSet set(mask);
-  for (int copy = 0; copy < 1000; ++copy) set.push(7);
-  set.close(0, Side::kBoth);
+  WindowSet set =
+      build_windows(cluster.executor(), mask,
+                    {one_window(Side::kBoth, std::vector<std::uint64_t>(1000, 7))});
   StageReport report = find_stage_seed(cluster, stage_hash, 1, set, "test");
   EXPECT_EQ(report.window_multiplier, 24.0);
   EXPECT_GT(report.trials, 3 * kTrialsPerWindow);
@@ -618,12 +765,14 @@ TEST(StageSeedSearch, EscalatesUntilTheWindowsAreSatisfiable) {
 TEST(StageSeedSearch, MassWindowsWeighEachIdThroughItsSlot) {
   auto cluster = roomy_cluster();
   const StageHash stage_hash(1000, 0.25, 4);
-  WindowSet set(std::vector<bool>(1000, true));
+  std::vector<std::uint64_t> upper_half;
+  for (std::uint64_t x = 500; x < 1000; ++x) upper_half.push_back(x);
+  WindowSet set = build_windows(cluster.executor(),
+                                std::vector<bool>(1000, true),
+                                {one_window(Side::kMass, upper_half)});
   for (std::uint64_t x = 0; x < 1000; ++x) {
     set.weight.push_back(x < 500 ? 0.0 : 1.0);
   }
-  for (std::uint64_t x = 500; x < 1000; ++x) set.push(x);
-  set.close(0, Side::kMass);
   const StageReport report =
       find_stage_seed(cluster, stage_hash, 1, set, "test");
   EXPECT_EQ(report.window_multiplier, kWindowSlack);
