@@ -15,17 +15,23 @@ namespace dmpc::derand {
 
 namespace {
 
-/// Model-section registry counters for seed searches. Charged once per
-/// completed search from the orchestrating thread (never inside a
-/// recoverable body and never from executor workers), so the totals are
-/// deterministic across thread counts and fault plans — golden by the same
-/// argument as the trace args they mirror. The trials histogram has fixed
-/// power-of-four bounds so its serialization is value-independent.
-void record_search(const SearchResult& result) {
+/// Model-section registry counters for one seed search. Charged once per
+/// search from the orchestrating thread (never inside a recoverable body
+/// and never from executor workers), so the totals are deterministic across
+/// thread counts and fault plans — golden by the same argument as the trace
+/// args they mirror. `derand/batches` and the batch stats count every batch
+/// the ledger charged, an exhausted search's too; `derand/searches`,
+/// `derand/candidate_seeds` and the trials histogram count committed
+/// searches only (`committed` set). The histogram has fixed power-of-four
+/// bounds so its serialization is value-independent.
+void record_search(const SearchResult& result, const BatchStats& stats,
+                   bool committed) {
   auto& registry = obs::MetricsRegistry::current();
+  registry.counter("derand/batches").add(result.batches);
+  record_batch_stats(stats);
+  if (!committed) return;
   registry.counter("derand/searches").add(1);
   registry.counter("derand/candidate_seeds").add(result.trials);
-  registry.counter("derand/batches").add(result.batches);
   registry
       .histogram("derand/trials_per_search",
                  {1, 4, 16, 64, 256, 1024, 4096, 16384})
@@ -98,14 +104,14 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
         span.arg("candidate_seeds", result.trials);
         span.arg("batches", result.batches);
         span.arg("committed_seed", result.seed);
-        record_search(result);
-        record_batch_stats(batch_stats);
+        record_search(result, batch_stats, /*committed=*/true);
         return result;
       }
     }
     result.trials = batch_end;
     next = batch_end;
   }
+  record_search(result, batch_stats, /*committed=*/false);
   return std::nullopt;
 }
 

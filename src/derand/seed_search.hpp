@@ -89,8 +89,10 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 /// nullopt when no seed within options.max_trials qualifies. Where the
 /// threshold is an averaging bound over the whole family, that means the
 /// guarantee is violated; the sparsifiers take it as their cue to widen
-/// their windows. An exhausted search records nothing in the registry's
-/// model section.
+/// their windows. An exhausted search still counts the batches it charged
+/// in `derand/batches`, `derand/batch_calls` and `derand/lanes_used`, but
+/// not in `derand/searches`, `derand/candidate_seeds` or
+/// `derand/trials_per_search`.
 std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                                           const Objective& objective,
                                           std::uint64_t seed_count,

@@ -97,6 +97,40 @@ TEST(SeedSearch, BatchRoundChargesAreConstantPerBatch) {
   EXPECT_EQ(result->batches, 1u);  // one O(1)-round batch covered all
 }
 
+TEST(SeedSearch, ExhaustedSearchCountsTheBatchesItCharged) {
+  // One search exhausts the 256-seed family in four 64-seed batches, then
+  // one commits in its first batch. The batch counters follow the ledger,
+  // which charged all five; the search counters see the committed one only.
+  obs::RegistryScope scope;
+  auto cluster = make_cluster();
+  PopcountObjective objective;
+  SearchOptions options;
+  options.label = "test/ledger";
+  options.candidates_per_batch = 64;
+  options.threshold = 9.0;  // unreachable
+  EXPECT_FALSE(try_find_seed(cluster, objective, 1 << 8, options).has_value());
+  options.threshold = 3.0;
+  const auto result = try_find_seed(cluster, objective, 1 << 8, options);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->trials, 8u);
+  EXPECT_EQ(result->batches, 1u);
+  const std::uint64_t rounds_per_batch =
+      2 * cluster.tree_depth(objective.term_count());
+  const std::uint64_t ledger_batches =
+      cluster.metrics().by_label().at(options.label).rounds / rounds_per_batch;
+  EXPECT_EQ(ledger_batches, 5u);
+  const obs::MetricsSnapshot snap = scope.registry().snapshot();
+  const auto value = [&](const std::string& name) -> std::uint64_t {
+    const obs::MetricValue* m = snap.find(name);
+    return m == nullptr ? 0 : static_cast<std::uint64_t>(m->value);
+  };
+  EXPECT_EQ(value("derand/batches"), ledger_batches);
+  EXPECT_EQ(value("derand/lanes_used"), 5 * 64u);
+  EXPECT_EQ(value("derand/batch_calls"), 5 * 64 / kBatchChunk);
+  EXPECT_EQ(value("derand/searches"), 1u);
+  EXPECT_EQ(value("derand/candidate_seeds"), 8u);
+}
+
 // --- Stride coverage property. ---
 
 TEST(SeedSearch, EffectiveStrideIsAlwaysCoprime) {
