@@ -20,7 +20,7 @@ namespace {
 // without rebuilding the table.
 class StageObjective final : public derand::RangeObjective {
  public:
-  /// Windows per host task of the window scans.
+  /// Windows per host task of the early-reject scan and the bound update.
   static constexpr std::uint64_t kScanGrain = 512;
 
   StageObjective(const StageHash& stage_hash, const WindowSet& set)
@@ -38,37 +38,18 @@ class StageObjective final : public derand::RangeObjective {
     return static_cast<double>(good);
   }
 
-  // The sweep runs on the calling thread, the window scan in kScanGrain
-  // chunks over the executor. Each chunk's value is a count of good
-  // windows, an integer, so the chunked sum equals evaluate(seed) exactly
-  // for every executor.
-  double evaluate_parallel(const exec::Executor& executor,
-                           std::uint64_t seed) const override {
-    const std::uint64_t* values = sweep(seed);
-    const std::uint64_t ranges = range_count();
-    const std::uint64_t chunks = (ranges + kScanGrain - 1) / kScanGrain;
-    return executor.map_reduce(
-        0, chunks, 0.0,
-        [&](std::uint64_t c) {
-          return accumulate_terms(c * kScanGrain,
-                                  std::min(ranges, (c + 1) * kScanGrain),
-                                  seed, values);
-        },
-        [](double a, double b) { return a + b; }, /*grain=*/1);
-  }
-
   // The stage search asks for every window at once (threshold = the window
-  // count), so one failing window decides a seed: scan in kScanGrain chunks
-  // for the lowest failing window and stop there. When none fails the value
-  // is exactly the window count, what evaluate_parallel would count. A
-  // lower threshold needs the count itself.
+  // count), so one failing window decides a seed: sweep on the calling
+  // thread, then scan the windows in kScanGrain chunks over the executor
+  // for the lowest failing one and stop there. When none fails the value
+  // is exactly the window count, what evaluate(seed) would count. Any other
+  // threshold takes the full count.
   std::optional<double> evaluate_if_at_least(
       const exec::Executor& executor, std::uint64_t seed,
       double threshold) const override {
     const std::uint64_t windows = range_count();
     const double all = static_cast<double>(windows);
-    if (threshold > all) return std::nullopt;
-    if (threshold < all) {
+    if (threshold != all) {
       return Objective::evaluate_if_at_least(executor, seed, threshold);
     }
     const std::uint64_t* values = sweep(seed);
