@@ -50,26 +50,18 @@ class Objective {
   void evaluate_batch(std::uint64_t seed_lo, std::uint64_t count,
                       double* out) const;
 
-  /// evaluate(seed) with the host work of that one seed spread over
-  /// `executor`. Must return exactly evaluate(seed) for every executor. The
-  /// default evaluates on the calling thread.
-  virtual double evaluate_parallel(const exec::Executor& executor,
-                                   std::uint64_t seed) const {
-    (void)executor;
-    return evaluate(seed);
-  }
-
   /// The threshold search's oracle: evaluate(seed) when it is >= threshold,
-  /// nullopt otherwise, with the host work spread over `executor`. The
-  /// default is evaluate_parallel. An override may stop as soon as the
-  /// seed is decided below the threshold (a conjunction of terms can reject
-  /// at its first failing term), so it does not promise to touch every
-  /// term; the answer must still be exactly the default's for every
-  /// executor.
+  /// nullopt otherwise. The default evaluates on the calling thread; an
+  /// override may spread the host work of that one seed over `executor`,
+  /// and may stop as soon as the seed is decided below the threshold (a
+  /// conjunction of terms can reject at its first failing term), so it does
+  /// not promise to touch every term. The answer must still be exactly the
+  /// default's for every executor.
   virtual std::optional<double> evaluate_if_at_least(
       const exec::Executor& executor, std::uint64_t seed,
       double threshold) const {
-    const double value = evaluate_parallel(executor, seed);
+    (void)executor;
+    const double value = evaluate(seed);
     if (value >= threshold) return value;
     return std::nullopt;
   }

@@ -29,9 +29,6 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
   result.max_degree = *std::max_element(deg_e0.begin(), deg_e0.end());
 
   const StageHash stage_hash(g.num_edges(), q, config.hash_k);
-  // Every node owns the type-A window of its incident E_{j-1} edges.
-  const std::vector<bool> every_node(g.num_nodes(), true);
-
   std::uint32_t stage = 0;
   std::uint32_t extra_used = 0;
   while (true) {
@@ -57,18 +54,19 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     std::vector<std::uint64_t> counts;
     WindowSet windows = build_windows(
         cluster.executor(), result.in_Estar,
-        {{&every_node, Side::kUpper,
+        {{g.num_nodes(), Side::kUpper,
           [&](std::uint64_t v, IdSink& sink) {
             for (EdgeId e : g.incident_edges(static_cast<NodeId>(v))) {
               if (result.in_Estar[e]) sink(e);
             }
           },
           &counts},
-         {&good.in_B, Side::kLower,
+         {g.num_nodes(), Side::kLower,
           [&](std::uint64_t v, IdSink& sink) {
+            if (!good.in_B[v]) return;
             for (EdgeId e : result.xv_star[v]) sink(e);
           }},
-         global_window()});
+         global_window(result.in_Estar)});
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/2,
                               "sparsify/distribute");
 

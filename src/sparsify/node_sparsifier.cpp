@@ -66,12 +66,6 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
       },
       [](std::uint32_t a, std::uint32_t b) { return std::max(a, b); },
       kNodeGrain);
-  // Owners of the type-B mass windows.
-  std::vector<bool> mass_owners(g.num_nodes(), false);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    mass_owners[v] = alive[v] && good.in_B[v];
-  }
-
   std::uint32_t stage = 0;
   std::uint32_t extra_used = 0;
   while (true) {
@@ -99,9 +93,16 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     };
     WindowSet windows = build_windows(
         cluster.executor(), result.in_Qprime,
-        {{&result.in_Qprime, Side::kUpper, q_neighbors, &counts},
-         {&mass_owners, Side::kMass, q_neighbors},
-         global_window()});
+        {{g.num_nodes(), Side::kUpper,
+          [&](std::uint64_t v, IdSink& sink) {
+            if (result.in_Qprime[v]) q_neighbors(v, sink);
+          },
+          &counts},
+         {g.num_nodes(), Side::kMass,
+          [&](std::uint64_t v, IdSink& sink) {
+            if (alive[v] && good.in_B[v]) q_neighbors(v, sink);
+          }},
+         global_window(result.in_Qprime)});
     windows.weight.reserve(windows.ids.size());
     for (const std::uint64_t u : windows.ids) {
       windows.weight.push_back(inv_deg[u]);

@@ -103,6 +103,14 @@ StageInvariants worst_invariants(const std::vector<StageReport>& stages) {
   return worst;
 }
 
+WindowSource global_window(const std::vector<bool>& mask) {
+  return {1, Side::kBoth, [&mask](std::uint64_t, IdSink& sink) {
+            for (std::uint64_t x = 0; x < mask.size(); ++x) {
+              if (mask[x]) sink(x);
+            }
+          }};
+}
+
 WindowSet build_windows(const exec::Executor& executor,
                         const std::vector<bool>& mask,
                         const std::vector<WindowSource>& sources) {
@@ -132,22 +140,16 @@ WindowSet build_windows(const exec::Executor& executor,
   };
   for (std::size_t s = 0; s < sources.size(); ++s) {
     const WindowSource& source = sources[s];
-    if (source.owners == nullptr) {
-      place(s, 0, set.ids.size());
-      continue;
-    }
-    const std::vector<bool>& owners = *source.owners;
-    std::vector<std::uint64_t> counts(owners.size(), 0);
+    std::vector<std::uint64_t> counts(source.owners, 0);
     executor.for_each(
-        0, owners.size(),
+        0, source.owners,
         [&](std::uint64_t v) {
-          if (!owners[v]) return;
           IdSink sink;
           source.ids(v, sink);
           counts[v] = sink.count_;
         },
         kOwnerGrain);
-    for (std::uint64_t v = 0; v < owners.size(); ++v) place(s, v, counts[v]);
+    for (std::uint64_t v = 0; v < source.owners; ++v) place(s, v, counts[v]);
     if (source.counts != nullptr) *source.counts = std::move(counts);
   }
   // Pass 2 fills each window's slots in place.
@@ -156,16 +158,8 @@ WindowSet build_windows(const exec::Executor& executor,
       0, set.windows.size(),
       [&](std::uint64_t w) {
         const Window& window = set.windows[w];
-        std::uint32_t* out = set.slots.data() + window.begin;
-        const WindowSource& source = sources[origins[w].source];
-        if (source.owners == nullptr) {
-          for (std::uint64_t s = 0; s < window.count(); ++s) {
-            out[s] = static_cast<std::uint32_t>(s);
-          }
-          return;
-        }
-        IdSink sink(slot_of, out, window.count());
-        source.ids(origins[w].owner, sink);
+        IdSink sink(slot_of, set.slots.data() + window.begin, window.count());
+        sources[origins[w].source].ids(origins[w].owner, sink);
         DMPC_CHECK(sink.count_ == window.count());
       },
       kFillGrain);

@@ -92,26 +92,27 @@ struct WindowSet {
 
 class IdSink;
 
-/// One group of per-owner windows: every owner v with owners[v] set gets a
+/// One group of per-owner windows: every owner v in [0, owners) gets a
 /// window on `side` over the ids that ids(v, sink) passes to the sink, in
-/// that order. The enumerator runs twice per owner, on pool threads, and
-/// must pass the same ids both times.
+/// that order; an owner that passes none (one outside the group's owner
+/// set) gets no window. The enumerator runs twice per owner, on pool
+/// threads, and must pass the same ids both times.
 struct WindowSource {
-  /// Null for the global window (see global_window()).
-  const std::vector<bool>* owners = nullptr;
+  std::uint64_t owners = 0;
   Side side = Side::kUpper;
   std::function<void(std::uint64_t owner, IdSink& sink)> ids;
-  /// When set, receives each owner's id count (0 off the owners): the
-  /// per-owner loads the stage distributes.
+  /// When set, receives each owner's id count: the per-owner loads the
+  /// stage distributes.
   std::vector<std::uint64_t>* counts = nullptr;
 };
 
-/// The global window: every id of the mask, in id order, kBoth. At finite n
-/// the per-owner windows can all be trivially wide (counts of a few dozen
+/// The global window: every id set in `mask`, in id order, kBoth. At finite
+/// n the per-owner windows can all be trivially wide (counts of a few dozen
 /// admit no non-trivial satisfiable window), so without it the degenerate
 /// all-keep / all-drop polynomials would count as good; it rejects them and
-/// guarantees per-stage progress at one Lemma-4 aggregation.
-inline WindowSource global_window() { return {nullptr, Side::kBoth, {}}; }
+/// guarantees per-stage progress at one Lemma-4 aggregation. `mask` must
+/// outlive the source.
+WindowSource global_window(const std::vector<bool>& mask);
 
 /// Build a stage's windows over the ids set in `mask`: each source's
 /// windows in turn, owner by owner, dropping the windows with no ids. Pass 1

@@ -212,21 +212,24 @@ TEST(SeedSearch, StrideMultipleOfCountDoesNotSpinOnBase) {
 /// q(seed) = seed, counting evaluations: at threshold 69 under the default
 /// walk (trial t is seed t) the first qualifying seed is trial 70, the sixth
 /// of the second 64-seed batch, and every later seed qualifies too.
-/// evaluate_parallel spreads the eight terms, one of which carries the seed,
-/// over the executor.
+/// evaluate_if_at_least spreads the eight terms, one of which carries the
+/// seed, over the executor.
 class IdentityObjective final : public Objective {
  public:
   double evaluate(std::uint64_t seed) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
     return static_cast<double>(seed);
   }
-  double evaluate_parallel(const exec::Executor& executor,
-                           std::uint64_t seed) const override {
+  std::optional<double> evaluate_if_at_least(
+      const exec::Executor& executor, std::uint64_t seed,
+      double threshold) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
-    return executor.map_reduce(
+    const double value = executor.map_reduce(
         0, term_count(), 0.0,
         [&](std::uint64_t i) { return i == 0 ? static_cast<double>(seed) : 0.0; },
         [](double a, double b) { return a + b; }, /*grain=*/1);
+    if (value >= threshold) return value;
+    return std::nullopt;
   }
   std::uint64_t term_count() const override { return 8; }
   std::uint64_t calls() const { return calls_.load(); }

@@ -316,12 +316,9 @@ Window bounded(const std::vector<double>& weight, std::uint64_t count,
   return w;
 }
 
-// The owner mask of a single window.
-const std::vector<bool> kOneOwner{true};
-
 // A source of one window on `side` over `ids`, in order.
 WindowSource one_window(Side side, std::vector<std::uint64_t> ids) {
-  return {&kOneOwner, side,
+  return {1, side,
           [ids = std::move(ids)](std::uint64_t, IdSink& sink) {
             for (const std::uint64_t id : ids) sink(id);
           }};
@@ -518,10 +515,10 @@ TEST(StageWindows, SlotTableBindsEachIdOnce) {
 // The global window covers exactly the ids set in the mask, on both sides.
 TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
   const exec::Executor serial;
+  const std::vector<bool> mask{true,  false, true,  true,  false,
+                               false, false, false, false, true};
   const WindowSet set = build_windows(
-      serial,
-      {true, false, true, true, false, false, false, false, false, true},
-      {one_window(Side::kUpper, {9, 9}), global_window()});
+      serial, mask, {one_window(Side::kUpper, {9, 9}), global_window(mask)});
   ASSERT_EQ(set.windows.size(), 2u);
   EXPECT_EQ(set.windows[1].side, Side::kBoth);
   EXPECT_EQ(set.windows[1].begin, 2u);
@@ -529,8 +526,9 @@ TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
   EXPECT_EQ(set.ids, (std::vector<std::uint64_t>{0, 2, 3, 9}));
   EXPECT_EQ(set.slots, (std::vector<std::uint32_t>{3, 3, 0, 1, 2, 3}));
   // An empty set adds no window.
+  const std::vector<bool> none{false, false};
   EXPECT_TRUE(
-      build_windows(serial, {false, false}, {global_window()}).windows.empty());
+      build_windows(serial, none, {global_window(none)}).windows.empty());
 }
 
 // The parallel builder lays out a node stage's windows exactly as a serial
@@ -592,9 +590,16 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
     std::vector<std::uint64_t> counts;
     WindowSet set = build_windows(
         exec::Executor::with_threads(threads), in_q,
-        {{&in_q, Side::kUpper, q_neighbors, &counts},
-         {&in_b, Side::kMass, q_neighbors},
-         global_window()});
+        {{g.num_nodes(), Side::kUpper,
+          [&](std::uint64_t v, IdSink& sink) {
+            if (in_q[v]) q_neighbors(v, sink);
+          },
+          &counts},
+         {g.num_nodes(), Side::kMass,
+          [&](std::uint64_t v, IdSink& sink) {
+            if (in_b[v]) q_neighbors(v, sink);
+          }},
+         global_window(in_q)});
     for (const std::uint64_t id : set.ids) set.weight.push_back(weight_of(id));
     EXPECT_EQ(set.ids, ref.ids);
     EXPECT_EQ(set.slots, ref.slots);
