@@ -21,7 +21,8 @@ ColoredLubyResult luby_mis_colored(const Graph& g, std::uint64_t seed) {
     return result;
   }
 
-  const auto coloring = lowdeg::distance2_coloring_raw(g);
+  const auto coloring =
+      lowdeg::distance2_coloring_raw(g, exec::Executor::serial());
   result.colors = coloring.num_colors;
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
   result.seed_bits_per_phase =

@@ -59,7 +59,8 @@ CcMisResult run_cc_mis(const Graph& g, std::uint32_t phases,
                                    2 * g.num_edges() * g.max_degree(),
                                    cc.nodes() * cc.nodes()),
                                label + "/2hop");
-      const auto coloring = lowdeg::distance2_coloring_raw(g);
+      const auto coloring =
+          lowdeg::distance2_coloring_raw(g, exec::Executor::serial());
       cc.charge_rounds(std::max<std::uint32_t>(coloring.reduction_steps, 1),
                        label + "/coloring");
       color = coloring.color;

@@ -34,23 +34,6 @@ std::vector<EdgeId> line_mis_matching(const Graph& g,
   return matching;
 }
 
-Graph square(const Graph& g) {
-  GraphBuilder b(std::max<NodeId>(g.num_nodes(), 1));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto nb = g.neighbors(v);
-    for (NodeId u : nb) {
-      if (v < u) b.add_edge(v, u);
-    }
-    // Distance-2 pairs through v.
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      for (std::size_t j = i + 1; j < nb.size(); ++j) {
-        b.add_edge(nb[i], nb[j]);
-      }
-    }
-  }
-  return std::move(b).build();
-}
-
 InducedSubgraph induced(const Graph& g, const std::vector<bool>& keep) {
   DMPC_CHECK(keep.size() == g.num_nodes());
   InducedSubgraph out;

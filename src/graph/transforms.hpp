@@ -1,8 +1,7 @@
-// Graph transforms: line graph, square graph, induced subgraphs.
+// Graph transforms: line graph, induced and edge subgraphs.
 //
 // The line graph L(G) realizes the paper's reduction "maximal matching in G
-// = MIS in L(G)" (§2.1, §5); the square graph G^2 is the target of the
-// O(Delta^4) coloring in §5.1 (2-hop-distinct names).
+// = MIS in L(G)" (§2.1, §5).
 #pragma once
 
 #include <vector>
@@ -20,9 +19,6 @@ Graph line_graph(const Graph& g);
 /// in_set[e], ascending. Checks that it is maximal in g.
 std::vector<EdgeId> line_mis_matching(const Graph& g,
                                       const std::vector<bool>& in_set);
-
-/// Square graph: same nodes, edges between every pair at distance 1 or 2.
-Graph square(const Graph& g);
 
 /// Induced subgraph on the nodes with keep[v] == true. Node ids are
 /// remapped to 0..k-1 in increasing original order; `original` returns the

@@ -10,11 +10,18 @@
 // colors to q^2 = O((D log_D C)^2) and O(log* n) steps reach the fixed point
 // q^2 = O(D^2). Applied to G^2 (max degree D <= Delta^2) this yields the
 // O(Delta^4) coloring the paper needs.
+//
+// G^2 is never built: the distance-2 coloring walks each node's 2-hop
+// neighborhood in G (u in N(v), then w in N(u) with w != v) and takes D as
+// the largest count of distinct nodes within distance 2. A node's next
+// color reads only the previous colors, so every step runs on the executor
+// and the colors are identical at every thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 
@@ -27,10 +34,15 @@ struct ColoringResult {
 };
 
 /// Pure computation: proper coloring of `g` with O(max_degree^2) colors.
-ColoringResult linial_coloring_raw(const graph::Graph& g);
+/// An empty graph gets an empty coloring with num_colors 1.
+ColoringResult linial_coloring_raw(const graph::Graph& g,
+                                   const exec::Executor& ex);
 
-/// Pure computation: distance-2 coloring of `g` with O(Delta^4) colors.
-ColoringResult distance2_coloring_raw(const graph::Graph& g);
+/// Pure computation: distance-2 coloring of `g` with O(Delta^4) colors —
+/// exactly the colors Linial on G^2 would give. An empty graph gets an
+/// empty coloring with num_colors 1.
+ColoringResult distance2_coloring_raw(const graph::Graph& g,
+                                      const exec::Executor& ex);
 
 /// Proper coloring of `g` with O(max_degree^2) colors, with MPC round
 /// charging (one round per reduction step).

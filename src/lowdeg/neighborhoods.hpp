@@ -10,10 +10,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 
 namespace dmpc::lowdeg {
+
+/// Largest r-hop ball, centre included, over the alive nodes, with the
+/// balls restricted to alive nodes (0 when no node is alive). One truncated
+/// BFS per node on `ex`, with per-thread scratch; the result is identical
+/// at every thread count.
+std::uint64_t largest_ball(const graph::Graph& g,
+                           const std::vector<bool>& alive,
+                           std::uint32_t radius, const exec::Executor& ex);
 
 /// Measure the r-hop balls restricted to alive nodes without storing them:
 /// space-checks the largest one against the cluster, charges

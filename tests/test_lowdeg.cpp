@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <queue>
 
 #include "exec/parallel.hpp"
 #include "graph/generators.hpp"
@@ -12,6 +13,7 @@
 #include "lowdeg/neighborhoods.hpp"
 #include "lowdeg/phase_compression.hpp"
 #include "mpc/cluster.hpp"
+#include "square_reference.hpp"
 
 namespace dmpc::lowdeg {
 namespace {
@@ -19,11 +21,41 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-mpc::Cluster roomy_cluster() {
+mpc::Cluster roomy_cluster(std::uint32_t threads = 1) {
   mpc::ClusterConfig config;
   config.machine_space = 1 << 16;
   config.num_machines = 1 << 10;
-  return mpc::Cluster(config);
+  mpc::ClusterSetup setup;
+  setup.threads = threads;
+  return mpc::Cluster(config, setup);
+}
+
+/// Largest r-hop ball over alive nodes, restricted to alive nodes: a plain
+/// serial BFS per node, the reference for lowdeg::largest_ball.
+std::uint64_t reference_max_ball(const Graph& g, const std::vector<bool>& alive,
+                                 std::uint32_t radius) {
+  std::uint64_t best = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!alive[v]) continue;
+    std::vector<std::uint32_t> dist(g.num_nodes(), UINT32_MAX);
+    std::queue<NodeId> frontier;
+    dist[v] = 0;
+    frontier.push(v);
+    std::uint64_t size = 1;
+    while (!frontier.empty()) {
+      const NodeId u = frontier.front();
+      frontier.pop();
+      if (dist[u] == radius) continue;
+      for (NodeId w : g.neighbors(u)) {
+        if (!alive[w] || dist[w] != UINT32_MAX) continue;
+        dist[w] = dist[u] + 1;
+        frontier.push(w);
+        ++size;
+      }
+    }
+    best = std::max(best, size);
+  }
+  return best;
 }
 
 TEST(Coloring, ProperWithQuadraticPalette) {
@@ -67,6 +99,70 @@ TEST(Coloring, ChargesOLogStarRounds) {
   EXPECT_GE(cluster.metrics().rounds(), result.reduction_steps);
 }
 
+TEST(Coloring, Distance2MatchesLinialOnSquare) {
+  // The implicit 2-hop walk gives exactly Linial on a materialized G^2:
+  // colors, palette and step count, at every thread count.
+  const std::vector<Graph> graphs = {
+      graph::path(300),
+      graph::star(40),
+      graph::gnm(500, 1500, 7),
+      graph::gnm(600, 150, 8),  // mostly isolated nodes
+      graph::disjoint_union(graph::cycle(50), Graph::from_edges(30, {})),
+      // Bounded degree at these n takes two steps, so the comparison covers
+      // a step whose input is not the identity coloring.
+      graph::random_regular(1 << 15, 3, 9),
+      graph::random_regular(1 << 16, 4, 10),
+  };
+  for (const Graph& g : graphs) {
+    const auto expected =
+        linial_coloring_raw(testref::square(g), exec::Executor::serial());
+    if (g.num_nodes() >= (1u << 15)) {
+      EXPECT_EQ(expected.reduction_steps, 2u);
+    }
+    for (std::uint32_t threads : {1u, 4u}) {
+      const auto got =
+          distance2_coloring_raw(g, exec::Executor::with_threads(threads));
+      EXPECT_EQ(got.color, expected.color) << g.num_nodes();
+      EXPECT_EQ(got.num_colors, expected.num_colors) << g.num_nodes();
+      EXPECT_EQ(got.reduction_steps, expected.reduction_steps)
+          << g.num_nodes();
+    }
+  }
+}
+
+TEST(Coloring, EmptyGraphGetsEmptyColoring) {
+  // n = 0: no colors to assign; the palette is the single unused color.
+  const Graph empty = Graph::from_edges(0, {});
+  for (const auto& result :
+       {distance2_coloring_raw(empty, exec::Executor::serial()),
+        linial_coloring_raw(empty, exec::Executor::serial())}) {
+    EXPECT_TRUE(result.color.empty());
+    EXPECT_EQ(result.num_colors, 1u);
+    EXPECT_EQ(result.reduction_steps, 0u);
+  }
+}
+
+TEST(Neighborhoods, MaxBallSameAtOneAndFourThreads) {
+  const Graph g = graph::disjoint_union(graph::random_regular(3000, 4, 12),
+                                        graph::gnm(2000, 3000, 13));
+  std::vector<bool> alive(g.num_nodes(), true);
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) alive[v] = false;
+  for (const std::uint32_t radius : {1u, 2u, 4u}) {
+    for (const auto& mask : {std::vector<bool>(g.num_nodes(), true), alive}) {
+      const std::uint64_t expected = reference_max_ball(g, mask, radius);
+      for (std::uint32_t threads : {1u, 4u}) {
+        EXPECT_EQ(largest_ball(g, mask, radius,
+                               exec::Executor::with_threads(threads)),
+                  expected)
+            << radius;
+        auto cluster = roomy_cluster(threads);
+        EXPECT_EQ(gather_neighborhoods(cluster, g, mask, radius), expected)
+            << radius;
+      }
+    }
+  }
+}
+
 TEST(Neighborhoods, LargestBallOnCycle) {
   auto cluster = roomy_cluster();
   const Graph g = graph::cycle(12);
@@ -96,7 +192,7 @@ TEST(Neighborhoods, ChargesLogRounds) {
 TEST(PhaseCompression, StageRemovesEdges) {
   auto cluster = roomy_cluster();
   const Graph g = graph::random_regular(200, 4, 4);
-  const auto coloring = distance2_coloring_raw(g);
+  const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
   hash::FunctionSequence sequence(family, 3, kPerPhaseCap);
   std::vector<bool> alive(g.num_nodes(), true);
@@ -115,7 +211,7 @@ TEST(PhaseCompression, StageRemovesEdges) {
 
 TEST(PhaseCompression, SimulationIsPureFunction) {
   const Graph g = graph::random_regular(100, 4, 5);
-  const auto coloring = distance2_coloring_raw(g);
+  const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
   hash::FunctionSequence sequence(family, 2, 64);
   std::vector<bool> alive(g.num_nodes(), true);
@@ -128,7 +224,7 @@ TEST(PhaseCompression, SimulationIsPureFunction) {
 
 TEST(BestOfCandidates, SameCommitAtOneAndFourThreads) {
   const Graph g = graph::random_regular(200, 4, 4);
-  const auto coloring = distance2_coloring_raw(g);
+  const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
   hash::FunctionSequence sequence(family, 3, kPerPhaseCap);
   std::vector<StageOutcome> outcomes;
