@@ -77,17 +77,23 @@ CcMisResult run_cc_mis(const Graph& g, std::uint32_t phases,
     const std::uint64_t limit = std::min<std::uint64_t>(
         lowdeg::kSequenceBudget, sequence.sequence_count());
 
-    while (graph::alive_edge_count(g, alive) > 0) {
+    // Every node starts alive; each stage's outcome carries the alive edge
+    // count it leaves.
+    graph::EdgeId remaining = g.num_edges();
+    while (remaining > 0) {
       DMPC_CHECK_MSG(result.stages < lowdeg::kMaxStages, "stage cap exceeded");
       // Stage body reuses the §5 machinery; only the round charge differs
       // between the two algorithms, so charge on the clique directly.
       const auto stage = lowdeg::best_of_candidates(
-          g, alive, limit, exec::Executor::serial(), [&](std::uint64_t t) {
-            return lowdeg::simulate_stage(g, alive, color, sequence,
+          g, alive, limit, exec::Executor::serial(),
+          [&](std::uint64_t t, std::span<const NodeId> active,
+              std::vector<bool>& live) {
+            return lowdeg::simulate_stage(g, active, live, color, sequence,
                                           sequence.diverse(t));
           });
       DMPC_CHECK_MSG(!stage.independent.empty(), "CC stage made no progress");
       for (NodeId v : stage.independent) result.in_set[v] = true;
+      remaining = stage.edges_after;
       cc.charge_rounds(rounds_per_stage, label + "/stage");
       ++result.stages;
     }

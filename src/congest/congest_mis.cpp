@@ -60,20 +60,27 @@ CongestMisResult congest_mis(const Graph& g) {
   const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_nodes());
   hash::KWiseFamily family(domain, domain, /*k=*/2);
 
-  while (graph::alive_edge_count(g, alive) > 0) {
+  // Every node starts alive; each phase's outcome carries the alive edge
+  // count it leaves.
+  graph::EdgeId remaining = g.num_edges();
+  while (remaining > 0) {
     DMPC_CHECK_MSG(result.phases < kMaxPhases, "phase cap exceeded");
     ++result.phases;
     // Deterministic best-of-K: stride-scrambled candidates (see
     // derand::SearchOptions), objective = fewest edges left.
     const auto phase = lowdeg::best_of_candidates(
         g, alive, kCandidatesPerPhase, exec::Executor::serial(),
-        [&](std::uint64_t t) {
+        [&](std::uint64_t t, std::span<const NodeId> active,
+            std::vector<bool>& live) {
           const auto seed = static_cast<std::uint64_t>(
               (static_cast<__uint128_t>(t) * 0xBF58476D1CE4E5B9ULL +
                result.phases * 0x9E3779B97F4A7C15ULL) %
               family.seed_count());
-          return graph::winners(g, alive,
-                                priorities(g, alive, family.at(seed)));
+          const auto fn = family.at(seed);
+          auto won = graph::winners(g, active, live,
+                                    [&fn](NodeId v) { return fn.raw(v); });
+          graph::remove_closed(g, won, live);
+          return won;
         });
     DMPC_CHECK_MSG(!phase.independent.empty(),
                    "CONGEST phase made no progress");
@@ -83,6 +90,7 @@ CongestMisResult congest_mis(const Graph& g) {
     net.charge_tree_aggregation(result.bfs_depth, kCandidatesPerPhase,
                                 "congest/phase_vote");
     for (NodeId v : phase.independent) result.in_set[v] = true;
+    remaining = phase.edges_after;
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (alive[v]) result.in_set[v] = true;

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "exec/parallel.hpp"
 #include "support/check.hpp"
@@ -275,22 +276,8 @@ std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive) {
 
 std::vector<NodeId> winners(const Graph& g, const std::vector<bool>& live,
                             const std::vector<std::uint64_t>& z) {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!live[v]) continue;
-    bool is_min = true;
-    bool has_live_neighbor = false;
-    for (NodeId u : g.neighbors(v)) {
-      if (!live[u]) continue;
-      has_live_neighbor = true;
-      if (z[u] < z[v] || (z[u] == z[v] && u < v)) {
-        is_min = false;
-        break;
-      }
-    }
-    if (is_min && has_live_neighbor) out.push_back(v);
-  }
-  return out;
+  return winners(g, std::views::iota(NodeId{0}, g.num_nodes()), live,
+                 [&z](NodeId v) { return z[v]; });
 }
 
 void remove_closed(const Graph& g, const std::vector<NodeId>& nodes,

@@ -274,9 +274,35 @@ EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive,
 /// Maximum alive degree.
 std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive);
 
-/// One Luby phase's local minima (§2.1, Algorithm 1): the alive nodes with a
-/// live neighbor whose priority (z[v], v) is below every live neighbor's,
-/// ascending. Only z of alive nodes is read; ties break by id.
+/// One Luby phase's local minima (§2.1, Algorithm 1) among `nodes`: the
+/// live nodes with a live neighbor whose priority (key(v), v) is below every
+/// live neighbor's, in the order of `nodes`. `key` is called only on live
+/// nodes; ties break by id. Only nodes of `nodes` can win; their live
+/// neighbors are compared against whether listed or not.
+template <typename Nodes, typename Key>
+std::vector<NodeId> winners(const Graph& g, const Nodes& nodes,
+                            const std::vector<bool>& live, const Key& key) {
+  std::vector<NodeId> out;
+  for (const NodeId v : nodes) {
+    if (!live[v]) continue;
+    const std::uint64_t zv = key(v);
+    bool is_min = true;
+    bool has_live_neighbor = false;
+    for (NodeId u : g.neighbors(v)) {
+      if (!live[u]) continue;
+      has_live_neighbor = true;
+      const std::uint64_t zu = key(u);
+      if (zu < zv || (zu == zv && u < v)) {
+        is_min = false;
+        break;
+      }
+    }
+    if (is_min && has_live_neighbor) out.push_back(v);
+  }
+  return out;
+}
+
+/// winners over every node, with priorities z[v]; ascending.
 std::vector<NodeId> winners(const Graph& g, const std::vector<bool>& live,
                             const std::vector<std::uint64_t>& z);
 

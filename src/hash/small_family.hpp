@@ -51,6 +51,8 @@ class FunctionSequence {
                    std::uint64_t candidate_cap);
 
   unsigned length() const { return length_; }
+  /// Colors [0, color_count()) each phase function is defined on.
+  std::uint64_t color_count() const { return family_->color_count(); }
   std::uint64_t per_phase_seeds() const { return per_phase_; }
   std::uint64_t sequence_count() const { return space_.size(); }
   const SeedSpace& space() const { return space_; }

@@ -87,14 +87,17 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
     gather_neighborhoods(cluster, g, alive, /*radius=*/2 * l);
   }
 
-  // --- Stages. ---
-  while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
+  // --- Stages. --- Every node starts alive; each stage's outcome carries
+  // the alive edge count it leaves.
+  graph::EdgeId remaining = g.num_edges();
+  while (remaining > 0) {
     DMPC_CHECK_MSG(result.stages < kMaxStages, "stage cap exceeded");
     obs::Span stage_span = cluster.mark_phase("lowdeg/stage", phase_words);
     stage_span.arg("stage", static_cast<std::uint64_t>(result.stages + 1));
     const auto outcome =
         run_stage(cluster, g, alive, coloring.color, sequence);
     for (NodeId v : outcome.independent) result.in_set[v] = true;
+    remaining = outcome.edges_after;
     ++result.stages;
     // Stage progress series: one structured event per stage (the
     // machine-readable successor of the old free-form debug line).

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -35,23 +36,48 @@ struct StageOutcome {
   graph::EdgeId edges_after = 0;
 };
 
-/// Simulate one stage of `phases` Luby phases under sequence seed `seq`,
-/// returning the joined independent set (does not modify `alive`).
+/// A stage's residual graph: the alive nodes with an alive neighbor,
+/// ascending, and the alive edge count. Every alive edge joins two active
+/// nodes, so a candidate's kernels and its edge count visit only these.
+struct Residual {
+  std::vector<graph::NodeId> active;
+  graph::EdgeId edges = 0;
+};
+
+/// Build the residual in one node-parallel pass over `alive`; identical for
+/// every executor.
+Residual residual(const graph::Graph& g, const std::vector<bool>& alive,
+                  const exec::Executor& ex);
+
+/// Simulate one stage of `sequence.length()` Luby phases under sequence seed
+/// `seq`. `live` starts as the stage's alive mask and `active` is its
+/// residual's active list; each phase removes its winners' closed
+/// neighborhoods from `live`. Phase i reads its priorities from a per-thread
+/// table z[c] = h_i(c) over the colors [0, sequence.color_count()), which
+/// must hold color[v] of every active v. Returns the joined independent set.
 std::vector<graph::NodeId> simulate_stage(
-    const graph::Graph& g, const std::vector<bool>& alive,
-    const std::vector<std::uint32_t>& color,
+    const graph::Graph& g, std::span<const graph::NodeId> active,
+    std::vector<bool>& live, const std::vector<std::uint32_t>& color,
     const hash::FunctionSequence& sequence, std::uint64_t seq);
 
-/// The best-of-candidates step: evaluates candidates t in [0, count) on `ex`
-/// (count >= 1; `winners_for(t)` must be pure), commits the one leaving the
-/// fewest alive edges — ties commit the lowest t, for every thread count —
-/// by removing its closed neighborhood from `alive`. Charges nothing; an
-/// empty `independent` means no candidate made progress.
-StageOutcome best_of_candidates(
-    const graph::Graph& g, std::vector<bool>& alive, std::uint64_t count,
-    const exec::Executor& ex,
-    const std::function<std::vector<graph::NodeId>(std::uint64_t)>&
-        winners_for);
+/// One candidate of a stage: called with `live` equal to the stage's alive
+/// mask and the residual's `active` list, it returns the nodes it joins and
+/// leaves in `live` the alive mask minus their closed neighborhoods. It must
+/// be a pure function of t.
+using CandidateFn = std::function<std::vector<graph::NodeId>(
+    std::uint64_t t, std::span<const graph::NodeId> active,
+    std::vector<bool>& live)>;
+
+/// The best-of-candidates step: builds the stage's residual on `ex`
+/// (`edges_before`), evaluates candidates t in [0, count) on `ex`
+/// (count >= 1), each counting its alive edges over the active list only,
+/// and commits the one leaving the fewest — ties commit the lowest t, for
+/// every thread count — by removing its closed neighborhood from `alive`.
+/// Charges nothing; an empty `independent` means no candidate made progress.
+StageOutcome best_of_candidates(const graph::Graph& g,
+                                std::vector<bool>& alive, std::uint64_t count,
+                                const exec::Executor& ex,
+                                const CandidateFn& candidate);
 
 /// Derandomize one stage: evaluate up to kSequenceBudget candidate sequences
 /// in O(1) charged rounds, commit the best, update `alive`, return the

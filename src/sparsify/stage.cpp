@@ -152,7 +152,8 @@ WindowSet build_windows(const exec::Executor& executor,
     for (std::uint64_t v = 0; v < source.owners; ++v) place(s, v, counts[v]);
     if (source.counts != nullptr) *source.counts = std::move(counts);
   }
-  // Pass 2 fills each window's slots in place.
+  // Pass 2 fills each window's slots in place; resize leaves them unwritten,
+  // so the pool's fill is their first touch.
   set.slots.resize(total);
   executor.for_each(
       0, set.windows.size(),

@@ -17,6 +17,7 @@
 #include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
 #include "support/check.hpp"
+#include "support/default_init.hpp"
 
 namespace dmpc::sparsify {
 
@@ -84,7 +85,9 @@ struct Window {
 /// build_windows makes one.
 struct WindowSet {
   std::vector<std::uint64_t> ids;    ///< The mask's set ids, ascending.
-  std::vector<std::uint32_t> slots;  ///< Ranks into ids, window after window.
+  /// Ranks into ids, window after window. build_windows' parallel fill is
+  /// the first write to every slot.
+  DefaultInitVector<std::uint32_t> slots;
   /// kMass windows weigh the id in slot s by weight[s].
   std::vector<double> weight;
   std::vector<Window> windows;

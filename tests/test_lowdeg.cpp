@@ -14,6 +14,7 @@
 #include "lowdeg/phase_compression.hpp"
 #include "mpc/cluster.hpp"
 #include "square_reference.hpp"
+#include "stage_reference.hpp"
 
 namespace dmpc::lowdeg {
 namespace {
@@ -215,9 +216,15 @@ TEST(PhaseCompression, SimulationIsPureFunction) {
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
   hash::FunctionSequence sequence(family, 2, 64);
   std::vector<bool> alive(g.num_nodes(), true);
-  const auto a = simulate_stage(g, alive, coloring.color, sequence, 17);
-  const auto b = simulate_stage(g, alive, coloring.color, sequence, 17);
+  const auto active = residual(g, alive, exec::Executor::serial()).active;
+  std::vector<bool> live_a = alive;
+  std::vector<bool> live_b = alive;
+  const auto a =
+      simulate_stage(g, active, live_a, coloring.color, sequence, 17);
+  const auto b =
+      simulate_stage(g, active, live_b, coloring.color, sequence, 17);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(live_a, live_b);
   // alive is untouched.
   EXPECT_TRUE(std::all_of(alive.begin(), alive.end(), [](bool x) { return x; }));
 }
@@ -233,8 +240,10 @@ TEST(BestOfCandidates, SameCommitAtOneAndFourThreads) {
     std::vector<bool> alive(g.num_nodes(), true);
     const auto ex = exec::Executor::with_threads(threads);
     outcomes.push_back(best_of_candidates(
-        g, alive, kSequenceBudget, ex, [&](std::uint64_t t) {
-          return simulate_stage(g, alive, coloring.color, sequence,
+        g, alive, kSequenceBudget, ex,
+        [&](std::uint64_t t, std::span<const NodeId> active,
+            std::vector<bool>& live) {
+          return simulate_stage(g, active, live, coloring.color, sequence,
                                 sequence.diverse(t));
         }));
     alives.push_back(alive);
@@ -264,12 +273,128 @@ TEST(BestOfCandidates, TiesCommitTheLowestCandidate) {
     std::vector<bool> alive(12, true);
     const auto outcome = best_of_candidates(
         g, alive, sets.size(), exec::Executor::with_threads(threads),
-        [&](std::uint64_t t) { return sets[t]; });
+        [&](std::uint64_t t, std::span<const NodeId>,
+            std::vector<bool>& live) {
+          graph::remove_closed(g, sets[t], live);
+          return sets[t];
+        });
     EXPECT_EQ(outcome.independent, sets[1]);
     EXPECT_EQ(outcome.edges_before, 12u);
     EXPECT_EQ(outcome.edges_after, 4u);
     EXPECT_EQ(graph::alive_edge_count(g, alive), 4u);
   }
+}
+
+// Runs phase-compression stages until no alive edge is left, through the
+// library (residual, per-color table, active-node kernels) at 1 and 4
+// threads and through the full-graph reference, comparing every stage's
+// joined set, edge counts and committed alive mask.
+void expect_stages_match_reference(const Graph& g, std::vector<bool> alive,
+                                   const std::vector<std::uint32_t>& color,
+                                   std::uint32_t num_colors, unsigned phases) {
+  hash::SmallFamily family(std::max<std::uint32_t>(num_colors, 2));
+  hash::FunctionSequence sequence(family, phases, kPerPhaseCap);
+  const std::uint64_t limit =
+      std::min<std::uint64_t>(kSequenceBudget, sequence.sequence_count());
+  std::vector<bool> ref_alive = alive;
+  std::vector<std::vector<bool>> alives(2, alive);
+  const std::vector<std::uint32_t> threads = {1, 4};
+  std::uint64_t stages = 0;
+  while (graph::alive_edge_count(g, ref_alive) > 0) {
+    ASSERT_LT(stages++, 1000u);
+    const auto ref = testref::best_of_candidates(g, ref_alive, limit, color,
+                                                 sequence);
+    ASSERT_FALSE(ref.independent.empty());
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+      const auto outcome = best_of_candidates(
+          g, alives[i], limit, exec::Executor::with_threads(threads[i]),
+          [&](std::uint64_t t, std::span<const NodeId> active,
+              std::vector<bool>& live) {
+            return simulate_stage(g, active, live, color, sequence,
+                                  sequence.diverse(t));
+          });
+      EXPECT_EQ(outcome.independent, ref.independent)
+          << "stage " << stages << ", " << threads[i] << " threads";
+      EXPECT_EQ(outcome.edges_before, ref.edges_before);
+      EXPECT_EQ(outcome.edges_after, ref.edges_after);
+      EXPECT_EQ(alives[i], ref_alive);
+    }
+  }
+  EXPECT_GT(stages, 0u);
+}
+
+TEST(PhaseCompression, ResidualListsAliveNodesWithAnAliveNeighbor) {
+  // Path 0-1-2-3-4-5 with 2 dead: 0-1 and 3-4-5 stay, every node active
+  // but 2; with 1 dead too, 0 is alive but isolated.
+  const Graph g = graph::path(6);
+  std::vector<bool> alive(6, true);
+  alive[2] = false;
+  for (std::uint32_t threads : {1u, 4u}) {
+    const auto ex = exec::Executor::with_threads(threads);
+    const auto res = residual(g, alive, ex);
+    EXPECT_EQ(res.active, (std::vector<NodeId>{0, 1, 3, 4, 5}));
+    EXPECT_EQ(res.edges, 3u);
+    auto fewer = alive;
+    fewer[1] = false;
+    const auto rest = residual(g, fewer, ex);
+    EXPECT_EQ(rest.active, (std::vector<NodeId>{3, 4, 5}));
+    EXPECT_EQ(rest.edges, 2u);
+  }
+  // Enough nodes for several residual chunks.
+  const Graph big = graph::random_regular(20000, 4, 3);
+  std::vector<bool> half(big.num_nodes());
+  for (NodeId v = 0; v < big.num_nodes(); ++v) half[v] = v % 3 != 0;
+  const auto res = residual(big, half, exec::Executor::with_threads(4));
+  EXPECT_EQ(res.edges, graph::alive_edge_count(big, half));
+  std::vector<NodeId> expected;
+  const auto deg = graph::alive_degrees(big, half);
+  for (NodeId v = 0; v < big.num_nodes(); ++v) {
+    if (half[v] && deg[v] > 0) expected.push_back(v);
+  }
+  EXPECT_EQ(res.active, expected);
+}
+
+TEST(PhaseCompression, MatchesFullGraphReferenceOnPartlyDeadRegular) {
+  const Graph g = graph::random_regular(600, 6, 11);
+  const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
+  std::vector<bool> alive(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) alive[v] = v % 4 != 1;
+  expect_stages_match_reference(g, alive, coloring.color, coloring.num_colors,
+                                /*phases=*/1);
+}
+
+TEST(PhaseCompression, MatchesFullGraphReferenceWithIsolatedAliveNodes) {
+  // A sparse gnm leaves isolated nodes; the dead hubs strand more alive
+  // nodes whose every neighbor is dead. Neither is active nor a winner.
+  const Graph g = graph::disjoint_union(graph::gnm(500, 300, 4),
+                                        graph::star(40));
+  const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
+  std::vector<bool> alive(g.num_nodes(), true);
+  alive[500] = false;  // the star's center
+  for (NodeId v = 0; v < 500; v += 9) alive[v] = false;
+  expect_stages_match_reference(g, alive, coloring.color, coloring.num_colors,
+                                /*phases=*/2);
+}
+
+TEST(PhaseCompression, MatchesFullGraphReferenceOverThreePhases) {
+  for (std::uint64_t seed : {5, 6}) {
+    const Graph g = graph::random_regular(500, 5, seed);
+    const auto coloring = distance2_coloring_raw(g, exec::Executor::serial());
+    expect_stages_match_reference(g, std::vector<bool>(g.num_nodes(), true),
+                                  coloring.color, coloring.num_colors,
+                                  /*phases=*/3);
+  }
+}
+
+TEST(PhaseCompression, MatchesFullGraphReferenceWithIdentityColors) {
+  // cc_mis's fallback when 2-hop balls do not fit: color[v] = v, C = n.
+  const Graph g = graph::gnm(400, 6000, 8);
+  std::vector<std::uint32_t> color(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) color[v] = v;
+  std::vector<bool> alive(g.num_nodes(), true);
+  for (NodeId v = 0; v < g.num_nodes(); v += 7) alive[v] = false;
+  expect_stages_match_reference(g, alive, color, g.num_nodes(),
+                                /*phases=*/1);
 }
 
 TEST(LowDegSolver, PhasesScaleInverselyWithLogDelta) {

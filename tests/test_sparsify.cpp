@@ -524,7 +524,7 @@ TEST(StageWindows, GlobalWindowIsTwoSidedOverTheMask) {
   EXPECT_EQ(set.windows[1].begin, 2u);
   EXPECT_EQ(set.windows[1].end, 6u);
   EXPECT_EQ(set.ids, (std::vector<std::uint64_t>{0, 2, 3, 9}));
-  EXPECT_EQ(set.slots, (std::vector<std::uint32_t>{3, 3, 0, 1, 2, 3}));
+  EXPECT_EQ(set.slots, (decltype(set.slots){3, 3, 0, 1, 2, 3}));
   // An empty set adds no window.
   const std::vector<bool> none{false, false};
   EXPECT_TRUE(
