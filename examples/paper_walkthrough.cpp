@@ -7,6 +7,7 @@
 //   ./paper_walkthrough [--n=512] [--m=8192]
 #include <cstdio>
 
+#include "exec/parallel.hpp"
 #include "graph/generators.hpp"
 #include "matching/det_matching.hpp"
 #include "mpc/cluster.hpp"
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
 
   // --- Degree classes C_i (§3). ---
   std::vector<bool> alive(g.num_nodes(), true);
-  const auto degrees = dmpc::graph::alive_degrees(g, alive);
+  const auto degrees =
+      dmpc::graph::alive_degrees(g, alive, dmpc::exec::Executor::serial());
   const auto classes = dmpc::sparsify::classify(params, degrees);
   std::printf("degree classes C_i = [n^{(i-1)d}, n^{id}) and their degree "
               "mass:\n");

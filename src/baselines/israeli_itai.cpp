@@ -1,5 +1,6 @@
 #include "baselines/israeli_itai.hpp"
 
+#include "exec/parallel.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -14,7 +15,7 @@ IsraeliItaiResult israeli_itai(const Graph& g, std::uint64_t seed) {
   IsraeliItaiResult result;
   std::vector<bool> alive(g.num_nodes(), true);
 
-  while (graph::alive_edge_count(g, alive) > 0) {
+  while (graph::alive_edge_count(g, alive, exec::Executor::serial()) > 0) {
     ++result.iterations;
     // Phase 1: every alive non-isolated node proposes to a uniformly random
     // alive neighbor.

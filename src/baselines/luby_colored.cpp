@@ -30,7 +30,7 @@ ColoredLubyResult luby_mis_colored(const Graph& g, std::uint64_t seed) {
 
   Rng rng(seed);
   std::vector<std::uint64_t> z(g.num_nodes());
-  while (graph::alive_edge_count(g, alive) > 0) {
+  while (graph::alive_edge_count(g, alive, exec::Executor::serial()) > 0) {
     ++result.phases;
     const auto fn = family.at(rng.next_below(family.seed_count()));
     // Priorities per color class; distance-2 distinct colors make adjacent

@@ -1,5 +1,6 @@
 #include "baselines/luby_matching.hpp"
 
+#include "exec/parallel.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -14,12 +15,13 @@ LubyMatchingResult luby_matching(const Graph& g, std::uint64_t seed) {
   LubyMatchingResult result;
   std::vector<bool> alive(g.num_nodes(), true);
   std::vector<std::uint64_t> priority(g.num_edges());
+  const auto serial = exec::Executor::serial();
 
   auto edge_alive = [&](EdgeId e) {
     return alive[g.edge(e).u] && alive[g.edge(e).v];
   };
 
-  while (graph::alive_edge_count(g, alive) > 0) {
+  while (graph::alive_edge_count(g, alive, serial) > 0) {
     for (auto& p : priority) p = rng.next_u64();
     // An edge joins iff it is a local minimum among alive adjacent edges.
     std::vector<EdgeId> joiners;
@@ -46,7 +48,7 @@ LubyMatchingResult luby_matching(const Graph& g, std::uint64_t seed) {
       alive[g.edge(e).v] = false;
     }
     ++result.iterations;
-    result.edges_after.push_back(graph::alive_edge_count(g, alive));
+    result.edges_after.push_back(graph::alive_edge_count(g, alive, serial));
   }
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "exec/parallel.hpp"
 #include "hash/kwise.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -20,14 +21,15 @@ LubyMisResult run(const Graph& g,
   result.in_set.assign(g.num_nodes(), false);
   std::vector<bool> alive(g.num_nodes(), true);
   std::vector<std::uint64_t> priority(g.num_nodes());
-  while (graph::alive_edge_count(g, alive) > 0) {
+  const auto serial = exec::Executor::serial();
+  while (graph::alive_edge_count(g, alive, serial) > 0) {
     draw_priorities(priority);
     const auto winners = graph::winners(g, alive, priority);
     DMPC_CHECK_MSG(!winners.empty(), "Luby round made no progress");
     for (NodeId v : winners) result.in_set[v] = true;
     graph::remove_closed(g, winners, alive);
     ++result.iterations;
-    result.edges_after.push_back(graph::alive_edge_count(g, alive));
+    result.edges_after.push_back(graph::alive_edge_count(g, alive, serial));
   }
   // Isolated survivors join the set.
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/parallel.hpp"
 #include "graph/algorithms.hpp"
 #include "hash/kwise.hpp"
 #include "lowdeg/phase_compression.hpp"
@@ -109,7 +110,7 @@ CongestMisResult luby_mis_congest(const Graph& g, std::uint64_t seed) {
   Rng rng(seed);
   const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_nodes());
   hash::KWiseFamily family(domain, domain, /*k=*/2);
-  while (graph::alive_edge_count(g, alive) > 0) {
+  while (graph::alive_edge_count(g, alive, exec::Executor::serial()) > 0) {
     ++result.phases;
     const auto winners = graph::winners(
         g, alive,

@@ -176,26 +176,11 @@ NodeId Graph::other_endpoint(EdgeId e, NodeId v) const {
 }
 
 std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask) {
-  DMPC_CHECK(edge_mask.size() == g.num_edges());
-  std::vector<std::uint32_t> deg(g.num_nodes(), 0);
-  EdgeId e = 0;
-  for (const Edge& ed : g.edges()) {
-    if (edge_mask[e++]) {
-      ++deg[ed.u];
-      ++deg[ed.v];
-    }
-  }
-  return deg;
-}
-
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
                                           const std::vector<bool>& edge_mask,
                                           const exec::Executor& ex) {
   DMPC_CHECK(edge_mask.size() == g.num_edges());
-  // Node-parallel reformulation of the edge loop: deg[v] = number of v's
-  // incident edges with the mask bit set — the same value the per-edge
-  // increments produce, computed with disjoint writes.
+  // Node-parallel: deg[v] = number of v's incident edges with the mask bit
+  // set, computed with disjoint writes.
   std::vector<std::uint32_t> deg(g.num_nodes(), 0);
   ex.for_each(
       0, g.num_nodes(),
@@ -211,24 +196,11 @@ std::vector<std::uint32_t> masked_degrees(const Graph& g,
 }
 
 std::vector<std::uint32_t> alive_degrees(const Graph& g,
-                                         const std::vector<bool>& alive) {
-  DMPC_CHECK(alive.size() == g.num_nodes());
-  std::vector<std::uint32_t> deg(g.num_nodes(), 0);
-  for (const Edge& e : g.edges()) {
-    if (alive[e.u] && alive[e.v]) {
-      ++deg[e.u];
-      ++deg[e.v];
-    }
-  }
-  return deg;
-}
-
-std::vector<std::uint32_t> alive_degrees(const Graph& g,
                                          const std::vector<bool>& alive,
                                          const exec::Executor& ex) {
   DMPC_CHECK(alive.size() == g.num_nodes());
-  // Node-parallel reformulation: a dead node gets 0 (no edge with both
-  // endpoints alive touches it); an alive node counts its alive neighbors.
+  // Node-parallel: a dead node gets 0 (no edge with both endpoints alive
+  // touches it); an alive node counts its alive neighbors.
   std::vector<std::uint32_t> deg(g.num_nodes(), 0);
   ex.for_each(
       0, g.num_nodes(),
@@ -244,15 +216,6 @@ std::vector<std::uint32_t> alive_degrees(const Graph& g,
   return deg;
 }
 
-EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive) {
-  DMPC_CHECK(alive.size() == g.num_nodes());
-  EdgeId count = 0;
-  for (const Edge& e : g.edges()) {
-    if (alive[e.u] && alive[e.v]) ++count;
-  }
-  return count;
-}
-
 EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive,
                         const exec::Executor& ex) {
   DMPC_CHECK(alive.size() == g.num_nodes());
@@ -263,15 +226,6 @@ EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive,
         return static_cast<EdgeId>(alive[ed.u] && alive[ed.v] ? 1 : 0);
       },
       [](EdgeId a, EdgeId b) { return a + b; }, 4096);
-}
-
-std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive) {
-  auto deg = alive_degrees(g, alive);
-  std::uint32_t best = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (alive[v]) best = std::max(best, deg[v]);
-  }
-  return best;
 }
 
 std::vector<NodeId> winners(const Graph& g, const std::vector<bool>& live,

@@ -244,35 +244,21 @@ class Graph {
   std::shared_ptr<const void> residency_;
 };
 
-/// Degree of every node restricted to edges whose mask bit is set.
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask);
-
-/// Host-parallel variant (node-parallel over incident edges); identical
-/// output for any executor.
+/// Degree of every node restricted to edges whose mask bit is set
+/// (node-parallel over incident edges); identical output for any executor.
 std::vector<std::uint32_t> masked_degrees(const Graph& g,
                                           const std::vector<bool>& edge_mask,
                                           const exec::Executor& ex);
 
 /// Degree of every node restricted to alive nodes (an edge counts iff both
-/// endpoints are alive).
-std::vector<std::uint32_t> alive_degrees(const Graph& g,
-                                         const std::vector<bool>& alive);
-
-/// Host-parallel variant; identical output for any executor.
+/// endpoints are alive); identical output for any executor.
 std::vector<std::uint32_t> alive_degrees(const Graph& g,
                                          const std::vector<bool>& alive,
                                          const exec::Executor& ex);
 
-/// Number of edges with both endpoints alive.
-EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive);
-
-/// Host-parallel variant; identical output for any executor.
+/// Number of edges with both endpoints alive; identical for any executor.
 EdgeId alive_edge_count(const Graph& g, const std::vector<bool>& alive,
                         const exec::Executor& ex);
-
-/// Maximum alive degree.
-std::uint32_t alive_max_degree(const Graph& g, const std::vector<bool>& alive);
 
 /// One Luby phase's local minima (§2.1, Algorithm 1) among `nodes`: the
 /// live nodes with a live neighbor whose priority (key(v), v) is below every

@@ -6,31 +6,16 @@
 
 namespace dmpc::mpc {
 
-std::vector<GroupMachine> build_machine_groups(
-    Cluster& cluster, const std::vector<std::uint64_t>& counts_per_owner,
-    std::uint64_t group_size, std::uint64_t arity, const std::string& label) {
+void charge_group_distribution(Cluster& cluster, std::uint64_t total_items,
+                               std::uint64_t group_size, std::uint64_t arity,
+                               const std::string& label) {
   DMPC_CHECK(group_size >= 1);
   cluster.check_load(group_size * arity, label + ": group machine", label);
-  std::vector<GroupMachine> machines;
-  std::uint64_t total_items = 0;
-  for (std::uint64_t owner = 0; owner < counts_per_owner.size(); ++owner) {
-    const std::uint64_t count = counts_per_owner[owner];
-    total_items += count;
-    std::uint64_t begin = 0;
-    // Full machines first, then one remainder machine (possibly empty ->
-    // omitted), matching the paper's "all but at most one" phrasing.
-    while (begin + group_size <= count) {
-      machines.push_back({owner, begin, begin + group_size});
-      begin += group_size;
-    }
-    if (begin < count) machines.push_back({owner, begin, count});
-  }
   // Distributing items to their group machines is one sort by
   // (owner, position) over the item records.
   const std::uint64_t rounds = sort_round_cost(cluster, total_items);
   cluster.charge(label, rounds, total_items * arity);
   obs::trace_primitive(cluster.trace(), label, rounds, total_items * arity);
-  return machines;
 }
 
 void charge_two_hop_gather(Cluster& cluster,

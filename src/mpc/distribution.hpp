@@ -1,38 +1,30 @@
-// Paper-specific data distribution schemes.
+// Paper-specific data distribution charges.
 //
 // §3.2 / §4.2 distribute each node's incident edge list across a *group* of
 // machines holding `group_size` items each ("type A" / "type B" machines);
 // §3.3 / §4.3 assign each good node a machine x_v that gathers its 2-hop
-// neighborhood in the sparsified graph. These helpers build the layouts,
-// space-check them against the cluster, and charge the O(1) distribution
-// rounds (a constant number of sort/scan invocations, per §2.2).
+// neighborhood in the sparsified graph. These helpers space-check the
+// layouts against the cluster and charge the O(1) distribution rounds (a
+// constant number of sort/scan invocations, per §2.2); the layouts
+// themselves are never materialized.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 
 namespace dmpc::mpc {
 
-/// One machine of a type-A/type-B group: it holds items
-/// [begin, end) of its owner's item list.
-struct GroupMachine {
-  std::uint64_t owner = 0;  ///< Node (or other entity) the group belongs to.
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t size() const { return end - begin; }
-};
-
-/// Split each owner's `count` items into machines of `group_size` items, all
-/// but at most one full (paper: "n^{4 delta} edges on all but at most one
-/// machine"). Space-checks group_size*arity against the cluster and charges
-/// one distribution step (a sort).
-std::vector<GroupMachine> build_machine_groups(
-    Cluster& cluster, const std::vector<std::uint64_t>& counts_per_owner,
-    std::uint64_t group_size, std::uint64_t arity, const std::string& label);
+/// Charge the distribution of `total_items` list items to groups of
+/// machines of `group_size` items each, all but at most one full per owner
+/// (paper: "n^{4 delta} edges on all but at most one machine"), at `arity`
+/// words per item. Space-checks group_size*arity against the cluster and
+/// charges one sort over the item records to `label`.
+void charge_group_distribution(Cluster& cluster, std::uint64_t total_items,
+                               std::uint64_t group_size, std::uint64_t arity,
+                               const std::string& label);
 
 /// Space accounting for the §3.3 gather: for each center v (mask true), the
 /// machine x_v stores every incident item plus the neighborhoods of the

@@ -85,9 +85,7 @@ class StageObjective final : public derand::RangeObjective {
   const WindowSet* set_;
 };
 
-/// Owners per host task of build_windows' counting pass, and windows per
-/// task of its filling pass.
-constexpr std::uint64_t kOwnerGrain = 256;
+/// Windows per host task of build_windows' filling pass.
 constexpr std::uint64_t kFillGrain = 64;
 
 }  // namespace
@@ -150,7 +148,6 @@ WindowSet build_windows(const exec::Executor& executor,
         },
         kOwnerGrain);
     for (std::uint64_t v = 0; v < source.owners; ++v) place(s, v, counts[v]);
-    if (source.counts != nullptr) *source.counts = std::move(counts);
   }
   // Pass 2 fills each window's slots in place; resize leaves them unwritten,
   // so the pool's fill is their first touch.

@@ -6,8 +6,11 @@
 // binomial width and double while no seed in the budget fits (the finite-n
 // adaptation of DESIGN.md §2.0); the committed seed is good for the window
 // actually used, which is what the Lemma 10/11 and 17/18 algebra consumes.
+// run_stages is the stage loop both sparsifiers run.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -16,6 +19,9 @@
 #include "exec/parallel.hpp"
 #include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/distribution.hpp"
+#include "obs/trace.hpp"
+#include "sparsify/params.hpp"
 #include "support/check.hpp"
 #include "support/default_init.hpp"
 
@@ -27,6 +33,8 @@ inline constexpr double kWindowSlack = 3.0;
 inline constexpr std::uint32_t kMaxEscalations = 16;
 inline constexpr std::uint64_t kTrialsPerWindow = 64;
 inline constexpr std::uint32_t kExtraStageCap = 16;
+/// Owners per host task of the per-owner passes.
+inline constexpr std::uint64_t kOwnerGrain = 256;
 
 struct SparsifyConfig {
   unsigned hash_k = 4;  ///< Independence degree c.
@@ -104,9 +112,6 @@ struct WindowSource {
   std::uint64_t owners = 0;
   Side side = Side::kUpper;
   std::function<void(std::uint64_t owner, IdSink& sink)> ids;
-  /// When set, receives each owner's id count: the per-owner loads the
-  /// stage distributes.
-  std::vector<std::uint64_t>* counts = nullptr;
 };
 
 /// The global window: every id set in `mask`, in id order, kBoth. At finite
@@ -190,5 +195,112 @@ StageReport find_stage_seed(mpc::Cluster& cluster, const StageHash& stage_hash,
 /// step's space check remains the arbiter.
 bool apply_stage_hash(const StageHash& stage_hash, std::vector<bool>& mask,
                       StageReport& report, const std::string& prefix);
+
+/// One stage's Lemma 10/11 (edges) or 17/18 (nodes) measurements, folded
+/// over owners: the largest degree ratio (invariant (i)), the smallest
+/// lower-list ratio (invariant (ii)) and the largest degree. The defaults
+/// are the fold's identity and what an owner with nothing to measure gives.
+struct StageMeasurement {
+  double degree_ratio = 0.0;
+  double lower_ratio = 2.0;
+  std::uint32_t max_degree = 0;
+};
+
+/// The stage loop of §3.2 and §4.2. Sub-samples `mask` (E_0 or Q_0 on
+/// entry, E* or Q' on return) and returns the stage reports. It runs the
+/// class's planned stages, then at most kExtraStageCap extra ones while
+/// `max_degree` (the baseline on entry, each stage's measured maximum
+/// after) exceeds the degree cap, and stops early when a stage would empty
+/// the sample. Each stage is one `<prefix>/stage` phase: build the
+/// sparsifier's windows plus the global one, charge their distribution to
+/// `<prefix>/distribute`, derandomize the seed, apply it, and fold the
+/// per-owner measurements in one pass over the executor.
+///
+/// `Sparsifier` supplies what the two sides differ in:
+///   static constexpr const char* kPrefix;   // label prefix
+///   static constexpr std::uint64_t kArity;  // words per distributed item
+///   std::uint64_t owners() const;           // owners measured
+///   std::vector<WindowSource> sources(const std::vector<bool>& mask) const;
+///   const std::vector<double>* id_weight() const;  // kMass weight by id
+///   StageMeasurement measure(std::uint64_t owner,
+///                            const std::vector<bool>& mask,
+///                            double shrink) const;
+///   void item_args(obs::Span& span, const StageReport& report) const;
+/// `id_weight` is null when no window is kMass. `measure` sees the mask
+/// after the stage's update and shrink = q^j; it runs on pool threads and
+/// writes only its owner's own entries, so the reports are identical for
+/// every executor.
+template <typename Sparsifier>
+std::vector<StageReport> run_stages(mpc::Cluster& cluster, const Params& params,
+                                    std::uint32_t cls,
+                                    const SparsifyConfig& config,
+                                    const Sparsifier& sparsifier,
+                                    std::vector<bool>& mask,
+                                    std::uint32_t& max_degree) {
+  const std::string prefix = Sparsifier::kPrefix;
+  const std::uint32_t planned = params.stages_for_class(cls);
+  const double q = params.sample_probability();
+  const StageHash stage_hash(mask.size(), q, config.hash_k);
+  std::vector<StageReport> reports;
+  std::uint32_t extra_used = 0;
+  for (std::uint32_t stage = 1;; ++stage) {
+    if (stage > planned) {
+      // §3.3 and §4.3 require degrees <= 2 n^{4 delta}; at finite n the
+      // window slack can leave an overshoot, fixed by extra stages.
+      if (max_degree <= params.degree_cap() || extra_used >= kExtraStageCap) {
+        break;
+      }
+      ++extra_used;
+    }
+    // Each stage rewrites the survivor set from the previous one, so it is a
+    // recovery-safe boundary for phase-granularity checkpoints.
+    obs::Span span = cluster.mark_phase(prefix + "/stage", mask.size());
+    span.arg("stage", static_cast<std::uint64_t>(stage));
+
+    std::vector<WindowSource> sources = sparsifier.sources(mask);
+    sources.push_back(global_window(mask));
+    WindowSet set = build_windows(cluster.executor(), mask, sources);
+    if (const std::vector<double>* weight = sparsifier.id_weight()) {
+      set.weight.reserve(set.ids.size());
+      for (const std::uint64_t x : set.ids) set.weight.push_back((*weight)[x]);
+    }
+    // The kUpper windows (type A, type Q) hold every owner's list once.
+    std::uint64_t items = 0;
+    for (const Window& w : set.windows) {
+      if (w.side == Side::kUpper) items += w.count();
+    }
+    mpc::charge_group_distribution(cluster, items, params.group_size(),
+                                   Sparsifier::kArity, prefix + "/distribute");
+
+    StageReport report =
+        find_stage_seed(cluster, stage_hash, stage, set, prefix);
+    if (!apply_stage_hash(stage_hash, mask, report, prefix)) break;
+
+    const double shrink = std::pow(q, static_cast<double>(stage));
+    const StageMeasurement measured = cluster.executor().map_reduce(
+        0, sparsifier.owners(), StageMeasurement{},
+        [&](std::uint64_t owner) {
+          return sparsifier.measure(owner, mask, shrink);
+        },
+        [](const StageMeasurement& a, const StageMeasurement& b) {
+          return StageMeasurement{std::max(a.degree_ratio, b.degree_ratio),
+                                  std::min(a.lower_ratio, b.lower_ratio),
+                                  std::max(a.max_degree, b.max_degree)};
+        },
+        kOwnerGrain);
+    report.max_degree_after = measured.max_degree;
+    report.invariant_degree_ratio = measured.degree_ratio;
+    report.invariant_xv_ratio = measured.lower_ratio;
+    max_degree = measured.max_degree;
+    if (span.active()) {
+      span.arg("candidate_seeds", report.trials);
+      span.arg("committed_seed", report.seed);
+      sparsifier.item_args(span, report);
+      span.arg("window_multiplier", report.window_multiplier);
+    }
+    reports.push_back(report);
+  }
+  return reports;
+}
 
 }  // namespace dmpc::sparsify

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "hash/small_family.hpp"
 #include "lowdeg/phase_compression.hpp"
@@ -42,14 +43,16 @@ inline lowdeg::StageOutcome best_of_candidates(
     const std::vector<std::uint32_t>& color,
     const hash::FunctionSequence& sequence) {
   lowdeg::StageOutcome outcome;
-  outcome.edges_before = graph::alive_edge_count(g, alive);
+  outcome.edges_before =
+      graph::alive_edge_count(g, alive, exec::Executor::serial());
   bool first = true;
   for (std::uint64_t t = 0; t < count; ++t) {
     auto joined =
         simulate_stage(g, alive, color, sequence, sequence.diverse(t));
     std::vector<bool> live = alive;
     graph::remove_closed(g, joined, live);
-    const graph::EdgeId after = graph::alive_edge_count(g, live);
+    const graph::EdgeId after =
+        graph::alive_edge_count(g, live, exec::Executor::serial());
     if (first || after < outcome.edges_after) {
       outcome.independent = std::move(joined);
       outcome.edges_after = after;

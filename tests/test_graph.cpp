@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -84,11 +85,12 @@ TEST(Graph, EmptyGraph) {
 TEST(Graph, AliveHelpers) {
   const Graph g = triangle_plus_pendant();
   std::vector<bool> alive(4, true);
-  EXPECT_EQ(alive_edge_count(g, alive), 4u);
-  EXPECT_EQ(alive_max_degree(g, alive), 3u);
+  const auto serial = exec::Executor::serial();
+  EXPECT_EQ(alive_edge_count(g, alive, serial), 4u);
+  EXPECT_EQ(alive_degrees(g, alive, serial)[2], 3u);
   alive[2] = false;  // removes 3 edges
-  EXPECT_EQ(alive_edge_count(g, alive), 1u);
-  const auto deg = alive_degrees(g, alive);
+  EXPECT_EQ(alive_edge_count(g, alive, serial), 1u);
+  const auto deg = alive_degrees(g, alive, serial);
   EXPECT_EQ(deg[0], 1u);
   EXPECT_EQ(deg[1], 1u);
   EXPECT_EQ(deg[2], 0u);
@@ -125,7 +127,7 @@ TEST(Graph, MaskedDegrees) {
   std::vector<bool> mask(g.num_edges(), false);
   mask[g.find_edge(0, 1)] = true;
   mask[g.find_edge(2, 3)] = true;
-  const auto deg = masked_degrees(g, mask);
+  const auto deg = masked_degrees(g, mask, exec::Executor::serial());
   EXPECT_EQ(deg[0], 1u);
   EXPECT_EQ(deg[1], 1u);
   EXPECT_EQ(deg[2], 1u);

@@ -255,7 +255,8 @@ TEST(BestOfCandidates, SameCommitAtOneAndFourThreads) {
   // The committed set is independent and its closed neighborhood is gone.
   const auto& outcome = outcomes[0];
   EXPECT_EQ(outcome.edges_before, g.num_edges());
-  EXPECT_EQ(outcome.edges_after, graph::alive_edge_count(g, alives[0]));
+  EXPECT_EQ(outcome.edges_after,
+            graph::alive_edge_count(g, alives[0], exec::Executor::serial()));
   std::vector<bool> in_set(g.num_nodes(), false);
   for (NodeId v : outcome.independent) {
     in_set[v] = true;
@@ -281,7 +282,7 @@ TEST(BestOfCandidates, TiesCommitTheLowestCandidate) {
     EXPECT_EQ(outcome.independent, sets[1]);
     EXPECT_EQ(outcome.edges_before, 12u);
     EXPECT_EQ(outcome.edges_after, 4u);
-    EXPECT_EQ(graph::alive_edge_count(g, alive), 4u);
+    EXPECT_EQ(graph::alive_edge_count(g, alive, exec::Executor::serial()), 4u);
   }
 }
 
@@ -300,7 +301,8 @@ void expect_stages_match_reference(const Graph& g, std::vector<bool> alive,
   std::vector<std::vector<bool>> alives(2, alive);
   const std::vector<std::uint32_t> threads = {1, 4};
   std::uint64_t stages = 0;
-  while (graph::alive_edge_count(g, ref_alive) > 0) {
+  const auto serial = exec::Executor::serial();
+  while (graph::alive_edge_count(g, ref_alive, serial) > 0) {
     ASSERT_LT(stages++, 1000u);
     const auto ref = testref::best_of_candidates(g, ref_alive, limit, color,
                                                  sequence);
@@ -345,9 +347,10 @@ TEST(PhaseCompression, ResidualListsAliveNodesWithAnAliveNeighbor) {
   std::vector<bool> half(big.num_nodes());
   for (NodeId v = 0; v < big.num_nodes(); ++v) half[v] = v % 3 != 0;
   const auto res = residual(big, half, exec::Executor::with_threads(4));
-  EXPECT_EQ(res.edges, graph::alive_edge_count(big, half));
+  const auto serial = exec::Executor::serial();
+  EXPECT_EQ(res.edges, graph::alive_edge_count(big, half, serial));
   std::vector<NodeId> expected;
-  const auto deg = graph::alive_degrees(big, half);
+  const auto deg = graph::alive_degrees(big, half, serial);
   for (NodeId v = 0; v < big.num_nodes(); ++v) {
     if (half[v] && deg[v] > 0) expected.push_back(v);
   }

@@ -141,24 +141,26 @@ TEST(Primitives, RoundChargesScaleWithTreeDepth) {
   EXPECT_GT(small.metrics().rounds(), big.metrics().rounds());
 }
 
-TEST(Distribution, MachineGroupsAllButOneFull) {
-  Cluster c(small_config(64, 16));
-  const auto groups =
-      build_machine_groups(c, {10, 3, 0, 7}, /*group_size=*/4, 1, "t");
-  // Owner 0: 4+4+2; owner 1: 3; owner 3: 4+3.
-  ASSERT_EQ(groups.size(), 6u);
-  EXPECT_EQ(groups[0].owner, 0u);
-  EXPECT_EQ(groups[0].size(), 4u);
-  EXPECT_EQ(groups[2].size(), 2u);
-  EXPECT_EQ(groups[3].owner, 1u);
-  EXPECT_EQ(groups[3].size(), 3u);
-  EXPECT_EQ(groups[5].size(), 3u);
-}
-
-TEST(Distribution, GroupSizeMustFit) {
-  Cluster c(small_config(6, 16));
-  EXPECT_THROW(build_machine_groups(c, {10}, /*group_size=*/4, /*arity=*/2, "t"),
+// The §3.2 / §4.2 group distribution: a group machine of group_size items
+// at arity words each must fit in S; the items move in one sort, charged
+// with their words to the label's ledger row.
+TEST(Distribution, GroupDistributionChecksSpaceAndChargesOneSort) {
+  Cluster tight(small_config(6, 16));
+  EXPECT_THROW(charge_group_distribution(tight, 20, /*group_size=*/4,
+                                         /*arity=*/2, "s/distribute"),
                CheckFailure);
+  Cluster c(small_config(8, 16));
+  charge_group_distribution(c, 20, /*group_size=*/4, /*arity=*/2,
+                            "s/distribute");
+  charge_group_distribution(c, 50, /*group_size=*/4, /*arity=*/2,
+                            "s/distribute");
+  const std::uint64_t rounds = sort_round_cost(c, 20) + sort_round_cost(c, 50);
+  EXPECT_GT(rounds, 0u);
+  const LabelCost& row = c.metrics().by_label().at("s/distribute");
+  EXPECT_EQ(row.rounds, rounds);
+  EXPECT_EQ(row.communication, 2u * (20 + 50));
+  EXPECT_EQ(row.peak_load, 8u);
+  EXPECT_EQ(c.metrics().rounds(), rounds);
 }
 
 TEST(Distribution, TwoHopGatherChecksEachCenter) {

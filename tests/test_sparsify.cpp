@@ -119,7 +119,8 @@ TEST(GoodNodes, MisSelectionSatisfiesCorollary16) {
     const auto good = select_mis_good_set(cluster, params, g, alive);
     EXPECT_GE(2 * params.inv_delta * good.b_degree_mass, good.alive_edges);
     // Q_0 is exactly the chosen degree class.
-    const auto deg = graph::alive_degrees(g, alive);
+    const auto deg =
+        graph::alive_degrees(g, alive, exec::Executor::serial());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (good.in_Q0[v]) {
         EXPECT_EQ(params.class_of_degree(deg[v]), good.cls);
@@ -552,7 +553,6 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
     if (in_q[v]) ref.ids.push_back(v);
   }
   for (const std::uint64_t id : ref.ids) ref.weight.push_back(weight_of(id));
-  std::vector<std::uint64_t> ref_counts(g.num_nodes(), 0);
   std::uint64_t empty_owners = 0;
   auto append = [&](NodeId v, Side side) {
     const std::uint64_t begin = ref.slots.size();
@@ -565,10 +565,9 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
     if (ref.slots.size() > begin) {
       ref.windows.push_back({begin, ref.slots.size(), side});
     }
-    return ref.slots.size() - begin;
   };
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in_q[v]) ref_counts[v] = append(v, Side::kUpper);
+    if (in_q[v]) append(v, Side::kUpper);
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (in_b[v]) append(v, Side::kMass);
@@ -587,14 +586,12 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
   };
   for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
-    std::vector<std::uint64_t> counts;
     WindowSet set = build_windows(
         exec::Executor::with_threads(threads), in_q,
         {{g.num_nodes(), Side::kUpper,
           [&](std::uint64_t v, IdSink& sink) {
             if (in_q[v]) q_neighbors(v, sink);
-          },
-          &counts},
+          }},
          {g.num_nodes(), Side::kMass,
           [&](std::uint64_t v, IdSink& sink) {
             if (in_b[v]) q_neighbors(v, sink);
@@ -604,7 +601,6 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
     EXPECT_EQ(set.ids, ref.ids);
     EXPECT_EQ(set.slots, ref.slots);
     EXPECT_EQ(set.weight, ref.weight);
-    EXPECT_EQ(counts, ref_counts);
     ASSERT_EQ(set.windows.size(), ref.windows.size());
     for (std::size_t w = 0; w < ref.windows.size(); ++w) {
       EXPECT_EQ(set.windows[w].begin, ref.windows[w].begin) << "window " << w;
@@ -614,36 +610,60 @@ TEST(StageWindows, ParallelBuildMatchesHandBuiltReference) {
   }
 }
 
-// The per-stage Lemma 17/18 measurements run over the pool; every stage
-// report must be the same at every thread count.
-TEST(NodeSparsifier, StageReportsMatchAtEveryThreadCount) {
+void expect_same_stages(const std::vector<StageReport>& got,
+                        const std::vector<StageReport>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    const StageReport& r = got[j];
+    EXPECT_EQ(r.seed, want[j].seed) << "stage " << j + 1;
+    EXPECT_EQ(r.trials, want[j].trials) << "stage " << j + 1;
+    EXPECT_EQ(r.machines, want[j].machines) << "stage " << j + 1;
+    EXPECT_EQ(r.items_before, want[j].items_before) << "stage " << j + 1;
+    EXPECT_EQ(r.items_after, want[j].items_after) << "stage " << j + 1;
+    EXPECT_EQ(r.max_degree_after, want[j].max_degree_after)
+        << "stage " << j + 1;
+    EXPECT_EQ(r.invariant_degree_ratio, want[j].invariant_degree_ratio)
+        << "stage " << j + 1;
+    EXPECT_EQ(r.invariant_xv_ratio, want[j].invariant_xv_ratio)
+        << "stage " << j + 1;
+  }
+}
+
+// The per-stage Lemma 10/11 and 17/18 measurements (and the edge side's
+// X(v) re-filter) run over the pool; both sparsifiers' stage reports and
+// outputs must be the same at every thread count.
+TEST(Sparsifiers, StageReportsMatchAtEveryThreadCount) {
   const Graph g = graph::gnm(512, 16000, 4);
   Params params;
   params.n = g.num_nodes();
   params.inv_delta = 16;
   const std::vector<bool> alive(g.num_nodes(), true);
-  std::vector<StageReport> first;
+  NodeSparsifyResult first_nodes;
+  EdgeSparsifyResult first_edges;
   for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
     auto cluster = roomy_cluster(threads);
-    const auto good = select_mis_good_set(cluster, params, g, alive);
-    const auto sparse =
-        sparsify_nodes(cluster, params, g, alive, good, SparsifyConfig{});
-    ASSERT_GT(sparse.stages.size(), 1u);
-    if (first.empty()) first = sparse.stages;
-    ASSERT_EQ(sparse.stages.size(), first.size());
-    for (std::size_t j = 0; j < first.size(); ++j) {
-      const StageReport& r = sparse.stages[j];
-      EXPECT_EQ(r.seed, first[j].seed) << "stage " << j + 1;
-      EXPECT_EQ(r.items_after, first[j].items_after) << "stage " << j + 1;
-      EXPECT_EQ(r.max_degree_after, first[j].max_degree_after)
-          << "stage " << j + 1;
-      EXPECT_EQ(r.invariant_degree_ratio, first[j].invariant_degree_ratio)
-          << "stage " << j + 1;
-      EXPECT_EQ(r.invariant_xv_ratio, first[j].invariant_xv_ratio)
-          << "stage " << j + 1;
+    const auto mis_good = select_mis_good_set(cluster, params, g, alive);
+    const auto nodes =
+        sparsify_nodes(cluster, params, g, alive, mis_good, SparsifyConfig{});
+    ASSERT_GT(nodes.stages.size(), 1u);
+    EXPECT_EQ(nodes.max_degree, nodes.stages.back().max_degree_after);
+    const auto matching_good =
+        select_matching_good_set(cluster, params, g, alive);
+    const auto edges =
+        sparsify_edges(cluster, params, g, matching_good, SparsifyConfig{});
+    ASSERT_GT(edges.stages.size(), 1u);
+    EXPECT_EQ(edges.max_degree, edges.stages.back().max_degree_after);
+    if (threads == 1) {
+      first_nodes = nodes;
+      first_edges = edges;
+      continue;
     }
-    EXPECT_EQ(sparse.max_degree, first.back().max_degree_after);
+    expect_same_stages(nodes.stages, first_nodes.stages);
+    EXPECT_EQ(nodes.in_Qprime, first_nodes.in_Qprime);
+    expect_same_stages(edges.stages, first_edges.stages);
+    EXPECT_EQ(edges.in_Estar, first_edges.in_Estar);
+    EXPECT_EQ(edges.xv_star, first_edges.xv_star);
   }
 }
 
