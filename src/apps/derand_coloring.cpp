@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "derand/seed_search.hpp"
 #include "graph/validate.hpp"
 #include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
@@ -48,6 +49,28 @@ std::vector<std::pair<NodeId, std::uint32_t>> sticking(
   return stuck;
 }
 
+/// The trial round's objective: the number of nodes that stick under a seed,
+/// over the current colors and palettes.
+class StickingObjective final : public derand::Objective {
+ public:
+  StickingObjective(const Graph& g, const hash::KWiseFamily& family,
+                    const std::vector<std::uint32_t>& color,
+                    const std::vector<std::vector<std::uint32_t>>& palette)
+      : g_(g), family_(family), color_(color), palette_(palette) {}
+
+  double evaluate(std::uint64_t seed) const override {
+    return static_cast<double>(
+        sticking(g_, color_, palette_, family_.at(seed)).size());
+  }
+  std::uint64_t term_count() const override { return g_.num_nodes(); }
+
+ private:
+  const Graph& g_;
+  const hash::KWiseFamily& family_;
+  const std::vector<std::uint32_t>& color_;
+  const std::vector<std::vector<std::uint32_t>>& palette_;
+};
+
 }  // namespace
 
 DerandColoringResult derand_coloring(const Graph& g,
@@ -76,33 +99,23 @@ DerandColoringResult derand_coloring(const Graph& g,
   const std::uint64_t domain = std::max<std::uint64_t>(2, n);
   hash::KWiseFamily family(domain, domain, /*k=*/2);
 
+  const StickingObjective objective(g, family, color, palette);
+  derand::SelectionOptions selection;
+  selection.label = "coloring/commit";
+  selection.threshold = 1.0;
+  selection.batch = config.candidates_per_round;
   std::uint64_t remaining = n;
   while (remaining > 0) {
     DMPC_CHECK_MSG(result.rounds < config.max_rounds, "round cap exceeded");
     ++result.rounds;
-    // Deterministic best-of-K seed commit: objective = #sticking nodes.
-    // One O(1)-round aggregation evaluates the whole batch (§2.4 recipe).
-    const std::uint64_t depth =
-        cluster.tree_depth(std::max<std::uint64_t>(n, 2));
-    cluster.charge("coloring/commit", 2 * depth + 2,
-                   config.candidates_per_round * cluster.machines());
-    std::vector<std::pair<NodeId, std::uint32_t>> best;
-    std::uint64_t trial = 0;
-    while (best.empty()) {
-      // A fruitless batch is possible (a pathological seed set); the family
-      // provably contains a working seed (E[stick] > 0), so keep walking.
-      DMPC_CHECK_MSG(trial < (1ULL << 20),
-                     "coloring seed space exhausted — guarantee violated");
-      for (std::uint64_t t = 0; t < config.candidates_per_round; ++t, ++trial) {
-        const auto seed = static_cast<std::uint64_t>(
-            (static_cast<__uint128_t>(trial) * 0xBF58476D1CE4E5B9ULL +
-             result.rounds * 0x9E3779B97F4A7C15ULL) %
-            family.seed_count());
-        auto stuck = sticking(g, color, palette, family.at(seed));
-        if (stuck.size() > best.size()) best = std::move(stuck);
-      }
-    }
-    for (const auto& [v, c] : best) {
+    // Deterministic best-of-K seed commit, objective = #sticking nodes: one
+    // O(1)-round aggregation per batch (§2.4 recipe), then two rounds in
+    // which the stuck colors leave the neighbours' palettes.
+    selection.salt = result.rounds;
+    const std::uint64_t seed =
+        derand::select_seed(cluster, objective, family, selection).seed;
+    cluster.charge("coloring/commit", 2, 0);
+    for (const auto& [v, c] : sticking(g, color, palette, family.at(seed))) {
       color[v] = c;
       --remaining;
       for (NodeId u : g.neighbors(v)) {

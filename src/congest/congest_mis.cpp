@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "derand/seed_search.hpp"
 #include "exec/parallel.hpp"
 #include "graph/algorithms.hpp"
 #include "hash/kwise.hpp"
@@ -67,17 +68,15 @@ CongestMisResult congest_mis(const Graph& g) {
   while (remaining > 0) {
     DMPC_CHECK_MSG(result.phases < kMaxPhases, "phase cap exceeded");
     ++result.phases;
-    // Deterministic best-of-K: stride-scrambled candidates (see
-    // derand::SearchOptions), objective = fewest edges left.
+    // Deterministic best-of-K: candidates along the scrambled seed walk of
+    // this phase, objective = fewest edges left.
+    const auto walk =
+        derand::SeedWalk::scrambled(family.seed_count(), result.phases);
     const auto phase = lowdeg::best_of_candidates(
         g, alive, kCandidatesPerPhase, exec::Executor::serial(),
         [&](std::uint64_t t, std::span<const NodeId> active,
             std::vector<bool>& live) {
-          const auto seed = static_cast<std::uint64_t>(
-              (static_cast<__uint128_t>(t) * 0xBF58476D1CE4E5B9ULL +
-               result.phases * 0x9E3779B97F4A7C15ULL) %
-              family.seed_count());
-          const auto fn = family.at(seed);
+          const auto fn = family.at(walk.at(t));
           auto won = graph::winners(g, active, live,
                                     [&fn](NodeId v) { return fn.raw(v); });
           graph::remove_closed(g, won, live);

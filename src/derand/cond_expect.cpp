@@ -20,11 +20,6 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
   obs::Span span(cluster.trace(), options.label);
   std::uint64_t candidates_swept = 0;
   BatchStats batch_stats;
-  // Digits dispatched per oracle call: the shared engine knob, additionally
-  // clamped to the fixed kernel chunk so the decomposition never depends on
-  // the executor.
-  const std::uint64_t digit_chunk = std::max<std::uint64_t>(
-      1, std::min<std::uint64_t>(options.candidates_per_batch, kBatchChunk));
   for (unsigned chunk = 0; chunk < space.chunk_count(); ++chunk) {
     const std::uint64_t radix = space.radix(chunk);
     // Each chunk is one conditional-expectation sweep: every machine
@@ -47,21 +42,19 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
     cluster.charge(options.label, waves * 2 * depth + 1,
                    radix * cluster.machines());
 
-    // Host-parallel sweep through the batched conditional oracle: the
-    // digit range is cut into fixed-width chunks (executor-invariant), each
-    // chunk one oracle dispatch. The oracle is const/pure, so chunks run
-    // concurrently; the argmax scan stays serial with a strict improvement
-    // test, committing the lowest digit on ties — identical to the serial
-    // sweep for every thread count and dispatch path.
+    // Host-parallel sweep: the digit range is cut into fixed kBatchChunk
+    // chunks (executor-invariant), one pool task each. The oracle is
+    // const/pure, so chunks run concurrently; the argmax scan stays serial
+    // with a strict improvement test, committing the lowest digit on ties —
+    // identical to the serial sweep for every thread count.
     std::vector<double> values(radix, 0.0);
-    const std::uint64_t digit_chunks = (radix + digit_chunk - 1) / digit_chunk;
-    batch_stats += BatchStats{digit_chunks, radix};
-    cluster.executor().for_each(0, digit_chunks, [&](std::uint64_t c) {
-      const std::uint64_t lo = c * digit_chunk;
-      const std::uint64_t hi = std::min(radix, lo + digit_chunk);
-      objective.conditional_expectation_batch(prefix, lo, hi - lo,
-                                              values.data() + lo);
-    });
+    batch_stats += BatchStats::of(radix);
+    cluster.executor().for_each(
+        0, radix,
+        [&](std::uint64_t digit) {
+          values[digit] = objective.conditional_expectation(prefix, digit);
+        },
+        kBatchChunk);
     double best_value = 0.0;
     std::uint64_t best_digit = 0;
     bool have = false;
@@ -77,10 +70,10 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
     chunk_span.arg("fixed_digit", best_digit);
     ++result.chunks;
   }
-  DMPC_CHECK_MSG(candidates_swept <= options.max_trials,
+  DMPC_CHECK_MSG(candidates_swept <= kMaxSweptCandidates,
                  options.label << ": swept " << candidates_swept
-                               << " candidates, over the max_trials budget "
-                               << options.max_trials
+                               << " candidates, over the cap "
+                               << kMaxSweptCandidates
                                << " — seed space misconfigured");
   result.seed = space.compose(prefix);
   result.value = objective.evaluate(result.seed);
@@ -105,35 +98,14 @@ FixResult fix_seed(mpc::Cluster& cluster, const ConditionalObjective& objective,
 
 double ExhaustiveConditional::conditional_expectation(
     const std::vector<std::uint64_t>& prefix, std::uint64_t candidate) const {
-  double value = 0.0;
-  conditional_expectation_batch(prefix, candidate, 1, &value);
-  return value;
-}
-
-void ExhaustiveConditional::conditional_expectation_batch(
-    const std::vector<std::uint64_t>& prefix, std::uint64_t digit_lo,
-    std::uint64_t count, double* out) const {
   const auto fixed = static_cast<unsigned>(prefix.size());
   DMPC_CHECK(fixed < space_->chunk_count());
   const std::uint64_t suffixes = space_->suffix_size(fixed + 1);
-  // Per-thread staging for the assembled seeds and their values; capacity
-  // persists across digits, so the sweep allocates nothing in steady state.
-  thread_local std::vector<std::uint64_t> seeds;
-  thread_local std::vector<double> values;
-  seeds.resize(suffixes);
-  values.resize(suffixes);
-  for (std::uint64_t d = 0; d < count; ++d) {
-    const std::uint64_t candidate = digit_lo + d;
-    for (std::uint64_t s = 0; s < suffixes; ++s) {
-      seeds[s] = space_->assemble(prefix, candidate, s);
-    }
-    base_->evaluate_batch(seeds.data(), suffixes, values.data());
-    // Ascending-suffix summation — the exact floating-point order of the
-    // scalar oracle.
-    double total = 0.0;
-    for (std::uint64_t s = 0; s < suffixes; ++s) total += values[s];
-    out[d] = total / static_cast<double>(suffixes);
+  double total = 0.0;
+  for (std::uint64_t s = 0; s < suffixes; ++s) {
+    total += base_->evaluate(space_->assemble(prefix, candidate, s));
   }
+  return total / static_cast<double>(suffixes);
 }
 
 }  // namespace dmpc::derand

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "derand/engine_options.hpp"
 #include "derand/objective.hpp"
 #include "hash/seed.hpp"
 #include "mpc/cluster.hpp"
@@ -33,14 +32,14 @@ struct FixResult {
   std::uint64_t chunks = 0;    ///< Chunks fixed (== space.chunk_count()).
 };
 
-/// CE-sweep knobs on top of the shared engine surface: label names the
-/// round charges, candidates_per_batch bounds the digits dispatched per
-/// oracle call, and max_trials caps the total candidates swept across
-/// chunks (a violated cap is a CheckFailure — the chunked radix total is
-/// known up front, so hitting it means a misconfigured space).
-struct FixOptions : EngineOptions {
-  FixOptions() { label = "cond_expect"; }
+/// Cap on the candidates one fix_seed sweeps across all chunks. The chunked
+/// radix total is known up front, so exceeding it is a CheckFailure (a
+/// misconfigured seed space).
+inline constexpr std::uint64_t kMaxSweptCandidates = 1 << 20;
 
+struct FixOptions {
+  /// Round-charge label (also the trace span name).
+  std::string label = "cond_expect";
   /// The proved lower bound Q on E[q]; the committed seed must achieve it
   /// (CheckFailure otherwise — that would falsify the conditional oracle).
   double guarantee = 0.0;
@@ -61,16 +60,10 @@ class ExhaustiveConditional final : public ConditionalObjective {
   }
   std::uint64_t term_count() const override { return base_->term_count(); }
 
+  /// The mean of the base objective over every suffix completion, summed in
+  /// ascending suffix order.
   double conditional_expectation(const std::vector<std::uint64_t>& prefix,
                                  std::uint64_t candidate) const override;
-
-  /// Routes the suffix enumeration through base->evaluate_batch (ascending
-  /// suffix order, so the floating-point sum matches the scalar oracle
-  /// bit-for-bit).
-  void conditional_expectation_batch(const std::vector<std::uint64_t>& prefix,
-                                     std::uint64_t digit_lo,
-                                     std::uint64_t count,
-                                     double* out) const override;
 
  private:
   const Objective* base_;

@@ -8,28 +8,14 @@ namespace dmpc::derand {
 
 namespace {
 
-/// Per-thread scratch for the RangeObjective sweep: the raw-value array and
-/// the contiguous-seed staging buffer. Capacity persists across seeds and
-/// objectives, so the steady-state sweep allocates nothing.
-struct SweepScratch {
-  std::vector<std::uint64_t> values;
-  std::vector<std::uint64_t> seeds;
-};
-
-SweepScratch& sweep_scratch() {
-  thread_local SweepScratch scratch;
-  return scratch;
+/// Per-thread raw-value array of the RangeObjective sweep. Capacity persists
+/// across seeds and objectives, so the steady-state sweep allocates nothing.
+std::vector<std::uint64_t>& sweep_values() {
+  thread_local std::vector<std::uint64_t> values;
+  return values;
 }
 
 }  // namespace
-
-void Objective::evaluate_batch(std::uint64_t seed_lo, std::uint64_t count,
-                               double* out) const {
-  SweepScratch& scratch = sweep_scratch();
-  scratch.seeds.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) scratch.seeds[i] = seed_lo + i;
-  evaluate_batch(scratch.seeds.data(), count, out);
-}
 
 void RangeObjective::bind_points(const hash::KWiseFamily& family,
                                  const std::uint64_t* points,
@@ -45,22 +31,17 @@ const hash::KWiseFamily& RangeObjective::family() const {
 
 const std::uint64_t* RangeObjective::sweep(std::uint64_t seed) const {
   DMPC_CHECK_MSG(family_ != nullptr, "RangeObjective points not bound");
-  SweepScratch& scratch = sweep_scratch();
-  scratch.values.resize(table_.count());
+  std::vector<std::uint64_t>& values = sweep_values();
+  values.resize(table_.count());
   std::uint64_t coeffs[16];
   family_->coefficients_into(seed, coeffs);
-  table_.eval(coeffs, scratch.values.data());
-  prepare_seed(seed, scratch.values.data());
-  return scratch.values.data();
+  table_.eval(coeffs, values.data());
+  prepare_seed(seed, values.data());
+  return values.data();
 }
 
 double RangeObjective::evaluate(std::uint64_t seed) const {
   return accumulate_terms(0, range_count(), seed, sweep(seed));
-}
-
-void RangeObjective::evaluate_batch(const std::uint64_t* seeds,
-                                    std::size_t count, double* out) const {
-  for (std::size_t i = 0; i < count; ++i) out[i] = evaluate(seeds[i]);
 }
 
 BatchStats BatchStats::of(std::uint64_t lanes) {

@@ -6,13 +6,12 @@
 // find a concrete seed h* with q(h*) meeting a target, charging MPC rounds
 // per the paper's cost model.
 //
-// The oracle API is range-based: engines hand the objective a contiguous
-// batch of candidate seeds (evaluate_batch), and objectives that decompose
-// over a point universe derive from RangeObjective, which precomputes all
-// raw hash values per seed through the lane-parallel field kernel
-// (field::PowerTable) and hands term accumulation a flat value array. Both
-// layers have exact scalar fallbacks, so third-party objectives that only
-// implement evaluate() keep working unchanged.
+// An objective implements evaluate(); the engines walk the family with one
+// SeedWalk and evaluate candidates through batch_evaluate (best of a batch)
+// or evaluate_seed (first seed to qualify). Objectives that decompose over a
+// point universe derive from RangeObjective, which precomputes all raw hash
+// values per seed through the lane-parallel field kernel (field::PowerTable)
+// and hands term accumulation a flat value array.
 #pragma once
 
 #include <cstddef>
@@ -37,18 +36,6 @@ class Objective {
 
   /// Number of machine-local terms (aggregation size for round charging).
   virtual std::uint64_t term_count() const = 0;
-
-  /// Batch oracle: out[i] = evaluate(seeds[i]). The default is the exact
-  /// scalar loop; RangeObjective and other hot objectives override it to
-  /// amortize per-seed setup. Must be bit-identical to per-seed evaluate().
-  virtual void evaluate_batch(const std::uint64_t* seeds, std::size_t count,
-                              double* out) const {
-    for (std::size_t i = 0; i < count; ++i) out[i] = evaluate(seeds[i]);
-  }
-
-  /// Contiguous convenience: out[i] = evaluate(seed_lo + i).
-  void evaluate_batch(std::uint64_t seed_lo, std::uint64_t count,
-                      double* out) const;
 
   /// The threshold search's oracle: evaluate(seed) when it is >= threshold,
   /// nullopt otherwise. The default evaluates on the calling thread; an
@@ -77,19 +64,6 @@ class ConditionalObjective : public Objective {
   virtual double conditional_expectation(
       const std::vector<std::uint64_t>& prefix,
       std::uint64_t candidate) const = 0;
-
-  /// Batch form of the conditional oracle over a contiguous digit range:
-  /// out[i] = conditional_expectation(prefix, digit_lo + i). The default is
-  /// the exact scalar loop; ExhaustiveConditional overrides it to route the
-  /// suffix enumeration through the base objective's batch oracle. Must be
-  /// bit-identical to per-digit conditional_expectation().
-  virtual void conditional_expectation_batch(
-      const std::vector<std::uint64_t>& prefix, std::uint64_t digit_lo,
-      std::uint64_t count, double* out) const {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      out[i] = conditional_expectation(prefix, digit_lo + i);
-    }
-  }
 };
 
 /// An objective whose terms read the hash of points from a fixed universe.
@@ -132,9 +106,6 @@ class RangeObjective : public Objective {
 
   /// One PowerTable sweep + prepare + full-range accumulation.
   double evaluate(std::uint64_t seed) const override;
-
-  void evaluate_batch(const std::uint64_t* seeds, std::size_t count,
-                      double* out) const override;
 
   std::size_t point_count() const { return table_.count(); }
 

@@ -63,6 +63,12 @@ std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count) {
   return s;
 }
 
+SeedWalk::SeedWalk(std::uint64_t seed_count, std::uint64_t base,
+                   std::uint64_t stride)
+    : count_(seed_count),
+      base_(base % seed_count),
+      stride_(effective_stride(stride, seed_count)) {}
+
 std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
                                           const Objective& objective,
                                           std::uint64_t seed_count,
@@ -75,12 +81,7 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
   SearchResult result;
   std::uint64_t next = 0;
   const std::uint64_t limit = std::min(seed_count, options.max_trials);
-  const std::uint64_t stride = effective_stride(options.seed_stride, seed_count);
-  auto seed_at = [&](std::uint64_t t) {
-    const __uint128_t pos = static_cast<__uint128_t>(t) * stride +
-                            options.seed_base % seed_count;
-    return static_cast<std::uint64_t>(pos % seed_count);
-  };
+  const SeedWalk walk(seed_count, options.seed_base, options.seed_stride);
   BatchStats batch_stats;
   while (next < limit) {
     const std::uint64_t batch_end = std::min(limit, next + k);
@@ -94,7 +95,7 @@ std::optional<SearchResult> try_find_seed(mpc::Cluster& cluster,
     // qualifying trial. It evaluates exactly the `trials` candidates it
     // reports, for every thread count.
     for (std::uint64_t t = next; t < batch_end; ++t) {
-      const std::uint64_t seed = seed_at(t);
+      const std::uint64_t seed = walk.at(t);
       const std::optional<double> value =
           evaluate_seed(cluster.executor(), objective, seed, options.threshold);
       if (value) {
@@ -139,15 +140,8 @@ SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
   }
   obs::HostScope host_scope("derand/selection", cluster.trace());
   obs::Span span(cluster.trace(), options.label);
-  // Decorrelate committed priority functions across calls: trial k of salt
-  // s evaluates a stride-scrambled walk over the family (same rationale as
-  // SearchOptions::seed_stride).
-  auto seed_at = [&](std::uint64_t k) {
-    const __uint128_t pos =
-        static_cast<__uint128_t>(k) * 0xBF58476D1CE4E5B9ULL +
-        options.salt * 0x9E3779B97F4A7C15ULL;
-    return static_cast<std::uint64_t>(pos % seed_count);
-  };
+  // Decorrelate committed priority functions across calls (see SeedWalk).
+  const SeedWalk walk = SeedWalk::scrambled(seed_count, options.salt);
   double t = options.threshold;
   std::vector<std::uint64_t> seeds;
   std::vector<double> values;
@@ -165,7 +159,7 @@ SearchResult select_seed(mpc::Cluster& cluster, const Objective& objective,
     // the committed seed is identical for every thread count and grain.
     seeds.resize(budget);
     for (std::uint64_t i = 0; i < budget; ++i) {
-      seeds[i] = seed_at(best.trials + i);
+      seeds[i] = walk.at(best.trials + i);
     }
     values.assign(budget, 0.0);
     batch_stats += batch_evaluate(cluster.executor(), objective, seeds.data(),

@@ -26,9 +26,12 @@
 // starts to evaluate) and every model charge are the same for every thread
 // count.
 //
-// This engine is the production path; the textbook prefix-fixing engine
-// (cond_expect.hpp) is the faithful §2.4 implementation used where the
-// conditional expectations are exactly computable.
+// Both production engines walk the family through one SeedWalk:
+// try_find_seed commits the first qualifying seed, select_seed the best of
+// each batch (the selection commits of both pipelines and the native
+// coloring). The textbook prefix-fixing engine (cond_expect.hpp) is the
+// faithful §2.4 implementation used where the conditional expectations are
+// exactly computable.
 #pragma once
 
 #include <cstddef>
@@ -36,28 +39,61 @@
 #include <optional>
 #include <string>
 
-#include "derand/engine_options.hpp"
 #include "derand/objective.hpp"
 #include "mpc/cluster.hpp"
 
 namespace dmpc::derand {
 
-/// Threshold-search knobs on top of the shared engine surface
-/// (label / candidates_per_batch / max_trials live in EngineOptions).
-struct SearchOptions : EngineOptions {
-  SearchOptions() { label = "seed_search"; }
+/// The stride actually used for a requested (stride, seed_count): the
+/// smallest s >= stride mod seed_count (wrapping, never 0) with
+/// gcd(s, seed_count) = 1. Coprimality makes t -> (base + t*s) mod seed_count
+/// a bijection on [0, seed_count), the exhaustive-coverage property the
+/// termination guarantee rests on; a non-coprime stride s visits only
+/// seed_count / gcd(s, seed_count) seeds. Exposed for tests.
+std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
+/// The fixed deterministic order in which every engine walks a family:
+/// trial t is seed (base + t * s) mod seed_count, s =
+/// effective_stride(stride, seed_count), so the walk visits every seed once
+/// before repeating. Plain counting order (base 0, stride 1) walks
+/// polynomials in increasing coefficient order, so consecutive steps that
+/// each commit "the first good seed" would pick highly correlated functions
+/// (h(x) = a*x for small a all favour small inputs); scrambled(count, salt)
+/// is the walk the pipelines use, a salt-dependent base and a large stride.
+class SeedWalk {
+ public:
+  /// A salt's base is salt * kSaltStep; the scrambled stride is kStride.
+  static constexpr std::uint64_t kSaltStep = 0x9E3779B97F4A7C15ULL;
+  static constexpr std::uint64_t kStride = 0xBF58476D1CE4E5B9ULL;
+
+  SeedWalk(std::uint64_t seed_count, std::uint64_t base, std::uint64_t stride);
+  static SeedWalk scrambled(std::uint64_t seed_count, std::uint64_t salt) {
+    return SeedWalk(seed_count, salt * kSaltStep, kStride);
+  }
+
+  std::uint64_t at(std::uint64_t t) const {
+    return static_cast<std::uint64_t>(
+        (static_cast<__uint128_t>(t) * stride_ + base_) % count_);
+  }
+
+ private:
+  std::uint64_t count_;
+  std::uint64_t base_;    ///< Reduced mod count_.
+  std::uint64_t stride_;  ///< Coprime to count_.
+};
+
+struct SearchOptions {
+  /// Round-charge label (also the trace span name).
+  std::string label = "seed_search";
+  /// Candidates per O(1)-round batch; clamped to S (the fan-in-S
+  /// aggregation argument).
+  std::uint64_t candidates_per_batch = 64;
+  /// Hard cap on the seeds walked.
+  std::uint64_t max_trials = 1 << 20;
   /// Commit to the first seed with objective >= threshold.
   double threshold = 0.0;
-  /// Trial t evaluates seed (base + t * stride) mod seed_count. Plain
-  /// counting order (base 0, stride 1) walks polynomials in increasing
-  /// coefficient order, so consecutive derandomization steps that each
-  /// commit "the first good seed" pick highly correlated functions (e.g.
-  /// h(x) = a*x for small a, which all favour small inputs). Callers that
-  /// run many steps (the sparsifier stages) pass a step-dependent base and
-  /// a large odd stride to decorrelate; with stride coprime to the family
-  /// size the enumeration is still a bijection, preserving the exhaustive
-  /// coverage guarantee.
+  /// The SeedWalk's base and stride. Callers that run many steps (the
+  /// sparsifier stages) pass the scrambled walk's constants.
   std::uint64_t seed_base = 0;
   std::uint64_t seed_stride = 1;
 };
@@ -69,17 +105,6 @@ struct SearchResult {
   std::uint64_t trials = 0;
   std::uint64_t batches = 0;  ///< O(1)-round batches used.
 };
-
-/// The stride actually used for a requested (stride, seed_count): the
-/// smallest s >= stride mod seed_count (wrapping, never 0) with
-/// gcd(s, seed_count) = 1. Coprimality makes t -> (base + t*s) mod seed_count
-/// a bijection on [0, seed_count), so a strided walk visits every residue
-/// exactly once before repeating — the exhaustive-coverage property the
-/// termination guarantee rests on. (A non-coprime stride s visits only
-/// seed_count / gcd(s, seed_count) residues; an earlier version reduced a
-/// stride that was a multiple of seed_count to 1 but silently kept other
-/// non-coprime strides, losing coverage.) Exposed for tests.
-std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
 /// Find the first seed (in enumeration order) meeting the threshold.
 /// Each batch is charged in full; the host evaluates its seeds one at a
@@ -128,8 +153,9 @@ struct SelectionOptions {
   std::size_t grain = 1;
 };
 
-/// The selection commit of both sparsification pipelines over a pairwise
-/// `family`. Threshold search walks the family in a salt-scrambled order,
+/// The best-of-batch commit over a pairwise `family`: the selection of both
+/// sparsification pipelines and the native coloring's trial round.
+/// Threshold search walks SeedWalk::scrambled(family.seed_count(), salt),
 /// `batch` seeds per O(1)-round batch, keeping the best seed so far
 /// (strict improvement, so the earliest on ties). It commits once the best
 /// value v has v >= t and v > 0, where t starts at `threshold` and halves

@@ -218,9 +218,10 @@ StageReport find_stage_seed(mpc::Cluster& cluster, const StageHash& stage_hash,
     opts.threshold = static_cast<double>(set.windows.size());
     opts.max_trials = kTrialsPerWindow;
     opts.label = prefix + "/seed";
-    // Decorrelate committed functions across stages (see SearchOptions).
-    opts.seed_base = 0x9E3779B97F4A7C15ULL * (stage + 1);
-    opts.seed_stride = 0xBF58476D1CE4E5B9ULL;
+    // Decorrelate committed functions across stages: the scrambled walk of
+    // salt stage + 1 (see derand::SeedWalk).
+    opts.seed_base = derand::SeedWalk::kSaltStep * (stage + 1);
+    opts.seed_stride = derand::SeedWalk::kStride;
     const auto found = derand::try_find_seed(
         cluster, objective, stage_hash.family.seed_count(), opts);
     report.trials += found ? found->trials : kTrialsPerWindow;

@@ -125,6 +125,40 @@ TEST(DerandColoring, AgreesWithReductionOnPalette) {
   EXPECT_EQ(reduced.colors_used, 6u);
 }
 
+TEST(DerandColoring, PinnedColorsAndLedger) {
+  // Colors, trial rounds and the one ledger row on two fixed graphs. Each
+  // round charges its seed batch (2 * tree depth rounds, K words per
+  // machine) and the 2-round palette exchange under coloring/commit.
+  struct Pin {
+    Graph g;
+    std::vector<std::uint32_t> color;
+    std::uint64_t rounds;
+    mpc::LabelCost commit;
+  };
+  const std::vector<Pin> pins = {
+      {graph::grid(6, 6),
+       {0, 1, 0, 4, 3, 4, 3, 2, 3, 2, 1, 0, 1, 0, 4, 0, 4, 3,
+        4, 3, 2, 1, 2, 1, 0, 1, 0, 4, 0, 4, 3, 2, 3, 2, 1, 2},
+       1,
+       {4, 336, 0}},
+      {graph::gnm(64, 256, 9),
+       {12, 14, 16, 1,  1,  5,  7,  9,  11, 13, 15, 3, 14, 4,  4,  8,
+        10, 12, 13, 16, 1,  13, 5,  7,  9,  11, 13, 15, 13, 3,  5,  6,
+        9,  11, 13, 15, 9,  15, 4,  5,  8,  10, 12, 14, 16, 4,  3,  5,
+        16, 9,  11, 13, 15, 0,  8,  4,  0,  8,  10, 12, 14, 0,  2,  4},
+       2,
+       {8, 2368, 0}},
+  };
+  for (const Pin& pin : pins) {
+    const auto result = derand_coloring(pin.g);
+    EXPECT_EQ(result.color, pin.color);
+    EXPECT_EQ(result.rounds, pin.rounds);
+    ASSERT_EQ(result.metrics.by_label().size(), 1u);
+    EXPECT_EQ(result.metrics.by_label().at("coloring/commit"), pin.commit);
+    EXPECT_EQ(result.metrics.rounds(), pin.commit.rounds);
+  }
+}
+
 TEST(DerandColoring, EdgelessGraph) {
   const Graph g = Graph::from_edges(4, {});
   const auto result = derand_coloring(g);

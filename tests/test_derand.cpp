@@ -162,16 +162,30 @@ TEST(SeedSearch, EffectiveStrideIsAlwaysCoprime) {
 }
 
 TEST(SeedSearch, StridedWalkVisitsEveryResidue) {
-  // Directly verify the coverage property try_find_seed's termination
-  // guarantee rests on: for any requested stride, seed t -> (base + t*s) mod
-  // count visits every residue exactly once over count trials.
+  // Directly verify the coverage property the engines' termination
+  // guarantees rest on: for any requested stride, the SeedWalk visits every
+  // residue exactly once over count trials.
   const std::uint64_t count = 360;  // many divisors -> many bad raw strides
   for (std::uint64_t stride : {1ull, 2ull, 90ull, 360ull, 719ull}) {
-    const auto s = effective_stride(stride, count);
+    const SeedWalk walk(count, /*base=*/11, stride);
     std::vector<bool> seen(count, false);
     for (std::uint64_t t = 0; t < count; ++t) {
-      const std::uint64_t seed = (11 + t * s) % count;
+      const std::uint64_t seed = walk.at(t);
       ASSERT_FALSE(seen[seed]) << "stride=" << stride;
+      seen[seed] = true;
+    }
+  }
+}
+
+TEST(SeedSearch, ScrambledWalkVisitsEverySeed) {
+  // Also where the family's prime (103) divides the scrambled stride.
+  for (const std::uint64_t count : {103ull * 103ull, 101ull * 101ull, 256ull}) {
+    const SeedWalk walk = SeedWalk::scrambled(count, /*salt=*/3);
+    std::vector<bool> seen(count, false);
+    for (std::uint64_t t = 0; t < count; ++t) {
+      const std::uint64_t seed = walk.at(t);
+      ASSERT_LT(seed, count);
+      ASSERT_FALSE(seen[seed]) << "count=" << count << " t=" << t;
       seen[seed] = true;
     }
   }
@@ -427,6 +441,41 @@ TEST(SelectSeed, ExhaustionThrowsLabelledCheckFailure) {
   }
 }
 
+/// 1 off the 103-seed orbit {s : s = orbit (mod 103)}, 0 on it.
+class OffOrbitObjective final : public Objective {
+ public:
+  explicit OffOrbitObjective(std::uint64_t orbit) : orbit_(orbit) {}
+  double evaluate(std::uint64_t seed) const override {
+    return seed % 103 == orbit_ ? 0.0 : 1.0;
+  }
+  std::uint64_t term_count() const override { return 4; }
+
+ private:
+  std::uint64_t orbit_;
+};
+
+TEST(SelectSeed, WalkCoversFamilyWhenPrimeDividesStride) {
+  // The scrambled stride is 103 * 3541 * 344611 * 109699393. Over the
+  // 103^2 seeds of KWiseFamily(103, 103, 2) that raw stride only revisits
+  // the seeds congruent to the walk's base mod 103, where this objective is
+  // zero; the coprime effective stride leaves that orbit on trial 1.
+  static_assert(0xBF58476D1CE4E5B9ULL % 103 == 0);
+  const hash::KWiseFamily family(103, 103, /*k=*/2);
+  ASSERT_EQ(family.seed_count(), 103u * 103u);
+  const std::uint64_t salt = 3;
+  const std::uint64_t orbit = (salt * 0x9E3779B97F4A7C15ULL) % 103;
+  OffOrbitObjective objective(orbit);
+  auto cluster = make_cluster();
+  SelectionOptions options;
+  options.label = "test/walk";
+  options.threshold = 1.0;
+  options.salt = salt;
+  const SearchResult result = select_seed(cluster, objective, family, options);
+  EXPECT_DOUBLE_EQ(result.value, 1.0);
+  EXPECT_NE(result.seed % 103, orbit);
+  EXPECT_EQ(result.trials, options.batch);
+}
+
 // --- Method of conditional expectations on a real hash family. ---
 //
 // Objective over the pairwise family [p]x[p], p = 13: q(h) = number of
@@ -523,42 +572,7 @@ TEST(CondExpect, InconsistentGuaranteeThrows) {
   EXPECT_THROW(fix_seed(cluster, conditional, space, options), CheckFailure);
 }
 
-// ---- Batched evaluation (range-based Objective API) ----
-
-/// Counts how the engine drives the batch entry points: an objective that
-/// does NOT override evaluate_batch exercises the default scalar fallback.
-class CountingObjective final : public Objective {
- public:
-  double evaluate(std::uint64_t seed) const override {
-    ++scalar_calls;
-    return static_cast<double>(seed % 17);
-  }
-  std::uint64_t term_count() const override { return 1; }
-  mutable std::uint64_t scalar_calls = 0;
-};
-
-TEST(BatchEvaluate, DefaultFallbackMatchesScalarEvaluate) {
-  CountingObjective objective;
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 37; ++s) seeds.push_back(s * 3 + 1);
-  std::vector<double> batched(seeds.size());
-  objective.evaluate_batch(seeds.data(), seeds.size(), batched.data());
-  EXPECT_EQ(objective.scalar_calls, seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(batched[i], static_cast<double>(seeds[i] % 17));
-  }
-}
-
-TEST(BatchEvaluate, ContiguousOverloadMatchesExplicitSeeds) {
-  CountingObjective objective;
-  std::vector<double> a(25);
-  objective.evaluate_batch(/*seed_lo=*/100, a.size(), a.data());
-  std::vector<std::uint64_t> seeds(25);
-  std::iota(seeds.begin(), seeds.end(), std::uint64_t{100});
-  std::vector<double> b(25);
-  objective.evaluate_batch(seeds.data(), seeds.size(), b.data());
-  EXPECT_EQ(a, b);
-}
+// ---- Batched evaluation ----
 
 /// Records which threads evaluated seeds. Each evaluation sleeps briefly so
 /// idle pool workers get to claim per-seed tasks.
@@ -624,20 +638,6 @@ TEST(BatchEvaluate, ExecutorSweepChunksDeterministically) {
       EXPECT_EQ(chunked_objective.distinct_threads(), 1u);
     }
   }
-}
-
-TEST(BatchEvaluate, EngineOptionsShareLabelAndBudgetFields) {
-  // SearchOptions and FixOptions consolidate label/batch/trial budgets in
-  // derand::EngineOptions; the defaults differ only in the label.
-  SearchOptions search;
-  FixOptions fix;
-  EXPECT_EQ(search.label, "seed_search");
-  EXPECT_EQ(fix.label, "cond_expect");
-  EXPECT_EQ(search.candidates_per_batch, fix.candidates_per_batch);
-  EXPECT_EQ(search.max_trials, fix.max_trials);
-  EngineOptions& base = search;
-  base.label = "custom";
-  EXPECT_EQ(search.label, "custom");
 }
 
 }  // namespace
