@@ -511,7 +511,8 @@ std::unique_ptr<mpc::Storage> Solver::open_storage(
     const std::string& input_path, const graph::EdgeListLimits& limits) const {
   require_valid();
   return mpc::open_storage(options_.storage, input_path, limits,
-                           options_.io_faults, options_.recovery);
+                           options_.io_faults, options_.recovery,
+                           make_executor());
 }
 
 const verify::Certificate& Solver::certificate() const {

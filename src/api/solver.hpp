@@ -99,9 +99,9 @@ class Solver {
   MatchingSolution maximal_matching(const mpc::Storage& storage) const;
 
   /// Open the backend selected by options().storage: kMemory parses
-  /// `input_path` as a text edge list, kMmap maps storage.shard_dir
-  /// (ignoring `input_path`). Throws OptionsError on invalid storage
-  /// options, ParseError on malformed input.
+  /// `input_path` as a text edge list on make_executor()'s pool, kMmap maps
+  /// storage.shard_dir (ignoring `input_path`). Throws OptionsError on
+  /// invalid storage options, ParseError on malformed input.
   std::unique_ptr<mpc::Storage> open_storage(
       const std::string& input_path,
       const graph::EdgeListLimits& limits = {}) const;

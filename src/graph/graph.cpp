@@ -1,10 +1,13 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <ranges>
+#include <utility>
 
 #include "exec/parallel.hpp"
 #include "support/check.hpp"
+#include "support/default_init.hpp"
 
 namespace dmpc::graph {
 
@@ -13,11 +16,68 @@ namespace {
 /// Heap residency for graphs built by from_edges: the four CSR arrays,
 /// referenced by a single extent.
 struct HeapCsr {
-  std::vector<std::uint64_t> offsets;  // n+1
-  std::vector<NodeId> adjacency;       // 2m
-  std::vector<EdgeId> incident;        // 2m
-  std::vector<Edge> edges;             // m, canonical order
+  std::vector<std::uint64_t> offsets;    // n+1
+  DefaultInitVector<NodeId> adjacency;   // 2m
+  DefaultInitVector<EdgeId> incident;    // 2m
+  std::vector<Edge> edges;               // m, canonical order
 };
+
+/// Nodes per chunk of the node-parallel passes of the CSR build.
+constexpr std::uint64_t kNodeGrain = 4096;
+
+/// Tasks of a counting pass over `items` items into `buckets` buckets: one
+/// per thread, but never so many that the per-task histograms (tasks ×
+/// buckets words) outgrow the items they count. The passes' results do not
+/// depend on it.
+std::uint64_t counting_tasks(const exec::Executor& ex, std::uint64_t items,
+                             std::uint64_t buckets) {
+  return std::clamp<std::uint64_t>(items / std::max<std::uint64_t>(buckets, 1),
+                                   1, ex.threads());
+}
+
+/// Per-task bucket counts of a stable counting sort, which then serve as
+/// the tasks' write cursors, relative to each bucket's start (`Count` must
+/// hold a bucket's size). Allocated without zeroing: each task zeroes its
+/// own row, so the pages are first touched in parallel.
+template <typename Count>
+class TaskCounts {
+ public:
+  TaskCounts(std::uint64_t tasks, std::uint64_t buckets)
+      : tasks_(tasks), buckets_(buckets), counts_(tasks * buckets) {}
+
+  Count* row(std::uint64_t t) { return counts_.data() + t * buckets_; }
+
+  /// Task t's row, zeroed; task t calls it before it counts.
+  Count* zeroed_row(std::uint64_t t) {
+    std::fill_n(row(t), buckets_, Count{0});
+    return row(t);
+  }
+
+  /// Bucket b's counts become its tasks' offsets within the bucket, in task
+  /// order; returns the bucket's size.
+  std::uint64_t scan(std::uint64_t b) {
+    Count total = 0;
+    for (std::uint64_t t = 0; t < tasks_; ++t) {
+      Count& c = counts_[t * buckets_ + b];
+      const Count k = c;
+      c = total;
+      total += k;
+    }
+    return total;
+  }
+
+ private:
+  std::uint64_t tasks_;
+  std::uint64_t buckets_;
+  DefaultInitVector<Count> counts_;
+};
+
+/// The items [lo, hi) of task t of `tasks`.
+std::pair<std::uint64_t, std::uint64_t> task_range(std::uint64_t t,
+                                                   std::uint64_t tasks,
+                                                   std::uint64_t items) {
+  return {items * t / tasks, items * (t + 1) / tasks};
+}
 
 }  // namespace
 
@@ -37,70 +97,90 @@ Graph Graph::from_edges(NodeId n, std::vector<Edge> edges) {
 
 Graph Graph::from_edges(NodeId n, std::vector<Edge> edges,
                         const exec::Executor& ex) {
-  // Validation and canonicalization touch each edge independently; the
-  // lowest-index failure is rethrown, so error behavior matches the serial
-  // scan. parallel_sort's output permutation depends only on the data (here
-  // a total order, so it equals std::sort's).
-  ex.for_each(
-      0, edges.size(),
-      [&](std::uint64_t i) {
-        Edge& e = edges[i];
-        DMPC_CHECK_MSG(e.u != e.v, "self-loops are not supported");
-        DMPC_CHECK_MSG(e.u < n && e.v < n, "edge endpoint out of range");
-        if (e.u > e.v) std::swap(e.u, e.v);
-      },
-      4096);
-  exec::parallel_sort(ex, edges);
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<Edge> canonical = canonical_edges(n, edges, ex);
+  std::vector<Edge>().swap(edges);
+  return from_canonical(n, std::move(canonical), ex);
+}
 
+Graph Graph::from_canonical(NodeId n, std::vector<Edge> canonical,
+                            const exec::Executor& ex) {
   auto csr = std::make_shared<HeapCsr>();
-  csr->edges = std::move(edges);
-  csr->offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : csr->edges) {
-    ++csr->offsets[e.u + 1];
-    ++csr->offsets[e.v + 1];
-  }
-  for (NodeId v = 0; v < n; ++v) csr->offsets[v + 1] += csr->offsets[v];
+  csr->edges = std::move(canonical);
+  const std::vector<Edge>& edges = csr->edges;
+  const std::uint64_t m = edges.size();
+  const std::uint64_t tasks = counting_tasks(ex, m, n);
 
+  // Edge-parallel: check the order, count each task's lower neighbors per
+  // row, and find first[x], the id of x's first own edge (m past the last).
+  std::vector<std::uint64_t> first(static_cast<std::size_t>(n) + 1, m);
+  TaskCounts<std::uint32_t> heads(tasks, n);  // a head holds < n nodes
+  ex.for_each(0, tasks, [&](std::uint64_t t) {
+    std::uint32_t* count = heads.zeroed_row(t);
+    const auto [lo, hi] = task_range(t, tasks, m);
+    for (std::uint64_t id = lo; id < hi; ++id) {
+      const Edge& e = edges[id];
+      DMPC_CHECK_MSG(e.u < e.v && e.v < n, "edge is not canonical");
+      DMPC_CHECK_MSG(id == 0 || edges[id - 1] < e,
+                     "canonical edges must be sorted and distinct");
+      for (NodeId x = id == 0 ? 0 : edges[id - 1].u + 1; x <= e.u; ++x) {
+        first[x] = id;
+      }
+      ++count[e.v];
+    }
+  });
+
+  // Node-parallel: each row's lower-neighbor counts become offsets within
+  // the row's head, in task order; its degree adds its own edges.
+  csr->offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  ex.for_each(
+      0, n,
+      [&](std::uint64_t x) {
+        csr->offsets[x + 1] = heads.scan(x) + (first[x + 1] - first[x]);
+      },
+      kNodeGrain);
+  std::uint32_t max_degree = 0;
+  for (NodeId x = 0; x < n; ++x) {
+    max_degree = std::max(max_degree,
+                          static_cast<std::uint32_t>(csr->offsets[x + 1]));
+    csr->offsets[x + 1] += csr->offsets[x];
+  }
+
+  // Edge-parallel scatter into slot arrays left unzeroed, since it writes
+  // every slot: edge (u, v) is the (id - first[u])-th upper neighbor of u,
+  // which end row u, and the next lower neighbor of v in its task's range
+  // of row v's head.
   const std::size_t deg_sum = csr->offsets[n];
   csr->adjacency.resize(deg_sum);
   csr->incident.resize(deg_sum);
-  std::vector<std::uint64_t> cursor(csr->offsets.begin(),
-                                    csr->offsets.end() - 1);
-  for (EdgeId id = 0; id < csr->edges.size(); ++id) {
-    const Edge& e = csr->edges[id];
-    csr->adjacency[cursor[e.u]] = e.v;
-    csr->incident[cursor[e.u]++] = id;
-    csr->adjacency[cursor[e.v]] = e.u;
-    csr->incident[cursor[e.v]++] = id;
-  }
+  const std::uint64_t* offsets = csr->offsets.data();
+  NodeId* adjacency = csr->adjacency.data();
+  EdgeId* incident = csr->incident.data();
+  ex.for_each(0, tasks, [&](std::uint64_t t) {
+    std::uint32_t* head = heads.row(t);
+    const auto [lo, hi] = task_range(t, tasks, m);
+    for (std::uint64_t id = lo; id < hi; ++id) {
+      const Edge& e = edges[id];
+      const std::uint64_t upper = offsets[e.u + 1] - first[e.u + 1] + id;
+      adjacency[upper] = e.v;
+      incident[upper] = id;
+      const std::uint64_t lower = offsets[e.v] + head[e.v]++;
+      adjacency[lower] = e.u;
+      incident[lower] = id;
+    }
+  });
 
   GraphExtent part;
   part.node_begin = 0;
   part.node_end = n;
   part.edge_begin = 0;
-  part.edge_end = static_cast<EdgeId>(csr->edges.size());
+  part.edge_end = m;
   part.slot_begin = 0;
   part.slot_end = deg_sum;
   part.offsets = csr->offsets.data();
-  part.adjacency = csr->adjacency.data();
-  part.incident = csr->incident.data();
+  part.adjacency = adjacency;
+  part.incident = incident;
   part.edges = csr->edges.data();
-
-  Graph g = from_extents(n, part.edge_end, 0, {part}, std::move(csr));
-  // Canonical edge order already sorts each adjacency row ascending:
-  // edges are sorted by (u, v), so row u receives v's in increasing order,
-  // and row v receives u's in increasing order of u. Verify cheaply once
-  // (node-parallel; exact max reduction).
-  g.max_degree_ = ex.map_reduce(
-      0, n, std::uint32_t{0},
-      [&](std::uint64_t v) {
-        auto nb = g.neighbors(static_cast<NodeId>(v));
-        DMPC_CHECK(std::is_sorted(nb.begin(), nb.end()));
-        return static_cast<std::uint32_t>(nb.size());
-      },
-      [](std::uint32_t a, std::uint32_t b) { return std::max(a, b); }, 256);
-  return g;
+  return from_extents(n, m, max_degree, {part}, std::move(csr));
 }
 
 Graph Graph::from_extents(NodeId n, EdgeId m, std::uint32_t max_degree,
@@ -173,6 +253,70 @@ NodeId Graph::other_endpoint(EdgeId e, NodeId v) const {
   const Edge& ed = edge(e);
   DMPC_CHECK(ed.u == v || ed.v == v);
   return ed.u == v ? ed.v : ed.u;
+}
+
+std::vector<Edge> canonical_edges(NodeId n, const std::vector<Edge>& edges,
+                                  const exec::Executor& ex) {
+  const std::uint64_t m = edges.size();
+  const std::uint64_t tasks = counting_tasks(ex, m, n);
+
+  // Stable counting sort by the lower endpoint. Edge-parallel: check each
+  // edge and count it in its task's histogram.
+  TaskCounts<std::uint64_t> cursor(tasks, n);
+  ex.for_each(0, tasks, [&](std::uint64_t t) {
+    std::uint64_t* count = cursor.zeroed_row(t);
+    const auto [lo, hi] = task_range(t, tasks, m);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      const Edge& e = edges[i];
+      DMPC_CHECK_MSG(e.u != e.v, "self-loops are not supported");
+      DMPC_CHECK_MSG(e.u < n && e.v < n, "edge endpoint out of range");
+      ++count[std::min(e.u, e.v)];
+    }
+  });
+  // Node-parallel: the counts become offsets within each bucket, in task
+  // order; a serial prefix sum over the totals places the buckets.
+  std::vector<std::uint64_t> first(static_cast<std::size_t>(n) + 1, 0);
+  ex.for_each(
+      0, n,
+      [&](std::uint64_t u) { first[u + 1] = cursor.scan(u); },
+      kNodeGrain);
+  for (NodeId u = 0; u < n; ++u) first[u + 1] += first[u];
+  std::vector<Edge> out(m);
+  ex.for_each(0, tasks, [&](std::uint64_t t) {
+    std::uint64_t* next = cursor.row(t);
+    const auto [lo, hi] = task_range(t, tasks, m);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      const NodeId u = std::min(edges[i].u, edges[i].v);
+      const NodeId v = std::max(edges[i].u, edges[i].v);
+      out[first[u] + next[u]++] = {u, v};
+    }
+  });
+
+  // Node-parallel: sort each bucket by v and drop its repeats; the spent
+  // cursors' first row keeps the distinct counts. Then pack the buckets in
+  // order (a no-op unless something was dropped).
+  std::uint64_t* kept = cursor.row(0);
+  ex.for_each(
+      0, n,
+      [&](std::uint64_t u) {
+        const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first[u]);
+        const auto end =
+            out.begin() + static_cast<std::ptrdiff_t>(first[u + 1]);
+        std::sort(begin, end,
+                  [](const Edge& a, const Edge& b) { return a.v < b.v; });
+        kept[u] = static_cast<std::uint64_t>(std::unique(begin, end) - begin);
+      },
+      kNodeGrain);
+  std::uint64_t size = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (first[u] != size) {
+      std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(first[u]),
+                  kept[u], out.begin() + static_cast<std::ptrdiff_t>(size));
+    }
+    size += kept[u];
+  }
+  out.resize(size);
+  return out;
 }
 
 std::vector<std::uint32_t> masked_degrees(const Graph& g,

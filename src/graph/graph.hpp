@@ -9,7 +9,9 @@
 // A Graph does not own its arrays. It is a view over one or more
 // `GraphExtent`s — contiguous node/edge ranges whose CSR slices live in
 // memory owned by a storage backend (`mpc::Storage`). The in-memory build
-// path (`from_edges`) produces a single extent over heap vectors; the
+// path (`from_edges`) produces a single extent over heap vectors, built by
+// counting sorts on a host executor (`canonical_edges`, `from_canonical`)
+// with identical arrays for every executor; the
 // out-of-core path (`mpc::MmapShardStorage`) produces one extent per mapped
 // shard. All accessors return identical values for identical logical graphs
 // regardless of how the extents are cut, so every algorithm above this seam
@@ -160,10 +162,20 @@ class Graph {
   /// whose arrays live on the heap (owned via the residency handle).
   static Graph from_edges(NodeId n, std::vector<Edge> edges);
 
-  /// As above, validating/sorting/verifying on the given host executor. The
-  /// resulting graph is byte-identical to the serial build for any executor.
+  /// As above, on the given host executor: canonical_edges, then
+  /// from_canonical. The resulting graph is byte-identical to the serial
+  /// build for any executor.
   static Graph from_edges(NodeId n, std::vector<Edge> edges,
                           const exec::Executor& ex);
+
+  /// Build from canonical edges: u < v < n, strictly ascending (sorted, no
+  /// repeats); EdgeId i is canonical[i]. Row x lists its lower neighbors
+  /// (edges (u, x), ascending u, hence ascending id) and then its upper ones
+  /// (its own edges (x, v), ascending v), so rows come out sorted without a
+  /// per-row sort: one stable counting pass over edge ids by v, on `ex`.
+  /// The precondition is checked with DMPC_CHECK.
+  static Graph from_canonical(NodeId n, std::vector<Edge> canonical,
+                              const exec::Executor& ex);
 
   /// Assemble a graph view over storage-owned extents. Extents must cover
   /// [0, n) nodes, [0, m) edges and [0, 2m) slots contiguously in order;
@@ -243,6 +255,15 @@ class Graph {
   /// a storage backend's mappings). Copied graphs share residency.
   std::shared_ptr<const void> residency_;
 };
+
+/// The canonical (u < v) form of `edges`, sorted and with repeats dropped:
+/// the EdgeId order of the graph built from them. A stable counting sort by
+/// u (per-task histograms and a prefix sum), then a node-parallel sort of
+/// each bucket by v, on `ex`; the result is the same for every executor.
+/// `edges` is left as it is. Self-loops and endpoints >= n fail DMPC_CHECK,
+/// lowest index first.
+std::vector<Edge> canonical_edges(NodeId n, const std::vector<Edge>& edges,
+                                  const exec::Executor& ex);
 
 /// Degree of every node restricted to edges whose mask bit is set
 /// (node-parallel over incident edges); identical output for any executor.

@@ -9,8 +9,15 @@
 // DMPC_CHECK assertion and never an unbounded allocation. Hard caps on
 // n / m / line length are configurable via EdgeListLimits; allocation is
 // always bounded by the bytes actually read, not by what the header claims.
+//
+// Every line goes through one allocation-free validator, whichever reader
+// delivers it: scan_edge_list streams lines with std::getline (for
+// out-of-core builders), read_edge_list reads the input into one buffer and
+// scans it in newline-aligned chunks on the given executor. The graph and
+// the diagnostics are identical for every executor and every chunk cut.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -59,8 +66,9 @@ struct EdgeListHeader {
 /// range-checked, u != v unless a kDedupe self-loop was dropped before the
 /// call). Duplicate-edge detection is NOT performed here — it needs
 /// per-node state; callers wanting kReject semantics detect duplicates
-/// downstream (read_edge_list with the sort that builds its CSR, shard_build
-/// at shard finalization). Lines are parsed in place, without allocating.
+/// downstream (read_edge_list with the counting sort that builds its CSR,
+/// shard_build at shard finalization). Lines are parsed in place, without
+/// allocating.
 void scan_edge_list(
     std::istream& in, const EdgeListLimits& limits,
     const std::function<void(const EdgeListHeader&)>& on_header,
@@ -72,13 +80,33 @@ void scan_edge_list(
 /// adversarial header. Under kReject the duplicate reported is the first
 /// edge, in input order, that repeats an earlier one, and it wins over any
 /// error on a later line — as if each edge were checked on arrival.
+///
+/// The scan and the CSR build (Graph::from_canonical over canonical_edges)
+/// run on `ex`; the overloads without one run serially. The input buffer is
+/// released before the CSR arrays are allocated.
 Graph read_edge_list(std::istream& in, const EdgeListLimits& limits = {});
+Graph read_edge_list(std::istream& in, const EdgeListLimits& limits,
+                     const exec::Executor& ex);
 
 /// Read from a file. Open and read failures carry errno context
 /// (std::strerror) and are distinguished from parse failures by
 /// ParseErrorCode::kIoError.
 Graph read_edge_list_file(const std::string& path,
                           const EdgeListLimits& limits = {});
+Graph read_edge_list_file(const std::string& path,
+                          const EdgeListLimits& limits,
+                          const exec::Executor& ex);
+
+namespace detail {
+
+/// read_edge_list with the scan cut into chunks of at least `chunk_bytes`
+/// bytes, each running to the end of its last line. The result never
+/// depends on the cut; tests and the edge-list fuzz driver pass tiny sizes
+/// to put chunk seams between every pair of lines.
+Graph read_edge_list(std::istream& in, const EdgeListLimits& limits,
+                     const exec::Executor& ex, std::size_t chunk_bytes);
+
+}  // namespace detail
 
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);

@@ -427,13 +427,14 @@ std::unique_ptr<Storage> open_storage(const StorageOptions& options,
                                       const std::string& input_path,
                                       const graph::EdgeListLimits& limits,
                                       const IoFaultPlan& io_faults,
-                                      const RecoveryOptions& recovery) {
+                                      const RecoveryOptions& recovery,
+                                      const exec::Executor& ex) {
   switch (options.backend) {
     case StorageBackend::kMemory:
       // An io-fault plan against the heap backend is a valid no-op: there
       // is no host I/O to perturb.
       return std::make_unique<InMemoryStorage>(
-          graph::read_edge_list_file(input_path, limits));
+          graph::read_edge_list_file(input_path, limits, ex));
     case StorageBackend::kMmap:
       try {
         return MmapShardStorage::open(options.shard_dir, limits,
@@ -447,7 +448,7 @@ std::unique_ptr<Storage> open_storage(const StorageOptions& options,
         // backend died with its exact counters) records the degradation and
         // the class of failure that caused it.
         auto memory = std::make_unique<InMemoryStorage>(
-            graph::read_edge_list_file(input_path, limits));
+            graph::read_edge_list_file(input_path, limits, ex));
         IoRecoveryStats ledger;
         ledger.degraded = 1;
         if (e.code() == StorageErrorCode::kChecksumMismatch ||

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "mpc/faults.hpp"
@@ -229,13 +230,15 @@ class MmapShardStorage final : public Storage {
 /// under options.verify with `io_faults`/`recovery` driving the injection
 /// and retry ladder. When the mmap backend fails with a StorageError and
 /// options.fallback is kMemory, degrades to an InMemoryStorage re-read of
-/// `input_path` (ledgered as storage/degraded). Shared by the CLI and
-/// benches.
-std::unique_ptr<Storage> open_storage(const StorageOptions& options,
-                                      const std::string& input_path,
-                                      const graph::EdgeListLimits& limits = {},
-                                      const IoFaultPlan& io_faults = {},
-                                      const RecoveryOptions& recovery = {});
+/// `input_path` (ledgered as storage/degraded). Text is read and its CSR
+/// built on `ex` (the solve's executor when called through
+/// Solver::open_storage); the graph is the same for every executor. Shared
+/// by the CLI and benches.
+std::unique_ptr<Storage> open_storage(
+    const StorageOptions& options, const std::string& input_path,
+    const graph::EdgeListLimits& limits = {},
+    const IoFaultPlan& io_faults = {}, const RecoveryOptions& recovery = {},
+    const exec::Executor& ex = exec::Executor::serial());
 
 /// Export a storage's host-side residency into the current registry's kHost
 /// section (gauges storage/bytes_mapped, storage/shards,

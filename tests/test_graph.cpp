@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "csr_reference.hpp"
 #include "exec/parallel.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -63,6 +64,59 @@ TEST(Graph, DuplicatesCollapse) {
 TEST(Graph, RejectsSelfLoopsAndOutOfRange) {
   EXPECT_THROW(Graph::from_edges(3, {{1, 1}}), CheckFailure);
   EXPECT_THROW(Graph::from_edges(3, {{0, 3}}), CheckFailure);
+}
+
+// The counting-sort build must produce today's sort-then-scatter arrays
+// exactly, on every executor, whatever the order, orientation and
+// repetition of the input.
+TEST(Graph, CountingBuildMatchesSortBuild) {
+  std::mt19937_64 rng(17);
+  const auto list = [](const Graph& g) {
+    return std::vector<Edge>(g.edges().begin(), g.edges().end());
+  };
+  const auto shuffled = [&](std::vector<Edge> edges) {
+    std::shuffle(edges.begin(), edges.end(), rng);
+    for (Edge& e : edges) {
+      if (rng() & 1) std::swap(e.u, e.v);
+    }
+    return edges;
+  };
+  std::vector<std::pair<NodeId, std::vector<Edge>>> inputs = {
+      {4096, list(gnm(4096, 32768, 3))},
+      {2048, list(random_regular(2048, 8, 4))},
+      {4096, shuffled(list(gnm(4096, 32768, 5)))},
+      // Isolated nodes around a few edges, n = 1, and m = 0.
+      {100, {{97, 3}, {50, 99}, {3, 50}}},
+      {1, {}},
+      {10, {}},
+  };
+  // Duplicate-heavy: every edge listed 1 to 6 times, in either orientation
+  // (the collapse kDedupe reading relies on).
+  std::vector<Edge> repeated;
+  for (const Edge& e : list(gnm(512, 4096, 6))) {
+    const std::uint64_t copies = 1 + rng() % 6;
+    for (std::uint64_t c = 0; c < copies; ++c) repeated.push_back(e);
+  }
+  inputs.emplace_back(512, shuffled(std::move(repeated)));
+
+  for (std::uint32_t threads = 1; threads <= 4; ++threads) {
+    const exec::Executor ex = exec::Executor::with_threads(threads);
+    for (const auto& [n, edges] : inputs) {
+      const testref::CsrArrays want = testref::sort_then_scatter(n, edges);
+      EXPECT_EQ(testref::arrays_of(Graph::from_edges(n, edges, ex)), want)
+          << "threads " << threads << ", n " << n << ", m " << edges.size();
+      EXPECT_EQ(canonical_edges(n, edges, ex), want.edges);
+    }
+  }
+}
+
+TEST(Graph, FromCanonicalChecksItsPrecondition) {
+  const exec::Executor ex = exec::Executor::serial();
+  EXPECT_NO_THROW(Graph::from_canonical(4, {{0, 1}, {0, 3}, {2, 3}}, ex));
+  EXPECT_THROW(Graph::from_canonical(4, {{1, 0}}, ex), CheckFailure);
+  EXPECT_THROW(Graph::from_canonical(4, {{0, 4}}, ex), CheckFailure);
+  EXPECT_THROW(Graph::from_canonical(4, {{0, 3}, {0, 1}}, ex), CheckFailure);
+  EXPECT_THROW(Graph::from_canonical(4, {{0, 1}, {0, 1}}, ex), CheckFailure);
 }
 
 TEST(Graph, FindEdge) {

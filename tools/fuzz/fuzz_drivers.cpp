@@ -9,6 +9,7 @@
 
 #include "api/cli_options.hpp"
 #include "api/status.hpp"
+#include "exec/parallel.hpp"
 #include "graph/io.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/io_faults.hpp"
@@ -86,12 +87,18 @@ ReadOutcome reference_read(const std::string& text,
   }
 }
 
-void read_one(const std::string& text, graph::DuplicatePolicy policy) {
+/// Chunk size for the second read of each input: a few bytes, so nearly
+/// every line starts a new chunk and the oracle checks chunk stitching.
+constexpr std::size_t kTinyChunkBytes = 3;
+
+void read_one(const std::string& text, graph::DuplicatePolicy policy,
+              std::size_t chunk_bytes) {
   const graph::EdgeListLimits limits = fuzz_limits(policy);
   ReadOutcome got;
   try {
     std::istringstream in(text);
-    const graph::Graph g = graph::read_edge_list(in, limits);
+    const graph::Graph g = graph::detail::read_edge_list(
+        in, limits, exec::Executor::serial(), chunk_bytes);
     got.accepted = true;
     got.n = g.num_nodes();
     got.edges.assign(g.edges().begin(), g.edges().end());
@@ -118,8 +125,11 @@ void read_one(const std::string& text, graph::DuplicatePolicy policy) {
 
 int drive_edge_list(const std::uint8_t* data, std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
-  read_one(text, graph::DuplicatePolicy::kReject);
-  read_one(text, graph::DuplicatePolicy::kDedupe);
+  for (const std::size_t chunk_bytes :
+       {std::max<std::size_t>(text.size(), 1), kTinyChunkBytes}) {
+    read_one(text, graph::DuplicatePolicy::kReject, chunk_bytes);
+    read_one(text, graph::DuplicatePolicy::kDedupe, chunk_bytes);
+  }
   return 0;
 }
 

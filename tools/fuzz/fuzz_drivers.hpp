@@ -17,7 +17,8 @@
 namespace dmpc::fuzz {
 
 /// graph::read_edge_list with small hard caps, under both duplicate
-/// policies, plus a write/re-read round trip on accepted graphs.
+/// policies, in one chunk and at a forced tiny chunk size, plus a
+/// write/re-read round trip on accepted graphs.
 int drive_edge_list(const std::uint8_t* data, std::size_t size);
 
 /// mpc::FaultPlan::parse (the throwing overload).
